@@ -10,13 +10,8 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from ordlat.freeness import (
-    build_chain_limit,
-    build_chain_successor,
-    multi_prime_compose,
-    smooth_chain_check,
-)
-from ordlat.presets import load, two_prime_blocks
+from ordlat.freeness import certify, smooth_chain_check
+from ordlat.presets import load
 
 DEFAULT = [
     "limitq",
@@ -27,30 +22,10 @@ DEFAULT = [
     "limit_power_jump",
 ]
 
-
-def build(name):
-    pres = load(name)
-    dom = pres.domain
-    if len(dom.ladders) > 1:
-        blocks = (
-            list(two_prime_blocks()) if name == "two_prime" else None
-        )
-        if blocks is None:
-            raise SystemExit(f"no block layout for {name}")
-        return pres, multi_prime_compose(pres, blocks)
-    lid = dom.ladders[0].id
-    span = max(
-        g.mu(lid) or 0 for _, g in pres.generators if g.tails_on(lid)
-    )
-    if dom.ladders[0].kind == "power":
-        count = sum(1 for _, g in pres.generators if g.tails_on(lid))
-        return pres, build_chain_limit(pres, count - 1)
-    return pres, build_chain_successor(pres, span)
-
-
 for name in sys.argv[1:] or DEFAULT:
     t0 = time.time()
-    pres, cert = build(name)
+    pres = load(name)
+    cert = certify(pres)
     built = time.time() - t0
     t0 = time.time()
     report = smooth_chain_check(pres, cert)

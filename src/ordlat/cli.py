@@ -24,16 +24,9 @@ from ordlat.ddmodel import (
     witness_battery,
 )
 from ordlat.element import parse_element
-from ordlat.freeness import (
-    ChainError,
-    build_chain_limit,
-    build_chain_successor,
-    multi_prime_compose,
-    smooth_chain_check,
-    verify_staircase,
-)
+from ordlat.freeness import ChainError, certify, smooth_chain_check, verify_staircase
 from ordlat.group import AmbiguousProbeError, Presentation, member_decompose
-from ordlat.ordinal import OrdinalParseError, ZERO
+from ordlat.ordinal import OrdinalParseError
 from ordlat.presets import PRESETS, load
 from ordlat.serialize import (
     certificate_from_json,
@@ -41,7 +34,6 @@ from ordlat.serialize import (
     dumps,
     presentation_from_json,
 )
-from ordlat.space import ClopenBlock
 
 
 def _add_source(sub: argparse.ArgumentParser) -> None:
@@ -98,45 +90,9 @@ def _cmd_verify_staircase(args: argparse.Namespace) -> int:
     return 0 if rep.ok else 1
 
 
-def _auto_blocks(pres: Presentation) -> List[ClopenBlock]:
-    targets = sorted(
-        (L.target for L in pres.domain.ladders), key=lambda x: x.key()
-    )
-    blocks = []
-    low = ZERO
-    for t in targets:
-        blocks.append(ClopenBlock(low, t))
-        low = t
-    return blocks
-
-
 def _cmd_extract_basis(args: argparse.Namespace) -> int:
     pres = _load_presentation(args)
-    dom = pres.domain
-    mode = args.mode
-    if mode == "auto":
-        if len(dom.ladders) > 1:
-            mode = "compose"
-        elif dom.ladders and dom.ladders[0].kind == "power":
-            mode = "limit"
-        else:
-            mode = "successor"
-    if mode == "successor":
-        lid = dom.ladders[0].id
-        depth = args.depth
-        if depth is None:
-            depth = max(
-                g.mu(lid) or 0 for _, g in pres.generators if g.tails_on(lid)
-            )
-        cert = build_chain_successor(pres, depth)
-    elif mode == "limit":
-        lid = dom.ladders[0].id
-        levels = args.depth
-        if levels is None:
-            levels = sum(1 for _, g in pres.generators if g.tails_on(lid)) - 1
-        cert = build_chain_limit(pres, levels)
-    else:
-        cert = multi_prime_compose(pres, _auto_blocks(pres))
+    cert = certify(pres, args.mode, args.depth)
     report = smooth_chain_check(pres, cert)
     blob = dumps(certificate_to_json(cert))
     if args.output:

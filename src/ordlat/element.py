@@ -296,6 +296,31 @@ class Domain:
         w = L.weight(weight)
         return _canonical(self, {}, [TailTerm(lid, w, Fraction(coeff), start)])
 
+    def combine(
+        self, coeffs: Sequence[int], elements: Sequence["Element"]
+    ) -> "Element":
+        """The sum of c * g over zip(coeffs, elements), canonicalized once.
+
+        Raises as the fold of + and * does: TypeError on a coefficient that
+        is not an int, ValueError on an element of another domain.
+        """
+        pref: Dict[Ordinal, int] = {}
+        tails: Dict[Tuple[str, WeightFn, int], Fraction] = {}
+        for c, g in zip(coeffs, elements):
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient {c!r:.40} is not an int")
+            if g.domain != self:
+                raise ValueError("elements live on different domains")
+            if not c:
+                continue
+            for x, v in g.prefix:
+                pref[x] = pref.get(x, 0) + c * v
+            for t in g.tails:
+                key = (t.ladder_id, t.weight, t.start)
+                tails[key] = tails.get(key, 0) + c * t.coeff
+        terms = [TailTerm(lid, w, r, s) for (lid, w, s), r in tails.items() if r]
+        return _canonical(self, pref, terms)
+
 
 # --- elements ---------------------------------------------------------------
 
@@ -448,10 +473,6 @@ class Element:
     def tail_start(self, lid: str) -> Optional[int]:
         info = self._analysis.get(lid)
         return info.start if info else None
-
-    def regime(self, lid: str) -> Optional[int]:
-        info = self._analysis.get(lid)
-        return info.regime if info else None
 
     def mu(self, lid: str) -> Optional[int]:
         """Least ladder index with a nonzero value."""
@@ -745,15 +766,13 @@ def _from_values(
 # --- pointwise predicates ----------------------------------------------------
 
 
-def is_semibasic(f: Element, x: Ordinal) -> bool:
-    """A nonnegative element taking value 1 at x whose remaining support
-    stays strictly below x's rank; the building block that isolates x."""
+def isolates(f: Element, x: Ordinal) -> bool:
+    """A nonnegative element, positive at x, whose remaining support stays
+    strictly below x's rank.  x must not be a ladder target."""
+    if f.value(x) < 1 or not f.is_nonneg():
+        return False
     space = f.domain.space
-    if f.domain.target_ladder(x) is not None:
-        return False
     gamma = space.cb_rank(x)
-    if f.value(x) != 1 or not f.is_nonneg():
-        return False
     for p in f._support.points:
         if p != x and compare(space.cb_rank(p), gamma) >= 0:
             return False
@@ -764,6 +783,14 @@ def is_semibasic(f: Element, x: Ordinal) -> bool:
         if rho == 0 and compare(space.cb_rank(L.point(0)), gamma) >= 0:
             return False
     return True
+
+
+def is_semibasic(f: Element, x: Ordinal) -> bool:
+    """An element isolating x with value exactly 1 there; the building
+    block of the quark decomposition."""
+    return (
+        f.domain.target_ladder(x) is None and f.value(x) == 1 and isolates(f, x)
+    )
 
 
 def bounded_ratio_witness(f: Element, g: Element) -> Optional[int]:
@@ -841,7 +868,8 @@ def parse_element(domain: Domain, text: str) -> Element:
     if text.strip() == "0":
         return domain.zero()
     pos = 0
-    total = domain.zero()
+    coeffs: List[int] = []
+    atoms: List[Element] = []
     sign = 1
     first = True
 
@@ -881,8 +909,8 @@ def parse_element(domain: Domain, text: str) -> Element:
                 j += 1
             if depth:
                 error("unbalanced parentheses")
-            point = parse_ordinal(text[pos + 2 : j - 1])
-            total = total + sign * coeff * domain.e(point)
+            coeffs.append(sign * coeff)
+            atoms.append(domain.e(parse_ordinal(text[pos + 2 : j - 1])))
             pos = j
         elif text.startswith("tail(", pos):
             depth, j = 1, pos + 5
@@ -904,14 +932,16 @@ def parse_element(domain: Domain, text: str) -> Element:
                 error(f"unknown tail arguments {sorted(unknown)}")
             if "ladder" not in kv or "r" not in kv or "start" not in kv:
                 error("tail needs ladder=, r= and start=")
-            t = domain.tail(
-                kv["ladder"],
-                Fraction(kv["r"]),
-                int(kv["start"]),
-                weight=kv.get("weight"),
+            coeffs.append(sign * coeff)
+            atoms.append(
+                domain.tail(
+                    kv["ladder"],
+                    Fraction(kv["r"]),
+                    int(kv["start"]),
+                    weight=kv.get("weight"),
+                )
             )
-            total = total + sign * coeff * t
             pos = j
         else:
             error("expected e(...) or tail(...)")
-    return total
+    return domain.combine(coeffs, atoms)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ordlat.element import Element, WeightFn, _from_values
 from ordlat.group import CoordinateSystem, Presentation, member_decompose
 from ordlat.intlinalg import hnf_rows, lattice_basis, row_rank, solve_in_rowspace
-from ordlat.ordinal import Ordinal, compare, format_ordinal, from_int, omega_power
+from ordlat.ordinal import ZERO, Ordinal, compare, format_ordinal, from_int, omega_power
 from ordlat.space import ClopenBlock
 
 
@@ -232,12 +232,11 @@ def construct_staircase(
                     f"{name}: correction off the ladder at {format_ordinal(x)}"
                 )
             lam = max(lam, k + 1)
-        cutoff = max(lam, prev_mu)
-        shaved = g
-        for k in range(cutoff + 1):
-            v = g.value(L.point(k))
-            if v:
-                shaved = shaved - v * pres.domain.e(L.point(k))
+        window = [L.point(k) for k in range(max(lam, prev_mu) + 1)]
+        shaved = pres.domain.combine(
+            [1] + [-g.value(x) for x in window],
+            [g] + [pres.domain.e(x) for x in window],
+        )
         ds.append(d)
         out.append((f"{name}~", shaved))
         prev_mu = shaved.mu(lid)
@@ -297,14 +296,8 @@ class FreenessCertificate:
         return tuple(p.element for p in self.pool)
 
     def basis_elements(self) -> Tuple[Element, ...]:
-        out = []
         pool = self.pool_elements()
-        for combo in self.final_basis:
-            acc = pool[0].domain.zero()
-            for c, g in zip(combo, pool):
-                acc = acc + c * g
-            out.append(acc)
-        return tuple(out)
+        return tuple(pool[0].domain.combine(c, pool) for c in self.final_basis)
 
 
 def free_from_bounded_torsion(
@@ -340,14 +333,10 @@ def free_from_bounded_torsion(
             )
         rows.append(list(dec.coeffs[:m]))
     res = hnf_rows(rows)
-    out = []
-    for i in range(res.rank):
-        combo = res.u[i]
-        acc = domain.zero()
-        for c, g in zip(combo, origins):
-            acc = acc + c * g
-        out.append((acc, tuple(combo)))
-    return tuple(out)
+    return tuple(
+        (domain.combine(combo, origins), tuple(combo))
+        for combo in res.u[: res.rank]
+    )
 
 
 # --- chain builders -------------------------------------------------------------
@@ -425,12 +414,7 @@ def _finalize(
     )
     rows = [cs.coords(g) for g in elements]
     _, combos = lattice_basis(rows)
-    basis_elements = []
-    for combo in combos:
-        acc = pres.domain.zero()
-        for c, g in zip(combo, elements):
-            acc = acc + c * g
-        basis_elements.append(acc)
+    basis_elements = [pres.domain.combine(c, elements) for c in combos]
     entries = []
     for name, t in targets:
         dec = member_decompose(basis_elements, t)
@@ -689,9 +673,8 @@ def multi_prime_compose(
 
     residues = []
     for i, (name, g) in enumerate(pres.generators):
-        rest = g
-        for col in restrictions:
-            rest = rest - col[i]
+        parts = [g] + [col[i] for col in restrictions]
+        rest = domain.combine([1] + [-1] * len(restrictions), parts)
         if rest.tails:
             raise CompositionError(
                 f"outside the blocks {name} keeps a tail"
@@ -707,9 +690,7 @@ def multi_prime_compose(
         _, combos = lattice_basis([cs.coords(r) for r in nonzero])
         a_ext = []
         for i, combo in enumerate(combos):
-            acc = domain.zero()
-            for c, g in zip(combo, nonzero):
-                acc = acc + c * g
+            acc = domain.combine(combo, nonzero)
             a_ext.append((f"res_{i}", acc, _provenance(pres, acc)))
         _append_step(pool, steps, pres, "residual", a_ext, [], 1)
 
@@ -765,6 +746,44 @@ def multi_prime_compose(
     return _finalize(pres, "composite", pool, steps, targets)
 
 
+def _auto_blocks(pres: Presentation) -> List[ClopenBlock]:
+    """One block per ladder: from the previous target up to its own."""
+    targets = sorted((L.target for L in pres.domain.ladders), key=Ordinal.key)
+    return [ClopenBlock(low, t) for low, t in zip([ZERO] + targets, targets)]
+
+
+def certify(
+    pres: Presentation, mode: str = "auto", depth: Optional[int] = None
+) -> FreenessCertificate:
+    """Build a freeness certificate with the chain that fits the domain.
+
+    mode "auto" composes over one block per ladder when there are several
+    ladders, builds a limit chain on a power ladder and a successor chain
+    otherwise.  depth defaults to the highest least index in the ladder's
+    family (successor) or one less than the family's size (limit levels).
+    """
+    ladders = pres.domain.ladders
+    if not ladders:
+        raise ChainError("a chain needs a ladder")
+    if mode == "auto":
+        mode = (
+            "compose" if len(ladders) > 1
+            else "limit" if ladders[0].kind == "power"
+            else "successor"
+        )
+    if mode == "compose":
+        return multi_prime_compose(pres, _auto_blocks(pres))
+    lid = ladders[0].id
+    family = [g for _, g in pres.generators if g.tails_on(lid)]
+    if mode == "limit":
+        return build_chain_limit(pres, len(family) - 1 if depth is None else depth)
+    if mode == "successor":
+        if depth is None:
+            depth = max((g.mu(lid) or 0 for g in family), default=0)
+        return build_chain_successor(pres, depth)
+    raise ValueError(f"unknown chain mode {mode!r}")
+
+
 # --- the independent checker -----------------------------------------------------
 
 
@@ -810,10 +829,7 @@ def smooth_chain_check(
                 CheckFailure(f"pool:{entry.name}", "provenance length mismatch")
             )
             continue
-        acc = domain.zero()
-        for c, g in zip(entry.provenance, pres.elements):
-            acc = acc + c * g
-        if acc != entry.element:
+        if domain.combine(entry.provenance, pres.elements) != entry.element:
             failures.append(
                 CheckFailure(
                     f"pool:{entry.name}",
@@ -881,9 +897,7 @@ def smooth_chain_check(
                     )
                 )
                 continue
-            acc = domain.zero()
-            for c, g in zip(w.coeffs, elements[:visible]):
-                acc = acc + c * g
+            acc = domain.combine(w.coeffs, elements[:visible])
             if acc != w.bound * elements[idx]:
                 failures.append(
                     CheckFailure(
@@ -916,9 +930,7 @@ def smooth_chain_check(
                     )
                 )
                 continue
-            acc = domain.zero()
-            for c, g in zip(combo, elements[: len(combo)]):
-                acc = acc + c * g
+            acc = domain.combine(combo, elements[: len(combo)])
             q_rows.append(cs.coords(acc))
         if q_rows and row_rank(prior + q_rows) != base_rank + len(q_rows):
             failures.append(
@@ -941,9 +953,7 @@ def smooth_chain_check(
                 CheckFailure(f"basis:{i}", "combo length mismatch")
             )
             continue
-        acc = domain.zero()
-        for c, g in zip(combo, elements):
-            acc = acc + c * g
+        acc = domain.combine(combo, elements)
         basis_elements.append(acc)
         basis_rows.append(cs.coords(acc))
     if row_rank(basis_rows) != len(basis_rows):
@@ -967,10 +977,7 @@ def smooth_chain_check(
                 CheckFailure(f"target:{t.name}", "coefficient length mismatch")
             )
             continue
-        acc = domain.zero()
-        for c, g in zip(t.coeffs, basis_elements):
-            acc = acc + c * g
-        if acc != t.element:
+        if domain.combine(t.coeffs, basis_elements) != t.element:
             failures.append(
                 CheckFailure(
                     f"target:{t.name}", "coefficients do not re-sum to the target"

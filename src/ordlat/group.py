@@ -14,12 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ordlat.element import (
-    Domain,
-    Element,
-    WeightFn,
-    is_semibasic,
-)
+from ordlat.element import Domain, Element, WeightFn, is_semibasic, isolates
 from ordlat.intlinalg import row_rank, solve_in_rowspace
 from ordlat.ordinal import Ordinal, compare, format_ordinal, successor, floor_rank
 from ordlat.space import ClopenBlock
@@ -165,10 +160,7 @@ def member_decompose(
     sol = solve_in_rowspace(rows, cs.coords(target))
     if sol is None:
         return None
-    combo = domain.zero()
-    for c, g in zip(sol, gens):
-        combo = combo + c * g
-    if combo != target:
+    if domain.combine(sol, gens) != target:
         if probes is not None:
             raise AmbiguousProbeError(
                 f"{len(cs.points)} probe points cannot separate the candidates"
@@ -192,22 +184,6 @@ def residue_index_at(f: Element, lid: str) -> Optional[int]:
     return f.tail_start(lid)
 
 
-def _isolates(f: Element, x: Ordinal, gamma: Ordinal) -> bool:
-    if f.value(x) < 1 or not f.is_nonneg():
-        return False
-    space = f.domain.space
-    for p in f.support().points:
-        if p != x and compare(space.cb_rank(p), gamma) >= 0:
-            return False
-    for lid, rho in f.support().regimes:
-        L = f.domain.ladder(lid)
-        if compare(space.cb_rank(L.target), gamma) >= 0:
-            return False
-        if rho == 0 and compare(space.cb_rank(L.point(0)), gamma) >= 0:
-            return False
-    return True
-
-
 def semibasic_construct(
     pres: Presentation,
     x: Ordinal,
@@ -223,7 +199,6 @@ def semibasic_construct(
     domain = pres.domain
     if domain.target_ladder(x) is not None:
         raise ValueError("no integer-valued evaluation at a ladder target")
-    gamma = domain.space.cb_rank(x)
     spike = domain.e(x)
     if member_decompose(pres.elements, spike) is not None:
         return spike
@@ -237,14 +212,12 @@ def semibasic_construct(
                 ):
                     if any(c == 0 for c in coeffs):
                         continue
-                    f = domain.zero()
-                    for c, i in zip(coeffs, idx):
-                        f = f + c * gens[i]
+                    f = domain.combine(coeffs, [gens[i] for i in idx])
                     if want(f):
                         return f
         return None
 
-    f = search(lambda g: _isolates(g, x, gamma))
+    f = search(lambda g: isolates(g, x))
     if f is None:
         raise SearchExhaustedError(
             f"no isolating combination at {format_ordinal(x)} within bounds"
@@ -347,13 +320,10 @@ class KernelBasisCertificate:
             for j, y in enumerate(self.points):
                 if j < i and q.value(y) != 0:
                     return False
-        for g, row in zip(self.gens, self.rows):
-            combo = g.domain.zero()
-            for c, q in zip(row, self.quarks):
-                combo = combo + c * q
-            if combo != g:
-                return False
-        return True
+        return all(
+            g.domain.combine(row, self.quarks) == g
+            for g, row in zip(self.gens, self.rows)
+        )
 
 
 def kernel_basis_certificate(

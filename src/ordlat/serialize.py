@@ -4,13 +4,17 @@ Two tagged formats: ordlat/presentation/1 and ordlat/certificate/1.
 Ordinals travel as their text syntax, rationals as Fraction strings
 ("3", "1/2"), and dumps() is canonical (sorted keys, no whitespace) so
 equal objects serialize to identical bytes.
+
+The decoders reject a document of the wrong shape with ValueError, and
+accept only JSON integers (not floats or booleans) in integer fields.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from ordlat.element import Domain, Element, Ladder, parse_weight
 from ordlat.freeness import (
@@ -32,6 +36,32 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _int(v: Any) -> int:
+    if type(v) is not int:  # json gives bool and float for true and 1.5
+        raise ValueError(f"expected an integer, got {v!r:.40}")
+    return v
+
+
+def _ints(row: Any) -> Tuple[int, ...]:
+    return tuple(_int(c) for c in row)
+
+
+def _decoder(fn):
+    """Report a document of the wrong shape (a null where an object
+    belongs, a missing key) as ValueError, like every other bad input."""
+
+    @functools.wraps(fn)
+    def decode(*args):
+        try:
+            return fn(*args)
+        except (AttributeError, KeyError, TypeError) as ex:
+            raise ValueError(
+                f"malformed document: {type(ex).__name__}: {ex}"
+            ) from ex
+
+    return decode
+
+
 def element_to_json(el: Element) -> Dict[str, Any]:
     return {
         "prefix": [[format_ordinal(x), v] for x, v in el.prefix],
@@ -47,15 +77,20 @@ def element_to_json(el: Element) -> Dict[str, Any]:
     }
 
 
+@_decoder
 def element_from_json(domain: Domain, data: Dict[str, Any]) -> Element:
-    el = domain.zero()
+    coeffs, atoms = [], []
     for x, v in data.get("prefix", ()):
-        el = el + int(v) * domain.e(parse_ordinal(x))
+        coeffs.append(_int(v))
+        atoms.append(domain.e(parse_ordinal(x)))
     for t in data.get("tails", ()):
-        el = el + domain.tail(
-            t["ladder"], Fraction(t["r"]), int(t["start"]), weight=t["weight"]
+        coeffs.append(1)
+        atoms.append(
+            domain.tail(
+                t["ladder"], Fraction(t["r"]), _int(t["start"]), weight=t["weight"]
+            )
         )
-    return el
+    return domain.combine(coeffs, atoms)
 
 
 def _ladder_to_json(L: Ladder) -> Dict[str, Any]:
@@ -84,7 +119,7 @@ def _ladder_from_json(data: Dict[str, Any]) -> Ladder:
         kw["first"] = parse_ordinal(data["first"])
         kw["step"] = parse_ordinal(data["step"])
     else:
-        kw["offset"] = int(data["offset"])
+        kw["offset"] = _int(data["offset"])
     return Ladder(**kw)
 
 
@@ -101,6 +136,7 @@ def presentation_to_json(pres: Presentation) -> Dict[str, Any]:
     }
 
 
+@_decoder
 def presentation_from_json(data: Dict[str, Any]) -> Presentation:
     if data.get("format") != PRESENTATION_FORMAT:
         raise ValueError(f"not a {PRESENTATION_FORMAT} document")
@@ -163,6 +199,7 @@ def certificate_to_json(cert: FreenessCertificate) -> Dict[str, Any]:
     }
 
 
+@_decoder
 def certificate_from_json(
     domain: Domain, data: Dict[str, Any]
 ) -> FreenessCertificate:
@@ -172,7 +209,7 @@ def certificate_from_json(
         PoolEntry(
             name=p["name"],
             element=element_from_json(domain, p["element"]),
-            provenance=tuple(p["provenance"])
+            provenance=_ints(p["provenance"])
             if p.get("provenance") is not None
             else None,
         )
@@ -183,20 +220,18 @@ def certificate_from_json(
             label=s["label"],
             a_extension=tuple(s["aExtension"]),
             b_extras=tuple(s["bExtras"]),
-            torsion_bound=int(s["torsionBound"]),
+            torsion_bound=_int(s["torsionBound"]),
             torsion_witnesses=tuple(
                 TorsionWitness(
                     extra=w["extra"],
-                    bound=int(w["bound"]),
-                    over=int(w["over"]),
-                    coeffs=tuple(int(c) for c in w["coeffs"]),
+                    bound=_int(w["bound"]),
+                    over=_int(w["over"]),
+                    coeffs=_ints(w["coeffs"]),
                 )
                 for w in s["torsionWitnesses"]
             ),
-            quotient_over=int(s["quotientOver"]),
-            quotient_basis=tuple(
-                tuple(int(c) for c in row) for row in s["quotientBasis"]
-            ),
+            quotient_over=_int(s["quotientOver"]),
+            quotient_basis=tuple(_ints(r) for r in s["quotientBasis"]),
         )
         for s in data["steps"]
     )
@@ -204,7 +239,7 @@ def certificate_from_json(
         TargetEntry(
             name=t["name"],
             element=element_from_json(domain, t["element"]),
-            coeffs=tuple(int(c) for c in t["coeffs"]),
+            coeffs=_ints(t["coeffs"]),
         )
         for t in data["certifiedTargets"]
     )
@@ -213,9 +248,7 @@ def certificate_from_json(
         kind=data["kind"],
         pool=pool,
         steps=steps,
-        final_basis=tuple(
-            tuple(int(c) for c in row) for row in data["finalBasis"]
-        ),
+        final_basis=tuple(_ints(r) for r in data["finalBasis"]),
         targets=targets,
-        rank=int(data["rank"]),
+        rank=_int(data["rank"]),
     )

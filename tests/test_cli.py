@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from ordlat.cli import main
 from ordlat.group import Presentation
@@ -130,6 +131,49 @@ def test_cert_verify_catches_tampering(capsys, tmp_path):
     rc, out, _ = run(capsys, "cert-verify", "--preset", "limitq", "--cert", str(cert))
     assert rc == 1
     assert "basis" in out  # failure location is printed
+
+
+def _first_provenance(doc):
+    return next(p for p in doc["pool"] if p["provenance"] is not None)
+
+
+def _null_pool_entry(doc):
+    doc["pool"] = [None]
+
+
+def _float_rank(doc):
+    doc["rank"] = float(doc["rank"])
+
+
+def _string_provenance(doc):
+    entry = _first_provenance(doc)
+    entry["provenance"] = [str(c) for c in entry["provenance"]]
+
+
+def _float_coefficient(doc):
+    doc["certifiedTargets"][0]["coeffs"][0] = float(
+        doc["certifiedTargets"][0]["coeffs"][0]
+    )
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_null_pool_entry, _float_rank, _string_provenance, _float_coefficient],
+    ids=["null-pool-entry", "float-rank", "string-provenance", "float-coefficient"],
+)
+def test_cert_verify_hostile_certificate_is_bad_input(capsys, tmp_path, corrupt):
+    cert = tmp_path / "cert.json"
+    rc, _, _ = run(
+        capsys, "extract-basis", "--preset", "limitq", "--depth", "3", "--output", str(cert)
+    )
+    assert rc == 0
+    data = json.loads(cert.read_text())
+    corrupt(data)
+    cert.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "cert-verify", "--preset", "limitq", "--cert", str(cert))
+    assert rc == 2
+    assert "error:" in err
+    assert "Traceback" not in out + err
 
 
 # --- decomposition ---------------------------------------------------------------------

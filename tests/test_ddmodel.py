@@ -3,11 +3,11 @@ import pytest
 from ordlat.ddmodel import (
     IdealFunction,
     phi_homomorphism_check,
-    radical_power_witness,
     sample_combination,
     spec_map_check,
     witness_battery,
 )
+from ordlat.element import bounded_ratio_witness
 from ordlat.ordinal import from_int
 
 
@@ -83,9 +83,9 @@ def test_witness_battery(limitq, twoblock):
 
 def test_radical_power_witness_frozen(limitq):
     a0 = limitq.generator("a_0")
-    assert radical_power_witness(a0, 3 * a0) == 3
-    assert radical_power_witness(a0, a0) == 1
-    assert radical_power_witness(a0, limitq.domain.e(from_int(0))) is None
+    assert bounded_ratio_witness(a0, 3 * a0) == 3
+    assert bounded_ratio_witness(a0, a0) == 1
+    assert bounded_ratio_witness(a0, limitq.domain.e(from_int(0))) is None
 
 
 @pytest.mark.parametrize("preset", ["limitq", "twoblock", "gridrows"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordlat import presets
 from ordlat.element import (
     Domain,
     Ladder,
@@ -333,6 +334,57 @@ def test_is_semibasic(gens):
     assert not is_semibasic(2 * d.e(from_int(3)), from_int(3))
     assert not is_semibasic(d.e(from_int(3)) - d.e(from_int(1)), from_int(3))
     assert not is_semibasic(d.e(from_int(3)), OMEGA)  # ladder target
+
+
+# --- linear combinations ------------------------------------------------------------
+
+# one ladder; two ladders; two weights on one ladder
+COMBINE_PRESETS = {
+    n: presets.load(n) for n in ("limitq", "two_prime", "limit_power_two_weights")
+}
+
+
+def fold(domain, coeffs, elements):
+    """The hand-written sum that Domain.combine replaces: the reference."""
+    acc = domain.zero()
+    for c, g in zip(coeffs, elements):
+        acc = acc + c * g
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(COMBINE_PRESETS))
+@given(data=st.data())
+def test_combine_equals_fold(name, data):
+    pres = COMBINE_PRESETS[name]
+    # lengths may differ: both pair by zip
+    picks = data.draw(st.lists(st.sampled_from(pres.elements), max_size=6))
+    coeffs = data.draw(st.lists(st.integers(-6, 6), max_size=6))
+    assert pres.domain.combine(coeffs, picks) == fold(pres.domain, coeffs, picks)
+
+
+@pytest.mark.parametrize("name", sorted(COMBINE_PRESETS))
+def test_combine_cancels_to_zero(name):
+    pres = COMBINE_PRESETS[name]
+    g = pres.elements[-1]
+    assert pres.domain.combine([], []) == pres.domain.zero()
+    assert pres.domain.combine([0, 0], [g, g]).is_zero
+    assert pres.domain.combine([3, -1, -2], [g, g, g]).is_zero
+
+
+def test_combine_guards(limitq):
+    d = limitq.domain
+    a0 = limitq.generator("a_0")
+    foreign = COMBINE_PRESETS["two_prime"].elements[0]
+    for coeffs in ([1], [0]):  # a zero coefficient is no excuse
+        with pytest.raises(ValueError, match="different domains"):
+            d.combine([1] + coeffs, [a0, foreign])
+        with pytest.raises(ValueError):
+            fold(d, [1] + coeffs, [a0, foreign])
+    for bad in (1.5, "2"):
+        with pytest.raises(TypeError):
+            d.combine([bad], [a0])
+        with pytest.raises(TypeError):
+            fold(d, [bad], [a0])
 
 
 # --- literals --------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from ordlat.freeness import (
     CompositionError,
     build_chain_limit,
     build_chain_successor,
+    certify,
     chain_torsion_bound,
     construct_staircase,
     free_from_bounded_torsion,
@@ -20,6 +22,7 @@ from ordlat.freeness import (
 )
 from ordlat.group import Presentation, member_decompose
 from ordlat.ordinal import from_int
+from ordlat.serialize import certificate_to_json, dumps
 from ordlat.space import ClopenBlock, ScatteredSpace
 
 AXIOMS = ("positive", "ascending", "commensurable", "low-difference", "factorial-bound")
@@ -277,3 +280,51 @@ def test_compose_detects_restriction_leaving_span(two_prime):
 
 def test_composition_error_is_chain_error():
     assert issubclass(CompositionError, ChainError)
+
+
+# --- the certify entry point -----------------------------------------------------------
+
+# the builder call extract-basis made for each preset before certify existed,
+# and the first 16 hex digits of the SHA-256 of the certificate it wrote
+EXPLICIT_BUILDS = {
+    "limit_power": (lambda p: build_chain_limit(p, 5), "9971a5b57e8d9e67"),
+    "limit_power_integer": (lambda p: build_chain_limit(p, 4), "b5a4dcb75dabc24d"),
+    "limit_power_jump": (lambda p: build_chain_limit(p, 3), "af3ceb393dc83b46"),
+    "limit_power_two_weights": (
+        lambda p: build_chain_limit(p, 9),
+        "c2039ec7a54c42a8",
+    ),
+    "limitq": (lambda p: build_chain_successor(p, 9), "116aed933d058d5f"),
+    "two_prime": (
+        lambda p: multi_prime_compose(p, list(presets.two_prime_blocks())),
+        "654c3a651a87568a",
+    ),
+    "twoblock": (lambda p: build_chain_successor(p, 4), "d983d6a6fd584ea4"),
+}
+
+
+def test_every_preset_is_listed():
+    assert set(EXPLICIT_BUILDS) | {"gridrows"} == set(presets.PRESETS)
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_BUILDS))
+def test_certify_matches_explicit_builder(name):
+    pres = presets.load(name)
+    build, digest = EXPLICIT_BUILDS[name]
+    blob = dumps(certificate_to_json(certify(pres)))
+    assert blob == dumps(certificate_to_json(build(pres)))
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+
+
+def test_certify_gridrows_has_no_chain(gridrows):
+    with pytest.raises(ChainError):
+        certify(gridrows)
+
+
+def test_certify_modes_and_depth(limitq, two_prime):
+    assert certify(limitq, depth=3) == build_chain_successor(limitq, 3)
+    assert certify(two_prime, mode="compose").kind == "composite"
+    with pytest.raises(ChainError):
+        certify(limitq, mode="limit")
+    with pytest.raises(ValueError):
+        certify(limitq, mode="sideways")

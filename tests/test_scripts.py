@@ -1,0 +1,29 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHAIN_REPORT_DEFAULT = (
+    "limitq",
+    "two_prime",
+    "limit_power",
+    "limit_power_two_weights",
+    "limit_power_integer",
+    "limit_power_jump",
+)
+
+
+def test_chain_report_default_presets_verify():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "chain_report.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == list(CHAIN_REPORT_DEFAULT)
+    for line in lines:
+        assert re.search(r"ok=True$", line), line

@@ -94,3 +94,23 @@ def test_certificate_keys_are_camel_case(limitq):
     step = blob["steps"][0]
     assert {"label", "aExtension", "bExtras", "torsionBound"} <= set(step)
     assert "finalBasis" in blob and "certifiedTargets" in blob
+
+
+# --- hostile documents ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", None])
+def test_certificate_integer_fields_are_strict(limitq, value):
+    blob = certificate_to_json(build_chain_successor(limitq, 2))
+    blob["rank"] = value
+    with pytest.raises(ValueError):
+        certificate_from_json(limitq.domain, blob)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [None, [], {"prefix": [["3", 1.0]]}, {"prefix": [["3"]]}, {"tails": [{}]}],
+)
+def test_malformed_element_is_value_error(limitq, data):
+    with pytest.raises(ValueError):
+        element_from_json(limitq.domain, data)
