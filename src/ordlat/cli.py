@@ -25,7 +25,7 @@ from ordlat.ddmodel import (
 )
 from ordlat.element import parse_element
 from ordlat.freeness import ChainError, certify, smooth_chain_check, verify_staircase
-from ordlat.group import AmbiguousProbeError, Presentation, member_decompose
+from ordlat.group import Presentation, member_decompose
 from ordlat.ordinal import OrdinalParseError
 from ordlat.presets import PRESETS, load
 from ordlat.serialize import (
@@ -211,7 +211,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (
         OrdinalParseError,
-        AmbiguousProbeError,
         ChainError,
         ValueError,
         KeyError,

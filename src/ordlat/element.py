@@ -247,17 +247,20 @@ class Domain:
                     raise ValueError(
                         f"target of ladder {L.id} lies on ladder {M.id}"
                     )
-                # targets differ, so point sets are eventually disjoint;
-                # probe the early indices where clashes could hide
-                for k in range(64):
-                    p = L.point(k)
-                    if compare(p, M.target) >= 0:
-                        break
-                    if M.index_of(p) is not None:
-                        raise ValueError(
-                            f"ladders {L.id} and {M.id} share point "
-                            f"{format_ordinal(p)}"
-                        )
+                # Past these checks a shared point is index 0 of one ladder.
+                # arith/arith: first + w^e*c*k with k >= 1 has lowest
+                # exponent e and, above it, the terms of first, which fix
+                # the target first + w^(e+1); so equal points past index 0
+                # mean equal targets.  power/arith: w^n = first + w^e*c*k
+                # with k >= 1 forces e = n and first < w^n, which puts the
+                # arith target w^(n+1) on the power ladder.  power/power:
+                # both target w^w.
+                p = L.point(0)
+                if M.index_of(p) is not None:
+                    raise ValueError(
+                        f"ladders {L.id} and {M.id} share point "
+                        f"{format_ordinal(p)}"
+                    )
 
     def ladder(self, lid: str) -> Ladder:
         for L in self.ladders:
@@ -363,8 +366,19 @@ class _LadderAnalysis:
     start: int
     residue: Tuple[Tuple[WeightFn, Fraction], ...]
     stabilization: int   # values match the formula and keep one sign from here
-    regime: int          # least index from which values are nonzero forever
     eventual_sign: int
+
+
+def _tail_sum(terms: Sequence[TailTerm], k: int) -> int:
+    """Sum of coeff * weight(k) over the terms already started at index k."""
+    total = 0
+    for t in terms:
+        if k >= t.start:
+            q, r = divmod(t.coeff.numerator * t.weight.value(k), t.coeff.denominator)
+            if r:
+                raise AssertionError("non-integer ladder value")
+            total += q
+    return total
 
 
 @dataclass(frozen=True)
@@ -403,14 +417,8 @@ class Element:
                     )
                 total += int(t.coeff * t.weight.param)
             return total
-        v = self._pmap.get(x, 0)
         loc = self.domain.locate(x)
-        if loc is not None:
-            L, k = loc
-            for t in self.tails_on(L.id):
-                if k >= t.start:
-                    v += int(t.coeff * t.weight.value(k))
-        return v
+        return self._pmap.get(x, 0) if loc is None else self._at(loc[0].id, loc[1])
 
     # -- ladder analysis --
 
@@ -434,33 +442,56 @@ class Element:
                 > sum(abs(residue[w]) * w.value(k) for w in weights[:-1])
             ):
                 k += 1
-            stab = k
-            rho = stab
-            while rho > 0 and self.value(L.point(rho - 1)) != 0:
-                rho -= 1
             out[L.id] = _LadderAnalysis(
                 terms=terms,
                 start=start,
                 residue=tuple((w, residue[w]) for w in weights),
-                stabilization=stab,
-                regime=rho,
+                stabilization=k,
                 eventual_sign=1 if residue[dom] > 0 else -1,
             )
         return out
 
+    @cached_property
+    def _window(self) -> Tuple[tuple, Dict[str, Tuple[int, ...]]]:
+        """The prefix points off every ladder, and per ladder the values at
+        the indices below its settle index; past them a ladder's values are
+        its tail formula."""
+        off = []
+        on: Dict[str, Dict[int, int]] = {L.id: {} for L in self.domain.ladders}
+        for x, v in self.prefix:
+            loc = self.domain.locate(x)
+            if loc is None:
+                off.append((x, v))
+            else:
+                on[loc[0].id][loc[1]] = v
+        ladders = {}
+        for lid, vals in on.items():
+            info = self._analysis.get(lid)
+            terms = info.terms if info else ()
+            n = info.stabilization if info else max(vals, default=-1) + 1
+            ladders[lid] = tuple(
+                vals.get(k, 0) + _tail_sum(terms, k) for k in range(n)
+            )
+        return tuple(off), ladders
+
+    def _values_on(self, lid: str) -> Tuple[int, ...]:
+        vals = self._window[1].get(lid)
+        if vals is None:
+            self.domain.ladder(lid)  # raises KeyError for an unknown id
+        return vals
+
+    def _at(self, lid: str, k: int) -> int:
+        """Value at index k of ladder lid."""
+        vals = self._values_on(lid)
+        if k < len(vals):
+            return vals[k]
+        info = self._analysis.get(lid)
+        return _tail_sum(info.terms, k) if info else 0
+
     def settle_index(self, lid: str) -> int:
         """Index from which values on the ladder follow a fixed pattern:
         the tail formula with a constant sign, or identically zero."""
-        info = self._analysis.get(lid)
-        if info is not None:
-            return info.stabilization
-        L = self.domain.ladder(lid)
-        top = 0
-        for x, _ in self.prefix:
-            k = L.index_of(x)
-            if k is not None:
-                top = max(top, k + 1)
-        return top
+        return len(self._values_on(lid))
 
     def residue_at(self, lid: str) -> Dict[WeightFn, Fraction]:
         """Tail coefficient per weight on one ladder (the behaviour at the
@@ -476,37 +507,28 @@ class Element:
 
     def mu(self, lid: str) -> Optional[int]:
         """Least ladder index with a nonzero value."""
-        L = self.domain.ladder(lid)
-        bound = max(self.settle_index(lid), 1)
-        info = self._analysis.get(lid)
-        if info is not None:
-            bound = info.stabilization + 1
-        for k in range(bound):
-            if self.value(L.point(k)) != 0:
+        vals = self._values_on(lid)
+        for k, v in enumerate(vals):
+            if v:
                 return k
-        return bound - 1 if info is not None else None
+        # the value at the settle index of a ladder with tails is nonzero
+        return len(vals) if lid in self._analysis else None
 
     # -- support & rank --
 
     @cached_property
     def _support(self) -> SupportInfo:
-        pts = set()
+        off, ladders = self._window
+        pts = {x for x, _ in off}
         regimes = []
-        claimed = {}
-        for lid, info in self._analysis.items():
-            regimes.append((lid, info.regime))
-            claimed[lid] = info.regime
-        for x, _ in self.prefix:
-            loc = self.domain.locate(x)
-            if loc is not None and loc[0].id in claimed:
-                if loc[1] >= claimed[loc[0].id]:
-                    continue
-            pts.add(x)
-        for lid, info in self._analysis.items():
-            L = self.domain.ladder(lid)
-            for k in range(info.regime):
-                if self.value(L.point(k)) != 0:
-                    pts.add(L.point(k))
+        for L in self.domain.ladders:
+            vals = ladders[L.id]
+            rho = len(vals)
+            if L.id in self._analysis:  # nonzero forever from index rho on
+                while rho > 0 and vals[rho - 1] != 0:
+                    rho -= 1
+                regimes.append((L.id, rho))
+            pts.update(L.point(k) for k in range(rho) if vals[k])
         return SupportInfo(
             points=frozenset(pts), regimes=tuple(sorted(regimes))
         )
@@ -542,20 +564,12 @@ class Element:
     # -- order & lattice --
 
     def is_nonneg(self) -> bool:
-        for lid, info in self._analysis.items():
-            if info.eventual_sign < 0:
-                return False
-            L = self.domain.ladder(lid)
-            for k in range(info.stabilization):
-                if self.value(L.point(k)) < 0:
-                    return False
-        for x, v in self.prefix:
-            loc = self.domain.locate(x)
-            if loc is not None and loc[0].id in self._analysis:
-                continue  # ladder window already scanned
-            if v < 0:
-                return False
-        return True
+        if any(info.eventual_sign < 0 for info in self._analysis.values()):
+            return False
+        off, ladders = self._window
+        return all(v >= 0 for _, v in off) and all(
+            v >= 0 for vals in ladders.values() for v in vals
+        )
 
     def meet(self, other: "Element") -> "Element":
         """Pointwise minimum."""
@@ -563,26 +577,25 @@ class Element:
         diff = self - other
         values: Dict[Ordinal, int] = {}
         tails: List[TailTerm] = []
-        active = set(self._analysis) | set(other._analysis)
-        for lid in active:
-            L = self.domain.ladder(lid)
-            dinfo = diff._analysis.get(lid)
-            survivor = other if (dinfo and dinfo.eventual_sign > 0) else self
-            tails.extend(survivor.tails_on(lid))
+        for L in self.domain.ladders:
+            lid = L.id
+            active = lid in self._analysis or lid in other._analysis
+            if active:
+                dinfo = diff._analysis.get(lid)
+                survivor = other if (dinfo and dinfo.eventual_sign > 0) else self
+                tails.extend(survivor.tails_on(lid))
             k_settle = max(
                 self.settle_index(lid),
                 other.settle_index(lid),
                 diff.settle_index(lid),
             )
             for k in range(k_settle):
-                x = L.point(k)
-                values[x] = min(self.value(x), other.value(x))
-        for x, _ in self.prefix + other.prefix:
-            loc = self.domain.locate(x)
-            if loc is not None and loc[0].id in active:
-                continue
+                v = min(self._at(lid, k), other._at(lid, k))
+                if v or active:  # a zero off the tails adds nothing
+                    values[L.point(k)] = v
+        for x, _ in self._window[0] + other._window[0]:
             if x not in values:
-                values[x] = min(self.value(x), other.value(x))
+                values[x] = min(self._pmap.get(x, 0), other._pmap.get(x, 0))
         return _from_values(self.domain, values, tails)
 
     def join(self, other: "Element") -> "Element":
@@ -687,13 +700,7 @@ def _canonical(
         residue = {w: r for w, r in residue.items() if r != 0}
 
         def val(k: int) -> int:
-            total = Fraction(window.get(k, 0))
-            for t in terms:
-                if k >= t.start:
-                    total += t.coeff * t.weight.value(k)
-            if total.denominator != 1:
-                raise AssertionError("non-integer ladder value")
-            return int(total)
+            return window.get(k, 0) + _tail_sum(terms, k)
 
         hi = max((t.start for t in terms), default=0)
         hi = max(hi, 1 + max(window, default=-1))
@@ -748,18 +755,11 @@ def _from_values(
     behaviour elsewhere comes from the tails alone."""
     pref: Dict[Ordinal, int] = {}
     for x, v in values.items():
-        contrib = Fraction(0)
         loc = domain.locate(x)
         if loc is not None:
-            L, k = loc
-            for t in tails:
-                if t.ladder_id == L.id and k >= t.start:
-                    contrib += t.coeff * t.weight.value(k)
-        delta = v - contrib
-        if delta.denominator != 1:
-            raise AssertionError("non-integer correction")
-        if delta:
-            pref[x] = int(delta)
+            v -= _tail_sum([t for t in tails if t.ladder_id == loc[0].id], loc[1])
+        if v:
+            pref[x] = v
     return _canonical(domain, pref, list(tails))
 
 

@@ -503,28 +503,18 @@ def chain_torsion_bound(alphas: Sequence[int], delta: int) -> int:
     raise ValueError("rank exceeds the chain's thresholds")
 
 
-def build_chain_limit(
-    pres: Presentation,
-    levels: int,
-    alphas: Optional[Sequence[int]] = None,
-) -> FreenessCertificate:
+def build_chain_limit(pres: Presentation, levels: int) -> FreenessCertificate:
     """Freeness certificate for a power ladder reaching a rank-limit space.
 
     Level n compares each weight's n-th family member against the family
     base: the combination n! * f_n - t * f_0 cancels the residue, and
-    either lands high enough in rank to extend the chain or the level is
-    padded with a spike at the smallest point of the next rank.
+    either lands above rank n to extend the chain or the level is padded
+    with a spike at w^(n+1), the smallest point of the next rank.
     """
     if len(pres.domain.ladders) != 1 or pres.domain.ladders[0].kind != "power":
         raise ChainError("limit chains need a single power ladder")
     L = pres.domain.ladders[0]
     lid = L.id
-    if alphas is None:
-        alphas = list(range(levels + 1))
-    if len(alphas) < levels + 1 or any(
-        a >= b for a, b in zip(alphas, alphas[1:])
-    ):
-        raise ChainError("rank thresholds must be strictly increasing")
 
     families: Dict[WeightFn, List[Tuple[str, Element]]] = {}
     for name, g in pres.generators:
@@ -568,14 +558,14 @@ def build_chain_limit(
                 # the cancellation extends the chain only when it lands
                 # strictly above the level's rank threshold
                 beta = g.cb()
-                if compare(beta, from_int(alphas[n])) > 0:
+                if compare(beta, from_int(n)) > 0:
                     a_ext.append(
                         (f"g_{w.label()}_{n}", g, _provenance(pres, g))
                     )
                     grew = True
             extras.append((name, f_n, _provenance(pres, f_n)))
-        if not grew and n < len(alphas):
-            x = omega_power(from_int(alphas[n] + 1))
+        if not grew:
+            x = omega_power(from_int(n + 1))
             if pres.domain.space.contains(x):
                 spike = pres.domain.e(x)
                 a_ext.append(
@@ -599,33 +589,28 @@ def build_chain_limit(
 def restrict_element(f: Element, block: ClopenBlock) -> Element:
     """The function agreeing with f on the block and vanishing outside."""
     domain = f.domain
-    values: Dict[Ordinal, int] = {}
+    off, _ = f._window
+    values = {x: v for x, v in off if block.contains(x)}
     tails = []
     for L in domain.ladders:
         low = block.low
         if low is not None and compare(L.target, low) <= 0:
             continue  # ladder entirely below the block
         if block.contains(L.target):
-            if not f.tails_on(L.id):
-                continue
             k_first = 0
             while not block.contains(L.point(k_first)):
                 k_first += 1
             for t in f.tails_on(L.id):
                 tails.append(replace(t, start=max(t.start, k_first)))
             for k in range(k_first, f.settle_index(L.id)):
-                x = L.point(k)
-                values[x] = f.value(x)
+                values[L.point(k)] = f._at(L.id, k)
         else:
             k = 0
             while compare(L.point(k), block.high) <= 0:
                 x = L.point(k)
                 if block.contains(x):
-                    values[x] = f.value(x)
+                    values[x] = f._at(L.id, k)
                 k += 1
-    for x, _ in f.prefix:
-        if block.contains(x) and x not in values:
-            values[x] = f.value(x)
     return _from_values(domain, values, tails)
 
 

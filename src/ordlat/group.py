@@ -20,10 +20,6 @@ from ordlat.ordinal import Ordinal, compare, format_ordinal, successor, floor_ra
 from ordlat.space import ClopenBlock
 
 
-class AmbiguousProbeError(ValueError):
-    """A caller-supplied probe set failed to separate two candidates."""
-
-
 class SearchExhaustedError(RuntimeError):
     """The bounded generator search ended without a witness."""
 
@@ -65,23 +61,21 @@ class CoordinateSystem:
     """Faithful finite coordinates for integer combinations of a family.
 
     points: evaluation window (every prefix point of the family plus every
-    ladder index below the largest canonical start).  axes: one residue
+    ladder index below the largest canonical start); sites: each point's
+    (ladder id, index), or None off the ladders.  axes: one residue
     coordinate per (ladder, weight) in use, scaled to clear denominators.
-    strict coords refuse elements that step outside the window.
+    coords refuses an element whose prefix steps outside the window.
     """
 
     domain: Domain
     points: Tuple[Ordinal, ...]
+    sites: Tuple[Optional[Tuple[str, int]], ...]
     axes: Tuple[Tuple[str, WeightFn], ...]
     scales: Tuple[int, ...]
-    strict: bool = True
 
     @classmethod
     def for_elements(
-        cls,
-        domain: Domain,
-        elements: Sequence[Element],
-        probes: Optional[Sequence[Ordinal]] = None,
+        cls, domain: Domain, elements: Sequence[Element]
     ) -> "CoordinateSystem":
         axes: Dict[Tuple[str, WeightFn], int] = {}
         max_start: Dict[str, int] = {}
@@ -92,34 +86,36 @@ class CoordinateSystem:
                 max_start[t.ladder_id] = max(
                     max_start.get(t.ladder_id, 0), t.start
                 )
-        if probes is not None:
-            pts = {p for p in probes}
-            strict = False
-        else:
-            pts = {x for f in elements for x, _ in f.prefix}
-            for lid, s in max_start.items():
-                L = domain.ladder(lid)
-                for k in range(s):
-                    pts.add(L.point(k))
-            strict = True
+        pts = {x for f in elements for x, _ in f.prefix}
+        for lid, s in max_start.items():
+            L = domain.ladder(lid)
+            for k in range(s):
+                pts.add(L.point(k))
+        points = tuple(sorted(pts, key=Ordinal.key))
+        sites = []
+        for x in points:
+            loc = domain.locate(x)
+            sites.append(None if loc is None else (loc[0].id, loc[1]))
         axis_keys = sorted(axes, key=lambda a: (a[0], a[1].dominance_key()))
         return cls(
             domain=domain,
-            points=tuple(sorted(pts, key=Ordinal.key)),
+            points=points,
+            sites=tuple(sites),
             axes=tuple(axis_keys),
             scales=tuple(axes[a] for a in axis_keys),
-            strict=strict,
         )
 
     def coords(self, f: Element) -> Tuple[int, ...]:
-        if self.strict:
-            window = set(self.points)
-            for x, _ in f.prefix:
-                if x not in window:
-                    raise ValueError(
-                        f"prefix point {format_ordinal(x)} outside the window"
-                    )
-        out = [f.value(p) for p in self.points]
+        window = set(self.points)
+        for x, _ in f.prefix:
+            if x not in window:
+                raise ValueError(
+                    f"prefix point {format_ordinal(x)} outside the window"
+                )
+        out = [
+            f._pmap.get(x, 0) if site is None else f._at(*site)
+            for x, site in zip(self.points, self.sites)
+        ]
         residues = {
             (t.ladder_id, t.weight): t.coeff for t in f.tails
         }
@@ -140,31 +136,19 @@ class Decomposition:
 
 
 def member_decompose(
-    gens: Sequence[Element],
-    target: Element,
-    probes: Optional[Sequence[Ordinal]] = None,
+    gens: Sequence[Element], target: Element
 ) -> Optional[Decomposition]:
-    """Integer coefficients writing target over gens, or None.
-
-    With the automatic window the answer is exact.  A caller-supplied probe
-    list is trusted for speed; if it turns out too coarse to separate the
-    candidates, the exact recheck raises AmbiguousProbeError.
-    """
+    """Integer coefficients writing target over gens, or None; exact, since
+    the coordinate window is faithful."""
     if not gens:
         return Decomposition((), True) if target.is_zero else None
     domain = gens[0].domain
-    cs = CoordinateSystem.for_elements(
-        domain, list(gens) + [target], probes=probes
-    )
+    cs = CoordinateSystem.for_elements(domain, list(gens) + [target])
     rows = [cs.coords(g) for g in gens]
     sol = solve_in_rowspace(rows, cs.coords(target))
     if sol is None:
         return None
     if domain.combine(sol, gens) != target:
-        if probes is not None:
-            raise AmbiguousProbeError(
-                f"{len(cs.points)} probe points cannot separate the candidates"
-            )
         raise AssertionError("faithful window produced a bogus solution")
     return Decomposition(coeffs=sol, unique=row_rank(rows) == len(gens))
 

@@ -6,7 +6,8 @@ Ordinals travel as their text syntax, rationals as Fraction strings
 equal objects serialize to identical bytes.
 
 The decoders reject a document of the wrong shape with ValueError, and
-accept only JSON integers (not floats or booleans) in integer fields.
+accept only JSON integers (not floats or booleans) in integer fields and
+only strings in rational fields.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ def _int(v: Any) -> int:
 
 def _ints(row: Any) -> Tuple[int, ...]:
     return tuple(_int(c) for c in row)
+
+
+def _fraction(v: Any) -> Fraction:
+    if type(v) is not str:  # Fraction would read 0.5 and true as numbers
+        raise ValueError(f"expected a Fraction string, got {v!r:.40}")
+    return Fraction(v)
 
 
 def _decoder(fn):
@@ -87,7 +94,7 @@ def element_from_json(domain: Domain, data: Dict[str, Any]) -> Element:
         coeffs.append(1)
         atoms.append(
             domain.tail(
-                t["ladder"], Fraction(t["r"]), _int(t["start"]), weight=t["weight"]
+                t["ladder"], _fraction(t["r"]), _int(t["start"]), weight=t["weight"]
             )
         )
     return domain.combine(coeffs, atoms)

@@ -106,6 +106,39 @@ def test_arith_ladder_must_converge_to_target():
         )
 
 
+def _arith(lid, first, step, target):
+    return Ladder(
+        id=lid,
+        kind="arith",
+        target=parse_ordinal(target),
+        weights=(WeightFn("factorial"),),
+        first=parse_ordinal(first),
+        step=parse_ordinal(step),
+    )
+
+
+_POWER = Ladder(
+    id="pw", kind="power", target=parse_ordinal("w^w"), weights=(WeightFn("factorial"),)
+)
+
+
+@pytest.mark.parametrize(
+    "top, ladders, message",
+    [
+        ("w^3", [_arith("a", "0", "1", "w"), _arith("a", "0", "w", "w^2")], "duplicate"),
+        ("w", [_arith("a", "0", "w", "w^2")], "outside the space"),
+        ("w^3", [_arith("a", "0", "1", "w"), _arith("b", "3", "1", "w")], "a target"),
+        ("w^3", [_arith("a", "0", "1", "w"), _arith("b", "0", "w", "w^2")], "lies on"),
+        # b's points are 2, w^2, w^2*2, ...: only index 0 meets ladder a
+        ("w^3", [_arith("a", "0", "1", "w"), _arith("b", "2", "w^2", "w^3")], "point 2$"),
+        ("w^w", [_POWER, _arith("a", "w^2", "1", "w^2 + w")], "point w\\^2$"),
+    ],
+)
+def test_domain_rejects_clashing_ladders(top, ladders, message):
+    with pytest.raises(ValueError, match=message):
+        Domain(space=ScatteredSpace(parse_ordinal(top)), ladders=tuple(ladders))
+
+
 def test_weight_lookup_by_label(limitq):
     L = limitq.domain.ladder("q")
     assert L.weight() == WeightFn("factorial")
@@ -199,6 +232,69 @@ def test_tail_cancellation_leaves_prefix(gens):
     f = 2 * gens["a_2"] - gens["a_0"]
     assert f == -d.e(from_int(0)) - d.e(from_int(1))
     assert not f.tails
+
+
+# --- window-derived queries against brute force ---------------------------------
+
+ORACLE_PRESETS = {
+    n: presets.load(n)
+    for n in ("limitq", "twoblock", "two_prime", "limit_power_two_weights")
+}
+
+
+def brute_value(f, L, k):
+    """Prefix value plus every started tail term, summed as fractions."""
+    total = dict(f.prefix).get(L.point(k), 0) + sum(
+        t.coeff * t.weight.value(k) for t in f.tails_on(L.id) if k >= t.start
+    )
+    assert total.denominator == 1
+    return int(total)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PRESETS))
+@given(data=st.data())
+def test_ladder_queries_match_brute_force(name, data):
+    pres = ORACLE_PRESETS[name]
+    f = data.draw(combos(pres))
+    on_ladder = set()
+    points = set()
+    nonneg = True
+    for L in pres.domain.ladders:
+        settle = f.settle_index(L.id)
+        vals = [brute_value(f, L, k) for k in range(settle + 3)]
+        on_ladder.update(L.point(k) for k in range(settle + 3))
+        nonneg = nonneg and min(vals) >= 0
+        terms = f.tails_on(L.id)
+        nonzero = [k for k, v in enumerate(vals) if v]
+        assert f.mu(L.id) == (nonzero[0] if nonzero else None)
+        if not terms:
+            # identically zero from one past the last nonzero value
+            assert settle == (nonzero[-1] + 1 if nonzero else 0)
+            points.update(L.point(k) for k in nonzero)
+            continue
+        residue = {}
+        for t in terms:
+            residue[t.weight] = residue.get(t.weight, 0) + t.coeff
+        sign = 1 if residue[max(residue, key=WeightFn.dominance_key)] > 0 else -1
+        assert settle >= terms[0].start
+        if len(residue) == 1:  # nothing to outweigh: settled from the start
+            assert settle == terms[0].start
+        for k in range(settle, settle + 3):
+            # the tail formula, with the dominant weight's sign
+            assert vals[k] == sum(r * w.value(k) for w, r in residue.items())
+            assert vals[k] * sign > 0
+        rho = settle
+        while rho and vals[rho - 1]:
+            rho -= 1
+        assert (L.id, rho) in f.support().regimes
+        points.update(L.point(k) for k in nonzero if k < rho)
+    off = [(x, v) for x, v in f.prefix if x not in on_ladder]
+    assert all(pres.domain.locate(x) is None for x, _ in off)
+    points.update(x for x, _ in off)
+    nonneg = nonneg and all(v >= 0 for _, v in off)
+    assert f.support().points == points
+    assert len(f.support().regimes) == len({t.ladder_id for t in f.tails})
+    assert f.is_nonneg() == nonneg
 
 
 # --- group laws ------------------------------------------------------------------

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordlat.group import (
-    AmbiguousProbeError,
     CoordinateSystem,
     Presentation,
     SearchExhaustedError,
@@ -62,13 +61,6 @@ def test_decompose_empty_gens(limitq):
     d = limitq.domain
     assert member_decompose([], d.zero()).coeffs == ()
     assert member_decompose([], d.e(from_int(0))) is None
-
-
-def test_coarse_probes_raise(limitq):
-    with pytest.raises(AmbiguousProbeError):
-        member_decompose(
-            limitq.elements, limitq.domain.e(from_int(1)), probes=[from_int(0)]
-        )
 
 
 @given(st.data())

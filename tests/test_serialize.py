@@ -109,7 +109,18 @@ def test_certificate_integer_fields_are_strict(limitq, value):
 
 @pytest.mark.parametrize(
     "data",
-    [None, [], {"prefix": [["3", 1.0]]}, {"prefix": [["3"]]}, {"tails": [{}]}],
+    [
+        None,
+        [],
+        {"prefix": [["3", 1.0]]},
+        {"prefix": [["3"]]},
+        {"tails": [{}]},
+        # a tail's "r" is a Fraction string, not a JSON number or boolean
+        {"tails": [{"ladder": "q", "weight": "factorial", "r": 0.5, "start": 3}]},
+        {"tails": [{"ladder": "q", "weight": "factorial", "r": 1, "start": 3}]},
+        {"tails": [{"ladder": "q", "weight": "factorial", "r": True, "start": 3}]},
+        {"tails": [{"ladder": "q", "weight": "factorial", "r": None, "start": 3}]},
+    ],
 )
 def test_malformed_element_is_value_error(limitq, data):
     with pytest.raises(ValueError):
