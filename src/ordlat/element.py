@@ -304,10 +304,11 @@ class Domain:
     ) -> "Element":
         """The sum of c * g over zip(coeffs, elements), canonicalized once.
 
-        Raises as the fold of + and * does: TypeError on a coefficient that
-        is not an int, ValueError on an element of another domain.
+        + and * are combinations too.  Raises TypeError on a coefficient
+        that is not an int, ValueError on an element of another domain.
         """
-        pref: Dict[Ordinal, int] = {}
+        off: Dict[Ordinal, int] = {}
+        on: Dict[str, Dict[int, int]] = {}
         tails: Dict[Tuple[str, WeightFn, int], Fraction] = {}
         for c, g in zip(coeffs, elements):
             if not isinstance(c, int):
@@ -316,13 +317,19 @@ class Domain:
                 raise ValueError("elements live on different domains")
             if not c:
                 continue
-            for x, v in g.prefix:
-                pref[x] = pref.get(x, 0) + c * v
+            for x, v in g.off:
+                off[x] = off.get(x, 0) + c * v
+            for lid, kv in g.on:
+                vals = on.setdefault(lid, {})
+                for k, v in kv:
+                    vals[k] = vals.get(k, 0) + c * v
             for t in g.tails:
                 key = (t.ladder_id, t.weight, t.start)
-                tails[key] = tails.get(key, 0) + c * t.coeff
+                r = t.coeff if c == 1 else c * t.coeff
+                old = tails.get(key)
+                tails[key] = r if old is None else old + r
         terms = [TailTerm(lid, w, r, s) for (lid, w, s), r in tails.items() if r]
-        return _canonical(self, pref, terms)
+        return _canonical(self, off, terms, on)
 
 
 # --- elements ---------------------------------------------------------------
@@ -383,19 +390,40 @@ def _tail_sum(terms: Sequence[TailTerm], k: int) -> int:
 
 @dataclass(frozen=True)
 class Element:
+    """A canonical element, its prefix stored by where each point lies.
+
+    off: the nonzero prefix values at points on no ladder, in ordinal
+    order.  on: per ladder with prefix values, in ladder-id order, its
+    nonzero (index, value) pairs in index order.  tails: by ladder id, then
+    by weight dominance.  The ordinal-keyed prefix is derived from off and
+    on.
+    """
+
     domain: Domain
-    prefix: Tuple[Tuple[Ordinal, int], ...]
+    off: Tuple[Tuple[Ordinal, int], ...]
+    on: Tuple[Tuple[str, Tuple[Tuple[int, int], ...]], ...]
     tails: Tuple[TailTerm, ...]
 
     # -- construction & basic queries --
 
     @property
     def is_zero(self) -> bool:
-        return not self.prefix and not self.tails
+        return not self.off and not self.on and not self.tails
 
     @cached_property
-    def _pmap(self) -> Dict[Ordinal, int]:
-        return dict(self.prefix)
+    def prefix(self) -> Tuple[Tuple[Ordinal, int], ...]:
+        """Every prefix value keyed by its point, in ordinal order."""
+        if not self.on:
+            return self.off
+        items = list(self.off)
+        for lid, kv in self.on:
+            L = self.domain.ladder(lid)
+            items.extend((L.point(k), v) for k, v in kv)
+        return tuple(sorted(items, key=lambda item: item[0].key()))
+
+    @cached_property
+    def _offmap(self) -> Dict[Ordinal, int]:
+        return dict(self.off)
 
     def tails_on(self, lid: str) -> Tuple[TailTerm, ...]:
         return tuple(t for t in self.tails if t.ladder_id == lid)
@@ -418,7 +446,11 @@ class Element:
                 total += int(t.coeff * t.weight.param)
             return total
         loc = self.domain.locate(x)
-        return self._pmap.get(x, 0) if loc is None else self._at(loc[0].id, loc[1])
+        if loc is not None:
+            return self._at(loc[0].id, loc[1])
+        if not self.domain.space.contains(x):
+            raise ValueError(f"point {format_ordinal(x)} outside the space")
+        return self._offmap.get(x, 0)
 
     # -- ladder analysis --
 
@@ -452,30 +484,23 @@ class Element:
         return out
 
     @cached_property
-    def _window(self) -> Tuple[tuple, Dict[str, Tuple[int, ...]]]:
-        """The prefix points off every ladder, and per ladder the values at
-        the indices below its settle index; past them a ladder's values are
-        its tail formula."""
-        off = []
-        on: Dict[str, Dict[int, int]] = {L.id: {} for L in self.domain.ladders}
-        for x, v in self.prefix:
-            loc = self.domain.locate(x)
-            if loc is None:
-                off.append((x, v))
-            else:
-                on[loc[0].id][loc[1]] = v
-        ladders = {}
-        for lid, vals in on.items():
-            info = self._analysis.get(lid)
+    def _window(self) -> Dict[str, Tuple[int, ...]]:
+        """Per ladder, the values at the indices below its settle index;
+        past them a ladder's values are its tail formula."""
+        on = dict(self.on)
+        window = {}
+        for L in self.domain.ladders:
+            vals = dict(on.get(L.id, ()))
+            info = self._analysis.get(L.id)
             terms = info.terms if info else ()
             n = info.stabilization if info else max(vals, default=-1) + 1
-            ladders[lid] = tuple(
+            window[L.id] = tuple(
                 vals.get(k, 0) + _tail_sum(terms, k) for k in range(n)
             )
-        return tuple(off), ladders
+        return window
 
     def _values_on(self, lid: str) -> Tuple[int, ...]:
-        vals = self._window[1].get(lid)
+        vals = self._window.get(lid)
         if vals is None:
             self.domain.ladder(lid)  # raises KeyError for an unknown id
         return vals
@@ -518,11 +543,10 @@ class Element:
 
     @cached_property
     def _support(self) -> SupportInfo:
-        off, ladders = self._window
-        pts = {x for x, _ in off}
+        pts = {x for x, _ in self.off}
         regimes = []
         for L in self.domain.ladders:
-            vals = ladders[L.id]
+            vals = self._window[L.id]
             rho = len(vals)
             if L.id in self._analysis:  # nonzero forever from index rho on
                 while rho > 0 and vals[rho - 1] != 0:
@@ -566,16 +590,15 @@ class Element:
     def is_nonneg(self) -> bool:
         if any(info.eventual_sign < 0 for info in self._analysis.values()):
             return False
-        off, ladders = self._window
-        return all(v >= 0 for _, v in off) and all(
-            v >= 0 for vals in ladders.values() for v in vals
+        return all(v >= 0 for _, v in self.off) and all(
+            v >= 0 for vals in self._window.values() for v in vals
         )
 
     def meet(self, other: "Element") -> "Element":
         """Pointwise minimum."""
         self._same_domain(other)
         diff = self - other
-        values: Dict[Ordinal, int] = {}
+        on: Dict[str, Dict[int, int]] = {}
         tails: List[TailTerm] = []
         for L in self.domain.ladders:
             lid = L.id
@@ -589,14 +612,16 @@ class Element:
                 other.settle_index(lid),
                 diff.settle_index(lid),
             )
+            vals = on[lid] = {}
             for k in range(k_settle):
                 v = min(self._at(lid, k), other._at(lid, k))
                 if v or active:  # a zero off the tails adds nothing
-                    values[L.point(k)] = v
-        for x, _ in self._window[0] + other._window[0]:
-            if x not in values:
-                values[x] = min(self._pmap.get(x, 0), other._pmap.get(x, 0))
-        return _from_values(self.domain, values, tails)
+                    vals[k] = v
+        off: Dict[Ordinal, int] = {}
+        for x, _ in self.off + other.off:
+            if x not in off:
+                off[x] = min(self._offmap.get(x, 0), other._offmap.get(x, 0))
+        return _from_values(self.domain, off, on, tails)
 
     def join(self, other: "Element") -> "Element":
         return -((-self).meet(-other))
@@ -614,33 +639,33 @@ class Element:
             raise ValueError("elements live on different domains")
 
     def __add__(self, other: "Element") -> "Element":
-        self._same_domain(other)
-        pref: Dict[Ordinal, int] = dict(self.prefix)
-        for x, v in other.prefix:
-            pref[x] = pref.get(x, 0) + v
-        return _canonical(self.domain, pref, list(self.tails + other.tails))
+        return self.domain.combine((1, 1), (self, other))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        pref = {x: -v for x, v in self.prefix}
-        tails = [
-            TailTerm(t.ladder_id, t.weight, -t.coeff, t.start) for t in self.tails
-        ]
-        return _canonical(self.domain, pref, tails)
+        # -f is canonical as it stands: each canonical-form condition is
+        # unchanged by a sign flip.  -r * w(k) is integral exactly where
+        # r * w(k) is, and val(k) == formula(k) holds for -f exactly where
+        # it holds for f, so every tail start stays; nonzero values stay
+        # nonzero, and the order of points, indices and terms stays.
+        return Element(
+            domain=self.domain,
+            off=tuple((x, -v) for x, v in self.off),
+            on=tuple(
+                (lid, tuple((k, -v) for k, v in kv)) for lid, kv in self.on
+            ),
+            tails=tuple(
+                TailTerm(t.ladder_id, t.weight, -t.coeff, t.start)
+                for t in self.tails
+            ),
+        )
 
     def __mul__(self, n: int) -> "Element":
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return self.domain.zero()
-        pref = {x: n * v for x, v in self.prefix}
-        tails = [
-            TailTerm(t.ladder_id, t.weight, n * t.coeff, t.start)
-            for t in self.tails
-        ]
-        return _canonical(self.domain, pref, tails)
+        return self.domain.combine((n,), (self,))
 
     __rmul__ = __mul__
 
@@ -655,27 +680,34 @@ def _canonical(
     domain: Domain,
     raw_prefix: Mapping[Ordinal, int],
     raw_tails: Sequence[TailTerm],
+    on: Optional[Mapping[str, Mapping[int, int]]] = None,
 ) -> Element:
-    ladder_vals: Dict[str, Dict[int, int]] = {}
-    plain: Dict[Ordinal, int] = {}
-    for x, v in raw_prefix.items():
-        if v == 0:
-            continue
-        if not domain.space.contains(x):
-            raise ValueError(f"point {format_ordinal(x)} outside the space")
-        if domain.target_ladder(x) is not None:
-            raise ValueError(
-                f"{format_ordinal(x)} is a ladder target; values there are "
-                "set by tails"
-            )
-        loc = domain.locate(x)
-        if loc is None:
-            plain[x] = plain.get(x, 0) + v
-        else:
-            L, k = loc
-            ladder_vals.setdefault(L.id, {})[k] = (
-                ladder_vals.get(L.id, {}).get(k, 0) + v
-            )
+    """The canonical element with the given prefix values and tail terms.
+
+    With on=None this is the ordinal entry: raw_prefix may hold any points,
+    which are validated and located here, once.  Otherwise raw_prefix holds
+    values at points on no ladder and on holds each ladder's values by
+    index, as the arithmetic on canonical elements produces them.
+    """
+    if on is None:
+        off: Dict[Ordinal, int] = {}
+        on = {}
+        for x, v in raw_prefix.items():
+            if v == 0:
+                continue
+            if not domain.space.contains(x):
+                raise ValueError(f"point {format_ordinal(x)} outside the space")
+            if domain.target_ladder(x) is not None:
+                raise ValueError(
+                    f"{format_ordinal(x)} is a ladder target; values there are "
+                    "set by tails"
+                )
+            loc = domain.locate(x)
+            if loc is None:
+                off[x] = v
+            else:
+                on.setdefault(loc[0].id, {})[loc[1]] = v
+        raw_prefix = off
 
     by_ladder: Dict[str, List[TailTerm]] = {}
     for t in raw_tails:
@@ -686,81 +718,76 @@ def _canonical(
             )
         by_ladder.setdefault(t.ladder_id, []).append(t)
 
-    out_prefix: Dict[Ordinal, int] = {x: v for x, v in plain.items() if v != 0}
+    out_on: List[Tuple[str, Tuple[Tuple[int, int], ...]]] = []
     out_tails: List[TailTerm] = []
 
-    for lid in sorted(set(by_ladder) | set(ladder_vals)):
-        L = domain.ladder(lid)
+    for lid in sorted(set(by_ladder) | set(on)):
         terms = by_ladder.get(lid, [])
-        window = ladder_vals.get(lid, {})
+        window = on.get(lid, {})
 
         residue: Dict[WeightFn, Fraction] = {}
         for t in terms:
-            residue[t.weight] = residue.get(t.weight, Fraction(0)) + t.coeff
+            r = residue.get(t.weight)
+            residue[t.weight] = t.coeff if r is None else r + t.coeff
         residue = {w: r for w, r in residue.items() if r != 0}
-
-        def val(k: int) -> int:
-            return window.get(k, 0) + _tail_sum(terms, k)
 
         hi = max((t.start for t in terms), default=0)
         hi = max(hi, 1 + max(window, default=-1))
 
         if residue:
             weights = sorted(residue, key=WeightFn.dominance_key)
-
-            def formula(k: int) -> Fraction:
-                return sum(
-                    (residue[w] * w.value(k) for w in weights), Fraction(0)
-                )
-
             s = hi
             while s > 0:
                 k = s - 1
-                if all(
-                    w.value(k) % residue[w].denominator == 0 for w in weights
-                ) and val(k) == formula(k):
-                    s = k
-                else:
+                # the value at k equals the tail formula sum(residue * w(k))
+                # exactly when the window value at k makes up for the terms
+                # that have not started by k
+                if any(w.value(k) % residue[w].denominator for w in weights):
                     break
-            for k in range(s):
-                v = val(k)
-                if v:
-                    out_prefix[L.point(k)] = v
+                if window.get(k, 0) != sum(
+                    t.coeff * t.weight.value(k) for t in terms if t.start > k
+                ):
+                    break
+                s = k
             for w in weights:
                 out_tails.append(TailTerm(lid, w, residue[w], s))
         else:
-            for k in range(hi):
-                v = val(k)
-                if v:
-                    out_prefix[L.point(k)] = v
-
-    prefix = tuple(
-        sorted(out_prefix.items(), key=lambda item: item[0].key())
-    )
-    tails = tuple(
-        sorted(
-            out_tails,
-            key=lambda t: (t.ladder_id, t.weight.dominance_key()),
+            s = hi
+        vals = tuple(
+            (k, v)
+            for k in range(s)
+            if (v := window.get(k, 0) + _tail_sum(terms, k))
         )
+        if vals:
+            out_on.append((lid, vals))
+
+    return Element(
+        domain=domain,
+        off=tuple(
+            sorted(
+                ((x, v) for x, v in raw_prefix.items() if v),
+                key=lambda item: item[0].key(),
+            )
+        ),
+        on=tuple(out_on),
+        tails=tuple(out_tails),
     )
-    return Element(domain=domain, prefix=prefix, tails=tails)
 
 
 def _from_values(
     domain: Domain,
-    values: Mapping[Ordinal, int],
+    off: Mapping[Ordinal, int],
+    on: Mapping[str, Mapping[int, int]],
     tails: Sequence[TailTerm],
 ) -> Element:
-    """Element whose value at each listed point is exactly as given and whose
-    behaviour elsewhere comes from the tails alone."""
-    pref: Dict[Ordinal, int] = {}
-    for x, v in values.items():
-        loc = domain.locate(x)
-        if loc is not None:
-            v -= _tail_sum([t for t in tails if t.ladder_id == loc[0].id], loc[1])
-        if v:
-            pref[x] = v
-    return _canonical(domain, pref, list(tails))
+    """Element whose value at each listed point off the ladders and at each
+    listed ladder index is exactly as given, and whose behaviour elsewhere
+    comes from the tails alone."""
+    pref: Dict[str, Dict[int, int]] = {}
+    for lid, vals in on.items():
+        terms = [t for t in tails if t.ladder_id == lid]
+        pref[lid] = {k: v - _tail_sum(terms, k) for k, v in vals.items()}
+    return _canonical(domain, off, tails, pref)
 
 
 # --- pointwise predicates ----------------------------------------------------

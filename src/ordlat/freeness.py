@@ -103,6 +103,7 @@ def verify_staircase(
     5. d_n divides n! (torsion stays factorially bounded).
     """
     lid = ladder_id or pres.domain.ladders[0].id
+    pres.domain.ladder(lid)  # raises KeyError for an unknown id
     fam = list(family) if family is not None else _ladder_family(pres, lid)
     names = tuple(n for n, _ in fam)
     axioms: List[StaircaseAxiom] = []
@@ -589,13 +590,14 @@ def build_chain_limit(pres: Presentation, levels: int) -> FreenessCertificate:
 def restrict_element(f: Element, block: ClopenBlock) -> Element:
     """The function agreeing with f on the block and vanishing outside."""
     domain = f.domain
-    off, _ = f._window
-    values = {x: v for x, v in off if block.contains(x)}
+    off = {x: v for x, v in f.off if block.contains(x)}
+    on: Dict[str, Dict[int, int]] = {}
     tails = []
     for L in domain.ladders:
         low = block.low
         if low is not None and compare(L.target, low) <= 0:
             continue  # ladder entirely below the block
+        vals = on[L.id] = {}
         if block.contains(L.target):
             k_first = 0
             while not block.contains(L.point(k_first)):
@@ -603,15 +605,15 @@ def restrict_element(f: Element, block: ClopenBlock) -> Element:
             for t in f.tails_on(L.id):
                 tails.append(replace(t, start=max(t.start, k_first)))
             for k in range(k_first, f.settle_index(L.id)):
-                values[L.point(k)] = f._at(L.id, k)
+                vals[k] = f._at(L.id, k)
         else:
             k = 0
             while compare(L.point(k), block.high) <= 0:
                 x = L.point(k)
                 if block.contains(x):
-                    values[x] = f._at(L.id, k)
+                    vals[k] = f._at(L.id, k)
                 k += 1
-    return _from_values(domain, values, tails)
+    return _from_values(domain, off, on, tails)
 
 
 def _blocks_disjoint(blocks: Sequence[ClopenBlock]) -> bool:
@@ -823,9 +825,14 @@ def smooth_chain_check(
             )
 
     elements = [p.element for p in pool]
-    cs = CoordinateSystem.for_elements(
-        domain, elements + [t.element for t in cert.targets]
-    )
+    # The window comes from the pool alone, so a target cannot widen it.
+    # It stays faithful: coords only ever sees pool elements and their
+    # combinations, and a combination's prefix lies inside the pool window
+    # (its on-ladder prefix sits below the largest pool start, since a
+    # canonical element has no prefix point at or past its own start, and
+    # its other prefix points are pool prefix points).  Targets are checked
+    # by re-summing alone.
+    cs = CoordinateSystem.for_elements(domain, elements)
     rows = [cs.coords(g) for g in elements]
 
     cursor = 0

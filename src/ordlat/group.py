@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -79,6 +80,8 @@ class CoordinateSystem:
     ) -> "CoordinateSystem":
         axes: Dict[Tuple[str, WeightFn], int] = {}
         max_start: Dict[str, int] = {}
+        on: Dict[str, set] = {}
+        window: Dict[Ordinal, Optional[Tuple[str, int]]] = {}
         for f in elements:
             for t in f.tails:
                 key = (t.ladder_id, t.weight)
@@ -86,34 +89,46 @@ class CoordinateSystem:
                 max_start[t.ladder_id] = max(
                     max_start.get(t.ladder_id, 0), t.start
                 )
-        pts = {x for f in elements for x, _ in f.prefix}
+            window.update((x, None) for x, _ in f.off)
+            for lid, kv in f.on:
+                on.setdefault(lid, set()).update(k for k, _ in kv)
         for lid, s in max_start.items():
+            on.setdefault(lid, set()).update(range(s))
+        for lid, ks in on.items():
             L = domain.ladder(lid)
-            for k in range(s):
-                pts.add(L.point(k))
-        points = tuple(sorted(pts, key=Ordinal.key))
-        sites = []
-        for x in points:
-            loc = domain.locate(x)
-            sites.append(None if loc is None else (loc[0].id, loc[1]))
+            window.update((L.point(k), (lid, k)) for k in ks)
+        points = tuple(sorted(window, key=Ordinal.key))
         axis_keys = sorted(axes, key=lambda a: (a[0], a[1].dominance_key()))
         return cls(
             domain=domain,
             points=points,
-            sites=tuple(sites),
+            sites=tuple(window[x] for x in points),
             axes=tuple(axis_keys),
             scales=tuple(axes[a] for a in axis_keys),
         )
 
+    @cached_property
+    def _inside(self) -> frozenset:
+        """The window's off-ladder points and (ladder id, index) sites."""
+        return frozenset(
+            x if site is None else site for x, site in zip(self.points, self.sites)
+        )
+
     def coords(self, f: Element) -> Tuple[int, ...]:
-        window = set(self.points)
-        for x, _ in f.prefix:
-            if x not in window:
-                raise ValueError(
-                    f"prefix point {format_ordinal(x)} outside the window"
-                )
+        inside = self._inside
+        outside = [x for x, _ in f.off if x not in inside] + [
+            self.domain.ladder(lid).point(k)
+            for lid, kv in f.on
+            for k, _ in kv
+            if (lid, k) not in inside
+        ]
+        if outside:
+            raise ValueError(
+                f"prefix point {format_ordinal(min(outside, key=Ordinal.key))} "
+                "outside the window"
+            )
         out = [
-            f._pmap.get(x, 0) if site is None else f._at(*site)
+            f._offmap.get(x, 0) if site is None else f._at(*site)
             for x, site in zip(self.points, self.sites)
         ]
         residues = {

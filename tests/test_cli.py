@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,13 @@ def test_verify_staircase_failure_exits_one(capsys, tmp_path, limitq):
     rc, out, _ = run(capsys, "verify-staircase", "--input", str(path))
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_verify_staircase_unknown_ladder_is_bad_input(capsys):
+    rc, out, err = run(capsys, "verify-staircase", "--preset", "limitq", "--ladder", "bogus")
+    assert rc == 2
+    assert "no ladder 'bogus'" in err
+    assert "FAIL" not in out
 
 
 # --- extraction and verification ------------------------------------------------------
@@ -174,6 +182,26 @@ def test_cert_verify_hostile_certificate_is_bad_input(capsys, tmp_path, corrupt)
     assert rc == 2
     assert "error:" in err
     assert "Traceback" not in out + err
+
+
+def test_cert_verify_large_target_start_is_fast(capsys, tmp_path):
+    # a target tail starting far out must not widen the checker's window
+    cert = tmp_path / "cert.json"
+    rc, _, _ = run(
+        capsys, "extract-basis", "--preset", "limitq", "--depth", "3", "--output", str(cert)
+    )
+    assert rc == 0
+    data = json.loads(cert.read_text())
+    target = next(t for t in data["certifiedTargets"] if t["name"] == "e_0")
+    target["element"]["tails"].append(
+        {"ladder": "q", "weight": "factorial", "r": "1", "start": 16000}
+    )
+    cert.write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "cert-verify", "--preset", "limitq", "--cert", str(cert))
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1
+    assert "target:e_0" in out
 
 
 # --- decomposition ---------------------------------------------------------------------

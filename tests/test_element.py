@@ -8,7 +8,9 @@ from ordlat import presets
 from ordlat.element import (
     Domain,
     Ladder,
+    TailTerm,
     WeightFn,
+    _canonical,
     bounded_ratio_witness,
     dominance_monotone_from,
     format_element,
@@ -17,6 +19,7 @@ from ordlat.element import (
     parse_weight,
 )
 from ordlat.ordinal import OMEGA, ONE, ZERO, from_int, parse_ordinal
+from ordlat.serialize import element_from_json, element_to_json
 from ordlat.space import ScatteredSpace
 
 from .conftest import combos
@@ -200,6 +203,11 @@ def test_value_at_growing_target_rejected(gens):
         gens["a_0"].value(OMEGA)
 
 
+def test_value_outside_space_rejected(limitq):
+    with pytest.raises(ValueError, match="outside the space"):
+        limitq.elements[0].value(parse_ordinal("w^5"))
+
+
 def test_value_at_constant_target():
     sp = ScatteredSpace(OMEGA)
     L = Ladder(
@@ -295,6 +303,31 @@ def test_ladder_queries_match_brute_force(name, data):
     assert f.support().points == points
     assert len(f.support().regimes) == len({t.ladder_id for t in f.tails})
     assert f.is_nonneg() == nonneg
+
+
+# --- index-keyed arithmetic against the ordinal entry -----------------------------
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PRESETS))
+@given(data=st.data())
+def test_indexed_results_match_ordinal_entry(name, data):
+    pres = ORACLE_PRESETS[name]
+    d = pres.domain
+    f = data.draw(combos(pres))
+    g = data.draw(combos(pres))
+    n = data.draw(st.integers(-4, 4))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), max_size=4))
+    results = [
+        -f,
+        f + g,
+        n * f,
+        f.meet(g),
+        f.join(g),
+        d.combine(coeffs, [f, g, -f, g]),
+    ]
+    for h in results:
+        assert _canonical(d, dict(h.prefix), h.tails) == h
+        assert element_from_json(d, element_to_json(h)) == h
 
 
 # --- group laws ------------------------------------------------------------------
@@ -441,11 +474,20 @@ COMBINE_PRESETS = {
 
 
 def fold(domain, coeffs, elements):
-    """The hand-written sum that Domain.combine replaces: the reference."""
-    acc = domain.zero()
+    """The reference sum: every ordinal prefix value and tail term scaled
+    and collected by hand, then canonicalized once through the ordinal
+    entry, so that neither Domain.combine nor + and * take part."""
+    prefix = {}
+    tails = []
     for c, g in zip(coeffs, elements):
-        acc = acc + c * g
-    return acc
+        for x, v in g.prefix:
+            prefix[x] = prefix.get(x, 0) + c * v
+        if c:
+            tails += [
+                TailTerm(t.ladder_id, t.weight, c * t.coeff, t.start)
+                for t in g.tails
+            ]
+    return _canonical(domain, prefix, tails)
 
 
 @pytest.mark.parametrize("name", sorted(COMBINE_PRESETS))
@@ -471,16 +513,16 @@ def test_combine_guards(limitq):
     d = limitq.domain
     a0 = limitq.generator("a_0")
     foreign = COMBINE_PRESETS["two_prime"].elements[0]
-    for coeffs in ([1], [0]):  # a zero coefficient is no excuse
+    for c in (1, 0):  # a zero coefficient is no excuse
         with pytest.raises(ValueError, match="different domains"):
-            d.combine([1] + coeffs, [a0, foreign])
-        with pytest.raises(ValueError):
-            fold(d, [1] + coeffs, [a0, foreign])
+            d.combine([1, c], [a0, foreign])
+        with pytest.raises(ValueError, match="different domains"):
+            a0 + c * foreign
     for bad in (1.5, "2"):
         with pytest.raises(TypeError):
             d.combine([bad], [a0])
         with pytest.raises(TypeError):
-            fold(d, [bad], [a0])
+            bad * a0
 
 
 # --- literals --------------------------------------------------------------------
