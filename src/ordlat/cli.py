@@ -25,7 +25,7 @@ from ordlat.ddmodel import (
 )
 from ordlat.element import parse_element
 from ordlat.freeness import ChainError, certify, smooth_chain_check, verify_staircase
-from ordlat.group import Presentation, member_decompose
+from ordlat.group import Presentation
 from ordlat.ordinal import OrdinalParseError
 from ordlat.presets import PRESETS, load
 from ordlat.serialize import (
@@ -67,7 +67,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print()
     e3 = pres.generator("a_3") - 4 * pres.generator("a_4")
     print("a_3 - 4*a_4 =", e3)
-    dec = member_decompose(pres.elements, dom.e(L.point(3)))
+    dec = pres.span.decompose(dom.e(L.point(3)))
     coeffs = " ".join(
         f"{c:+d}*{n}" for c, n in zip(dec.coeffs, pres.names) if c
     )
@@ -127,7 +127,7 @@ def _cmd_cert_verify(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     pres = _load_presentation(args)
     target = parse_element(pres.domain, args.element)
-    dec = member_decompose(pres.elements, target)
+    dec = pres.span.decompose(target)
     if dec is None:
         print("not in the span of the generators")
         return 1

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ordlat.element import Element, WeightFn, _from_values
-from ordlat.group import CoordinateSystem, Presentation, member_decompose
-from ordlat.intlinalg import hnf_rows, lattice_basis, row_rank, solve_in_rowspace
+from ordlat.group import CoordinateSystem, Presentation, Span
+from ordlat.intlinalg import echelon_basis, hnf_rows, lattice_basis
 from ordlat.ordinal import ZERO, Ordinal, compare, format_ordinal, from_int, omega_power
 from ordlat.space import ClopenBlock
 
@@ -325,9 +325,9 @@ def free_from_bounded_torsion(
     rows: List[List[int]] = []
     for i in range(m):
         rows.append([n if j == i else 0 for j in range(m)])
-    reducer = list(a_basis) + list(modulo)
+    reducer = Span(list(a_basis) + list(modulo))
     for b in b_gens:
-        dec = member_decompose(reducer, n * b)
+        dec = reducer.decompose(n * b)
         if dec is None:
             raise ValueError(
                 "an extra does not reduce into the base modulo the subgroup"
@@ -344,7 +344,7 @@ def free_from_bounded_torsion(
 
 
 def _provenance(pres: Presentation, x: Element) -> Optional[Tuple[int, ...]]:
-    dec = member_decompose(pres.elements, x)
+    dec = pres.span.decompose(x)
     return dec.coeffs if dec is not None else None
 
 
@@ -360,10 +360,10 @@ def _append_step(
     prior = [p.element for p in pool]
     for name, el, prov in a_ext:
         pool.append(PoolEntry(name, el, prov))
-    visible = [p.element for p in pool]
+    visible = Span([p.element for p in pool])
     witnesses = []
     for name, el, prov in extras:
-        dec = member_decompose(visible, bound * el)
+        dec = visible.decompose(bound * el)
         if dec is None:
             raise ChainError(
                 f"{label}: no witness that {bound} * {name} falls into the "
@@ -371,7 +371,7 @@ def _append_step(
             )
         witnesses.append(
             TorsionWitness(
-                extra=name, bound=bound, over=len(visible), coeffs=dec.coeffs
+                extra=name, bound=bound, over=len(visible.gens), coeffs=dec.coeffs
             )
         )
         pool.append(PoolEntry(name, el, prov))
@@ -415,10 +415,10 @@ def _finalize(
     )
     rows = [cs.coords(g) for g in elements]
     _, combos = lattice_basis(rows)
-    basis_elements = [pres.domain.combine(c, elements) for c in combos]
+    basis = Span([pres.domain.combine(c, elements) for c in combos])
     entries = []
     for name, t in targets:
-        dec = member_decompose(basis_elements, t)
+        dec = basis.decompose(t)
         if dec is None:
             raise ChainError(f"target {name} escapes the final basis")
         entries.append(TargetEntry(name=name, element=t, coeffs=dec.coeffs))
@@ -651,7 +651,7 @@ def multi_prime_compose(
         col = []
         for name, g in pres.generators:
             r = restrict_element(g, block)
-            if not r.is_zero and member_decompose(pres.elements, r) is None:
+            if not r.is_zero and pres.span.decompose(r) is None:
                 raise CompositionError(
                     f"restriction of {name} to {block} leaves the group"
                 )
@@ -791,6 +791,13 @@ class CheckReport:
         return "\n".join(f"{f.location}: {f.message}" for f in self.failures)
 
 
+def _independent_modulo(
+    basis: Tuple[Tuple[int, ...], ...], rows: Sequence[Sequence[int]]
+) -> bool:
+    """Whether rows are independent modulo the span of an echelon basis."""
+    return len(echelon_basis(basis + tuple(rows))) == len(basis) + len(rows)
+
+
 def smooth_chain_check(
     pres: Presentation, cert: FreenessCertificate
 ) -> CheckReport:
@@ -799,6 +806,7 @@ def smooth_chain_check(
     Uses only exact evaluation and integer row reduction: provenance
     re-sums, per-step independence ranks, torsion witness re-sums, final
     basis rank, and target re-sums.  No chain-building logic is trusted.
+    When a provenance fails, the check stops after the provenance re-sums.
     """
     failures: List[CheckFailure] = []
     domain = pres.domain
@@ -808,6 +816,7 @@ def smooth_chain_check(
     if len(set(names)) != len(names):
         failures.append(CheckFailure("pool", "duplicate pool names"))
 
+    provenance_fails = False
     for entry in pool:
         if entry.provenance is None:
             continue
@@ -815,6 +824,7 @@ def smooth_chain_check(
             failures.append(
                 CheckFailure(f"pool:{entry.name}", "provenance length mismatch")
             )
+            provenance_fails = True
             continue
         if domain.combine(entry.provenance, pres.elements) != entry.element:
             failures.append(
@@ -823,22 +833,31 @@ def smooth_chain_check(
                     "provenance does not re-sum to the pool element",
                 )
             )
+            provenance_fails = True
+    if provenance_fails:
+        # The certificate has failed, and a pool element that is not the
+        # combination its provenance names may be anything: with a tail
+        # from index 4 000, the window alone would hold 4 000 columns and
+        # every combination of it 4 000 factorial-sized values.  Every
+        # later check combines pool elements, so the check ends here.
+        return CheckReport(ok=False, failures=tuple(failures))
 
     elements = [p.element for p in pool]
     # The window comes from the pool alone, so a target cannot widen it.
-    # It stays faithful: coords only ever sees pool elements and their
-    # combinations, and a combination's prefix lies inside the pool window
-    # (its on-ladder prefix sits below the largest pool start, since a
-    # canonical element has no prefix point at or past its own start, and
-    # its other prefix points are pool prefix points).  Targets are checked
-    # by re-summing alone.
+    # Each pool element is now a checked combination of the generators or
+    # has no provenance.  coords only ever sees pool elements and their
+    # combinations, for which the window is faithful (see
+    # CoordinateSystem).  Targets are checked by re-summing alone.
     cs = CoordinateSystem.for_elements(domain, elements)
     rows = [cs.coords(g) for g in elements]
+    # an echelon basis of the rows of the pool entries before the step
+    prior: Tuple[Tuple[int, ...], ...] = ()
 
     cursor = 0
     for step in cert.steps:
         expected = list(step.a_extension) + list(step.b_extras)
-        got = names[cursor : cursor + len(expected)]
+        width = cursor + len(expected)
+        got = names[cursor:width]
         if got != expected:
             failures.append(
                 CheckFailure(
@@ -846,12 +865,11 @@ def smooth_chain_check(
                     f"pool order mismatch: expected {expected}, found {got}",
                 )
             )
-            cursor += len(expected)
+            prior = echelon_basis(prior + tuple(rows[cursor:width]))
+            cursor = width
             continue
-        prior = rows[:cursor]
-        ext_rows = rows[cursor : cursor + len(step.a_extension)]
-        base_rank = row_rank(prior)
-        if row_rank(prior + ext_rows) != base_rank + len(ext_rows):
+        visible = cursor + len(step.a_extension)
+        if not _independent_modulo(prior, rows[cursor:visible]):
             failures.append(
                 CheckFailure(
                     f"step:{step.label}",
@@ -862,7 +880,6 @@ def smooth_chain_check(
             failures.append(
                 CheckFailure(f"step:{step.label}", "torsion bound below 1")
             )
-        visible = cursor + len(step.a_extension)
         witnessed = set()
         for w in step.torsion_witnesses:
             if w.over != visible or len(w.coeffs) != visible:
@@ -906,7 +923,6 @@ def smooth_chain_check(
                     f"extras without witnesses: {sorted(missing)}",
                 )
             )
-        width = cursor + len(expected)
         if step.quotient_over != width:
             failures.append(
                 CheckFailure(
@@ -924,14 +940,15 @@ def smooth_chain_check(
                 continue
             acc = domain.combine(combo, elements[: len(combo)])
             q_rows.append(cs.coords(acc))
-        if q_rows and row_rank(prior + q_rows) != base_rank + len(q_rows):
+        if q_rows and not _independent_modulo(prior, q_rows):
             failures.append(
                 CheckFailure(
                     f"step:{step.label}",
                     "quotient basis is dependent modulo the previous steps",
                 )
             )
-        cursor += len(expected)
+        prior = echelon_basis(prior + tuple(rows[cursor:width]))
+        cursor = width
     if cursor != len(pool):
         failures.append(
             CheckFailure("pool", "steps do not account for every pool entry")
@@ -948,14 +965,16 @@ def smooth_chain_check(
         acc = domain.combine(combo, elements)
         basis_elements.append(acc)
         basis_rows.append(cs.coords(acc))
-    if row_rank(basis_rows) != len(basis_rows):
+    # one Hermite form of the basis gives its rank and every pool solve
+    basis = hnf_rows(basis_rows)
+    if basis.rank != len(basis_rows):
         failures.append(CheckFailure("basis", "final basis is dependent"))
     if cert.rank != len(cert.final_basis):
         failures.append(
             CheckFailure("basis", "declared rank differs from basis size")
         )
     for i, row in enumerate(rows):
-        if solve_in_rowspace(basis_rows, row) is None:
+        if basis.solve(row) is None:
             failures.append(
                 CheckFailure(
                     f"pool:{pool[i].name}",

@@ -16,7 +16,7 @@ from math import lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ordlat.element import Domain, Element, WeightFn, is_semibasic, isolates
-from ordlat.intlinalg import row_rank, solve_in_rowspace
+from ordlat.intlinalg import HnfResult, hnf_rows
 from ordlat.ordinal import Ordinal, compare, format_ordinal, successor, floor_rank
 from ordlat.space import ClopenBlock
 
@@ -56,6 +56,11 @@ class Presentation:
                 return g
         raise KeyError(f"no generator {name!r}")
 
+    @cached_property
+    def span(self) -> "Span":
+        """The generators factored once; a presentation never changes."""
+        return Span(self.elements)
+
 
 @dataclass(frozen=True)
 class CoordinateSystem:
@@ -65,7 +70,15 @@ class CoordinateSystem:
     ladder index below the largest canonical start); sites: each point's
     (ladder id, index), or None off the ladders.  axes: one residue
     coordinate per (ladder, weight) in use, scaled to clear denominators.
-    coords refuses an element whose prefix steps outside the window.
+    starts: the largest tail start of the family on each ladder with tails.
+
+    coords is linear and one-to-one on the family's combinations.  Past
+    the largest start on a ladder every member, and so every combination,
+    follows its tail formula except at the window's own points, so the
+    residues fix the values there.  coords accepts a prefix point there
+    whose value is its own tail formula, as a combination's may be (a tail
+    from index 0 minus a spike at 5 keeps indices 0-4 in its prefix), and
+    refuses an element with any other prefix point outside the window.
     """
 
     domain: Domain
@@ -73,6 +86,7 @@ class CoordinateSystem:
     sites: Tuple[Optional[Tuple[str, int]], ...]
     axes: Tuple[Tuple[str, WeightFn], ...]
     scales: Tuple[int, ...]
+    starts: Tuple[Tuple[str, int], ...]
 
     @classmethod
     def for_elements(
@@ -105,6 +119,7 @@ class CoordinateSystem:
             sites=tuple(window[x] for x in points),
             axes=tuple(axis_keys),
             scales=tuple(axes[a] for a in axis_keys),
+            starts=tuple(sorted(max_start.items())),
         )
 
     @cached_property
@@ -114,31 +129,50 @@ class CoordinateSystem:
             x if site is None else site for x, site in zip(self.points, self.sites)
         )
 
+    @cached_property
+    def _by_ladder(self) -> Tuple[Tuple[str, Tuple[Tuple[int, int], ...]], ...]:
+        """Per ladder in the window, its (position, index) pairs."""
+        groups: Dict[str, List[Tuple[int, int]]] = {}
+        for i, site in enumerate(self.sites):
+            if site is not None:
+                groups.setdefault(site[0], []).append((i, site[1]))
+        return tuple((lid, tuple(v)) for lid, v in groups.items())
+
     def coords(self, f: Element) -> Tuple[int, ...]:
         inside = self._inside
         outside = [x for x, _ in f.off if x not in inside] + [
             self.domain.ladder(lid).point(k)
             for lid, kv in f.on
-            for k, _ in kv
+            for k, v in kv
             if (lid, k) not in inside
+            and not (
+                k >= dict(self.starts).get(lid, k + 1)
+                and v == sum(t.coeff * t.weight.value(k) for t in f.tails_on(lid))
+            )
         ]
         if outside:
             raise ValueError(
                 f"prefix point {format_ordinal(min(outside, key=Ordinal.key))} "
                 "outside the window"
             )
+        offmap = f._offmap
         out = [
-            f._offmap.get(x, 0) if site is None else f._at(*site)
+            offmap.get(x, 0) if site is None else 0
             for x, site in zip(self.points, self.sites)
         ]
+        for lid, positions in self._by_ladder:
+            vals = f._values_on(lid)
+            for i, k in positions:
+                out[i] = vals[k] if k < len(vals) else f._at(lid, k)
         residues = {
             (t.ladder_id, t.weight): t.coeff for t in f.tails
         }
         for (lid, w), scale in zip(self.axes, self.scales):
-            r = residues.pop((lid, w), Fraction(0)) * scale
-            if r.denominator != 1:
+            r = residues.pop((lid, w), Fraction(0))
+            q, rem = divmod(r.numerator * scale, r.denominator)
+            if rem:
                 raise ValueError("residue outside the scaled lattice")
-            out.append(int(r))
+            out.append(q)
         if residues:
             raise ValueError("element uses a (ladder, weight) outside the axes")
         return tuple(out)
@@ -150,22 +184,52 @@ class Decomposition:
     unique: bool
 
 
+class Span:
+    """The subgroup generated by a family, factored once for membership.
+
+    Holds the family's own coordinate window and one Hermite form of its
+    coordinate rows; decompose answers each target by back-substitution.
+    unique: whether the family is independent, so that every member has
+    exactly one coefficient vector.
+    """
+
+    __slots__ = ("gens", "cs", "hnf", "unique")
+
+    def __init__(self, gens: Sequence[Element]) -> None:
+        self.gens: Tuple[Element, ...] = tuple(gens)
+        self.cs: Optional[CoordinateSystem] = (
+            CoordinateSystem.for_elements(self.gens[0].domain, self.gens)
+            if self.gens
+            else None
+        )
+        self.hnf: HnfResult = hnf_rows([self.cs.coords(g) for g in self.gens])
+        self.unique = self.hnf.rank == len(self.gens)
+
+    def decompose(self, target: Element) -> Optional[Decomposition]:
+        """Integer coefficients writing target over the family, or None."""
+        if not self.gens:
+            return Decomposition((), True) if target.is_zero else None
+        # The window is the family's alone and faithful for the family's
+        # combinations (see CoordinateSystem): coords accepts every member
+        # and maps it to the same combination of rows as its coefficients.
+        # So a target coords refuses is no member, a member's coordinates
+        # always solve and re-sum to it, and a non-member that matches a
+        # combination on the window only re-sums to something else.
+        try:
+            sol = self.hnf.solve(self.cs.coords(target))
+        except ValueError:
+            return None
+        if sol is None or self.gens[0].domain.combine(sol, self.gens) != target:
+            return None
+        return Decomposition(coeffs=sol, unique=self.unique)
+
+
 def member_decompose(
     gens: Sequence[Element], target: Element
 ) -> Optional[Decomposition]:
-    """Integer coefficients writing target over gens, or None; exact, since
-    the coordinate window is faithful."""
-    if not gens:
-        return Decomposition((), True) if target.is_zero else None
-    domain = gens[0].domain
-    cs = CoordinateSystem.for_elements(domain, list(gens) + [target])
-    rows = [cs.coords(g) for g in gens]
-    sol = solve_in_rowspace(rows, cs.coords(target))
-    if sol is None:
-        return None
-    if domain.combine(sol, gens) != target:
-        raise AssertionError("faithful window produced a bogus solution")
-    return Decomposition(coeffs=sol, unique=row_rank(rows) == len(gens))
+    """Integer coefficients writing target over gens, or None.  To test
+    many targets against one family, build its Span once."""
+    return Span(gens).decompose(target)
 
 
 def finite_prime_test(domain: Domain, x: Ordinal) -> bool:
@@ -199,7 +263,7 @@ def semibasic_construct(
     if domain.target_ladder(x) is not None:
         raise ValueError("no integer-valued evaluation at a ladder target")
     spike = domain.e(x)
-    if member_decompose(pres.elements, spike) is not None:
+    if pres.span.decompose(spike) is not None:
         return spike
 
     def search(want: Callable[[Element], bool]) -> Optional[Element]:

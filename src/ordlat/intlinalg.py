@@ -3,6 +3,9 @@
 Row-style Hermite normal form with full transformation tracking: every
 result row is an explicit integer combination of the input rows, which is
 what lets certificates carry provenance for the generators they introduce.
+A Hermite form is computed once per family of rows and then answers any
+number of membership queries by back-substitution (`HnfResult.solve`);
+ranks need no transform and use a plain echelon form (`echelon_basis`).
 """
 
 from __future__ import annotations
@@ -23,28 +26,54 @@ class HnfResult:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def solve(self, target: Sequence[int]) -> Optional[Tuple[int, ...]]:
+        """Integer coefficients x with x @ rows == target, or None, where
+        rows are the input this form was computed from.
 
-def hnf_rows(rows: Sequence[Sequence[int]]) -> HnfResult:
-    """Hermite normal form by row operations.
+        Back-substitutes over h, then maps through u.  When the rows are
+        independent the solution is unique; otherwise this is the
+        representative whose coordinates on the zero rows of h vanish.
+        """
+        if self.h and len(target) != len(self.h[0]):
+            raise ValueError("dimension mismatch")
+        residual = list(map(int, target))
+        x = [0] * len(self.u)
+        for hr, ur, c in zip(self.h, self.u, self.pivots):
+            q, rem = divmod(residual[c], hr[c])
+            if rem:
+                return None
+            if q:
+                residual = [a - q * b for a, b in zip(residual, hr)]
+                x = [a + q * b for a, b in zip(x, ur)]
+        if any(residual):
+            return None
+        return tuple(x)
 
-    Pivots are positive, entries above each pivot lie in [0, pivot), and
-    rows below a pivot are zero in its column.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+
+def _matrix(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     h = [list(map(int, r)) for r in rows]
-    for r in h:
-        if len(r) != n:
-            raise ValueError("ragged matrix")
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    if any(len(r) != len(h[0]) for r in h):
+        raise ValueError("ragged matrix")
+    return h
+
+
+def _reduce(h: List[List[int]], u: Optional[List[List[int]]]) -> List[int]:
+    """Row-reduce h in place and return its pivot columns.
+
+    Euclidean elimination column by column: the row with the least nonzero
+    entry (first on ties) becomes the pivot, made positive, and reduces the
+    rows below it.  With a transform u, u follows every row operation and
+    the entries above each pivot are reduced into [0, pivot), which gives
+    the Hermite form; without one the result is an echelon form, which is
+    all a rank needs.
+    """
+    m = len(h)
+    n = len(h[0]) if m else 0
 
     def addmul(dst: int, src: int, q: int) -> None:
-        hd, hs = h[dst], h[src]
-        for j in range(n):
-            hd[j] -= q * hs[j]
-        ud, us = u[dst], u[src]
-        for j in range(m):
-            ud[j] -= q * us[j]
+        h[dst] = [a - q * b for a, b in zip(h[dst], h[src])]
+        if u is not None:
+            u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
 
     r = 0
     pivots: List[int] = []
@@ -58,25 +87,42 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> HnfResult:
             i0 = min(nz, key=lambda i: (abs(h[i][c]), i))
             if i0 != r:
                 h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
+                if u is not None:
+                    u[r], u[i0] = u[i0], u[r]
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
+                if u is not None:
+                    u[r] = [-x for x in u[r]]
+            piv = h[r][c]
             clean = True
             for i in range(r + 1, m):
                 if h[i][c]:
-                    addmul(i, r, h[i][c] // h[r][c])
+                    addmul(i, r, h[i][c] // piv)
                     if h[i][c]:
                         clean = False
             if clean:
                 break
         if h[r][c]:
-            for i in range(r):
-                q = h[i][c] // h[r][c]
-                if q:
-                    addmul(i, r, q)
+            if u is not None:
+                for i in range(r):
+                    q = h[i][c] // h[r][c]
+                    if q:
+                        addmul(i, r, q)
             pivots.append(c)
             r += 1
+    return pivots
+
+
+def hnf_rows(rows: Sequence[Sequence[int]]) -> HnfResult:
+    """Hermite normal form by row operations.
+
+    Pivots are positive, entries above each pivot lie in [0, pivot), and
+    rows below a pivot are zero in its column.
+    """
+    h = _matrix(rows)
+    m = len(h)
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    pivots = _reduce(h, u)
     return HnfResult(
         h=tuple(tuple(row) for row in h),
         u=tuple(tuple(row) for row in u),
@@ -84,43 +130,24 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> HnfResult:
     )
 
 
+def echelon_basis(rows: Sequence[Sequence[int]]) -> Tuple[Row, ...]:
+    """The nonzero rows of an echelon form of rows: a basis of their
+    integer row span, computed without a transform."""
+    h = _matrix(rows)
+    return tuple(tuple(row) for row in h[: len(_reduce(h, None))])
+
+
 def row_rank(rows: Sequence[Sequence[int]]) -> int:
-    return hnf_rows(rows).rank
+    return len(echelon_basis(rows))
 
 
 def solve_in_rowspace(
     rows: Sequence[Sequence[int]], target: Sequence[int]
 ) -> Optional[Tuple[int, ...]]:
-    """Integer coefficients x with x @ rows == target, or None.
-
-    When the rows are independent the solution is unique; otherwise this
-    returns the representative produced by back-substitution over the
-    Hermite form.
-    """
-    m = len(rows)
-    if m == 0:
-        return () if not any(target) else None
-    n = len(rows[0])
-    if len(target) != n:
-        raise ValueError("dimension mismatch")
-    res = hnf_rows(rows)
-    residual = list(map(int, target))
-    y = [0] * m
-    for i, c in enumerate(res.pivots):
-        piv = res.h[i][c]
-        if residual[c] % piv:
-            return None
-        q = residual[c] // piv
-        y[i] = q
-        if q:
-            hr = res.h[i]
-            for j in range(n):
-                residual[j] -= q * hr[j]
-    if any(residual):
-        return None
-    return tuple(
-        sum(y[i] * res.u[i][j] for i in range(m)) for j in range(m)
-    )
+    """Integer coefficients x with x @ rows == target, or None; see
+    `HnfResult.solve`.  To solve many targets over the same rows, compute
+    `hnf_rows(rows)` once and call its `solve`."""
+    return hnf_rows(rows).solve(target)
 
 
 def lattice_basis(

@@ -2,17 +2,20 @@
 
 Everything here recomputes answers from first principles with different
 algorithms than the package uses: ordinal addition by block rewriting,
-derived-set ranks by grid refinement, and kernel decompositions by greedy
-forced-coefficient peeling.
+derived-set ranks by grid refinement, kernel decompositions by greedy
+forced-coefficient peeling, and membership in a window widened by the
+target with two separate Hermite forms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ordlat.element import Element
+from ordlat.group import CoordinateSystem, Decomposition
+from ordlat.intlinalg import row_rank, solve_in_rowspace
 from ordlat.ordinal import Ordinal, from_int, iter_below, omega_power
 from ordlat.space import ScatteredSpace
 
@@ -145,3 +148,28 @@ def greedy_peel(
         if out[x] == 0:
             del out[x]
     raise RuntimeError("peel oracle runaway")
+
+
+# --- membership in a target-widened window ----------------------------------------
+
+
+def full_window_decompose(
+    gens: Sequence[Element], target: Element
+) -> Optional[Decomposition]:
+    """Integer coefficients writing target over gens, or None.
+
+    The window holds the prefix points and tail starts of the target as
+    well as the family's, so the target's coordinates always exist; one
+    Hermite form solves for them and a second one gives the rank.
+    """
+    if not gens:
+        return Decomposition((), True) if target.is_zero else None
+    domain = gens[0].domain
+    cs = CoordinateSystem.for_elements(domain, list(gens) + [target])
+    rows = [cs.coords(g) for g in gens]
+    sol = solve_in_rowspace(rows, cs.coords(target))
+    if sol is None:
+        return None
+    if domain.combine(sol, gens) != target:
+        raise AssertionError("faithful window produced a bogus solution")
+    return Decomposition(coeffs=sol, unique=row_rank(rows) == len(gens))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -5,6 +6,7 @@ import pytest
 
 from ordlat.cli import main
 from ordlat.group import Presentation
+from ordlat.presets import PRESETS
 from ordlat.serialize import dumps, presentation_to_json
 
 
@@ -204,6 +206,26 @@ def test_cert_verify_large_target_start_is_fast(capsys, tmp_path):
     assert "target:e_0" in out
 
 
+def test_cert_verify_large_pool_start_is_fast(capsys, tmp_path):
+    # a pool element whose provenance fails is not combined any further
+    cert = tmp_path / "cert.json"
+    rc, _, _ = run(
+        capsys, "extract-basis", "--preset", "limitq", "--depth", "3", "--output", str(cert)
+    )
+    assert rc == 0
+    data = json.loads(cert.read_text())
+    entry = next(p for p in data["pool"] if p["name"] == "e_0")
+    entry["element"]["tails"].append(
+        {"ladder": "q", "weight": "factorial", "r": "1", "start": 4000}
+    )
+    cert.write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "cert-verify", "--preset", "limitq", "--cert", str(cert))
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1
+    assert "pool:e_0: provenance does not re-sum to the pool element" in out
+
+
 # --- decomposition ---------------------------------------------------------------------
 
 
@@ -271,3 +293,120 @@ def test_input_roundtrip_matches_preset(capsys, tmp_path, limitq):
     path.write_text(dumps(presentation_to_json(limitq)))
     rc, out, _ = run(capsys, "verify-staircase", "--input", str(path))
     assert rc == 0
+
+
+# --- frozen extract-basis output ---------------------------------------------------------
+
+# Exit code and the first 16 hex digits of the SHA-256 of stdout and of stderr
+# of `extract-basis --preset P --mode M [--depth 2]` for every preset, in the
+# order (auto, successor, limit, compose) x (default depth, --depth 2).  The
+# table was recorded when membership widened its window by each target and
+# ran two Hermite forms per query; one factorization per family must keep
+# every byte.
+MODES = ("auto", "successor", "limit", "compose")
+EXTRACT_BASIS_FROZEN = {
+    "gridrows": (
+        (2, "e3b0c44298fc1c14", "ddf920c81fde5be7"),
+        (2, "e3b0c44298fc1c14", "ddf920c81fde5be7"),
+        (2, "e3b0c44298fc1c14", "ddf920c81fde5be7"),
+        (2, "e3b0c44298fc1c14", "ddf920c81fde5be7"),
+        (2, "e3b0c44298fc1c14", "2cc449a3e3cbd7bc"),
+        (2, "e3b0c44298fc1c14", "2cc449a3e3cbd7bc"),
+        (2, "e3b0c44298fc1c14", "ddf920c81fde5be7"),
+        (2, "e3b0c44298fc1c14", "ddf920c81fde5be7"),
+    ),
+    "limit_power": (
+        (0, "6fa937a1ba485022", "4c616aba62b94c24"),
+        (0, "88e9f633c6bebdfa", "7a257e47940d3348"),
+        (0, "3d5665bf08c611c9", "93a3a18fe9d21254"),
+        (0, "a7e5f148df14a8a8", "e686c3d77d5e71b8"),
+        (0, "6fa937a1ba485022", "4c616aba62b94c24"),
+        (0, "88e9f633c6bebdfa", "7a257e47940d3348"),
+        (0, "a2455741b8e5d0f9", "efd9fc0ecdeba187"),
+        (0, "a2455741b8e5d0f9", "efd9fc0ecdeba187"),
+    ),
+    "limit_power_integer": (
+        (0, "92dd76e6ca55191e", "9b196585fc18c4e2"),
+        (0, "509f0e747daf09b6", "7a257e47940d3348"),
+        (0, "a6f428e7dc86f5ef", "fc046647608c025f"),
+        (0, "f7bc8037b7052710", "e686c3d77d5e71b8"),
+        (0, "92dd76e6ca55191e", "9b196585fc18c4e2"),
+        (0, "509f0e747daf09b6", "7a257e47940d3348"),
+        (0, "d1820da1cc98a760", "4188785c348ae529"),
+        (0, "d1820da1cc98a760", "4188785c348ae529"),
+    ),
+    "limit_power_jump": (
+        (0, "777a3b6e78eda62f", "fc855e1b9a8d6d2e"),
+        (0, "3c2e04bcb9b3fb35", "7a257e47940d3348"),
+        (0, "d3ff69a45679dfa7", "3412d44504e4459c"),
+        (0, "66a5c056cb5cdee1", "67187c50661e8883"),
+        (0, "777a3b6e78eda62f", "fc855e1b9a8d6d2e"),
+        (0, "3c2e04bcb9b3fb35", "7a257e47940d3348"),
+        (0, "2ef9935d6d1595a4", "d1e7b1369814eb9e"),
+        (0, "2ef9935d6d1595a4", "d1e7b1369814eb9e"),
+    ),
+    "limit_power_two_weights": (
+        (0, "a1c1fdbbfba48e6c", "941877a1a1da4002"),
+        (0, "881215a3adeeb1f0", "f70bf534c9c23d49"),
+        (2, "e3b0c44298fc1c14", "f7e3a2625d12fe53"),
+        (2, "e3b0c44298fc1c14", "f7e3a2625d12fe53"),
+        (0, "a1c1fdbbfba48e6c", "941877a1a1da4002"),
+        (0, "881215a3adeeb1f0", "f70bf534c9c23d49"),
+        (2, "e3b0c44298fc1c14", "f7e3a2625d12fe53"),
+        (2, "e3b0c44298fc1c14", "f7e3a2625d12fe53"),
+    ),
+    "limitq": (
+        (0, "8d83cf2072ad9282", "b33ce52618f0480f"),
+        (0, "c22e6e6e0322a334", "e686c3d77d5e71b8"),
+        (0, "8d83cf2072ad9282", "b33ce52618f0480f"),
+        (0, "c22e6e6e0322a334", "e686c3d77d5e71b8"),
+        (2, "e3b0c44298fc1c14", "2cc449a3e3cbd7bc"),
+        (2, "e3b0c44298fc1c14", "2cc449a3e3cbd7bc"),
+        (2, "e3b0c44298fc1c14", "3a5270761ff0a118"),
+        (2, "e3b0c44298fc1c14", "3a5270761ff0a118"),
+    ),
+    "two_prime": (
+        (0, "f7e9dc0525f1220f", "032c3cd6697652cd"),
+        (0, "f7e9dc0525f1220f", "032c3cd6697652cd"),
+        (0, "958bbe39cc88a847", "93a3a18fe9d21254"),
+        (0, "5f04237d22cfba78", "e686c3d77d5e71b8"),
+        (2, "e3b0c44298fc1c14", "2cc449a3e3cbd7bc"),
+        (2, "e3b0c44298fc1c14", "2cc449a3e3cbd7bc"),
+        (0, "f7e9dc0525f1220f", "032c3cd6697652cd"),
+        (0, "f7e9dc0525f1220f", "032c3cd6697652cd"),
+    ),
+    "twoblock": (
+        (0, "1374460add35f37c", "fc046647608c025f"),
+        (0, "12ba5b542f5b1280", "e686c3d77d5e71b8"),
+        (0, "1374460add35f37c", "fc046647608c025f"),
+        (0, "12ba5b542f5b1280", "e686c3d77d5e71b8"),
+        (2, "e3b0c44298fc1c14", "2cc449a3e3cbd7bc"),
+        (2, "e3b0c44298fc1c14", "2cc449a3e3cbd7bc"),
+        (2, "e3b0c44298fc1c14", "fc55cc53006ea457"),
+        (2, "e3b0c44298fc1c14", "fc55cc53006ea457"),
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(EXTRACT_BASIS_FROZEN))
+def test_extract_basis_output_is_frozen(capsys, preset):
+    got = []
+    for mode in MODES:
+        for depth in ((), ("--depth", "2")):
+            rc, out, err = run(
+                capsys, "extract-basis", "--preset", preset, "--mode", mode, *depth
+            )
+            got.append(
+                (
+                    rc,
+                    hashlib.sha256(out.encode()).hexdigest()[:16],
+                    hashlib.sha256(err.encode()).hexdigest()[:16],
+                )
+            )
+    assert tuple(got) == EXTRACT_BASIS_FROZEN[preset]
+
+
+def test_extract_basis_frozen_table_covers_every_preset():
+    assert set(EXTRACT_BASIS_FROZEN) == set(PRESETS)
+    codes = [rc for runs in EXTRACT_BASIS_FROZEN.values() for rc, _, _ in runs]
+    assert (len(codes), codes.count(0), codes.count(2)) == (64, 42, 22)

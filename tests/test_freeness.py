@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,11 @@ from ordlat import presets
 from ordlat.element import Domain
 from ordlat.freeness import (
     ChainError,
+    ChainStep,
     CompositionError,
+    FreenessCertificate,
+    PoolEntry,
+    TargetEntry,
     build_chain_limit,
     build_chain_successor,
     certify,
@@ -193,6 +198,82 @@ def test_pool_rows_solve_over_final_basis(limitq, limitq_chain):
 
 
 # --- limit chains ----------------------------------------------------------------
+
+
+def _blame(pres, cert):
+    return {(f.location, f.message) for f in smooth_chain_check(pres, cert).failures}
+
+
+def test_checker_blames_later_extension_copying_an_earlier_element(limitq):
+    # each step's ranks are taken modulo every earlier step, extras included
+    cert = certify(limitq, depth=3)
+    assert smooth_chain_check(limitq, cert).ok
+    pool, steps = cert.pool, cert.steps
+    names = [p.name for p in pool]
+    for step_no, source in ((2, "e_0"), (2, "a_1"), (3, "e_1"), (3, "a_2")):
+        step = steps[step_no]
+        i = names.index(step.a_extension[0])
+        copy = replace(pool[names.index(source)], name=pool[i].name)
+        mutated = replace(cert, pool=pool[:i] + (copy,) + pool[i + 1 :])
+        blamed = _blame(limitq, mutated)
+        assert (
+            f"step:{step.label}",
+            "extension is dependent modulo the previous steps",
+        ) in blamed, (step_no, source)
+        # the copy's provenance re-sums, so the check reaches the ranks
+        assert not any("provenance" in message for _, message in blamed)
+    # an extra that is no torsion, copied into the next extension: the
+    # extension is dependent all the same, since the extras count too
+    e8 = limitq.domain.e(from_int(8))
+    prov = limitq.span.decompose(e8).coeffs
+    i, j = names.index("a_2"), names.index("e_3")
+    mutated = replace(
+        cert,
+        pool=pool[:i]
+        + (replace(pool[i], element=e8, provenance=prov),)
+        + pool[i + 1 : j]
+        + (replace(pool[j], element=e8, provenance=prov),)
+        + pool[j + 1 :],
+    )
+    blamed = _blame(limitq, mutated)
+    assert ("step:step 2", "witness for a_2 does not re-sum") in blamed
+    assert ("step:step 3", "extension is dependent modulo the previous steps") in blamed
+
+
+def test_checker_reads_a_basis_combination_below_a_spike(limitq):
+    # a_0 - e(5) keeps indices 0-4 in its prefix, outside the pool's window;
+    # its coordinates still exist, since past a_0's start the tail fixes them
+    a0, e5 = limitq.generator("a_0"), limitq.domain.e(from_int(5))
+    prov = limitq.span.decompose
+    cert = FreenessCertificate(
+        presentation="limitq",
+        kind="successor",
+        pool=(
+            PoolEntry("a_0", a0, prov(a0).coeffs),
+            PoolEntry("e_5", e5, prov(e5).coeffs),
+        ),
+        steps=(ChainStep("step 0", ("a_0", "e_5"), (), 1, (), 2, ((1, 0), (0, 1))),),
+        final_basis=((1, -1), (0, 1)),
+        targets=(TargetEntry("a_0", a0, (1, 1)),),
+        rank=2,
+    )
+    assert smooth_chain_check(limitq, cert).ok
+
+
+def test_checker_blames_quotient_row_inside_earlier_steps(limitq):
+    cert = certify(limitq, depth=3)
+    steps = cert.steps
+    for step_no, j in ((2, 0), (2, 3), (3, 1), (3, 5)):
+        step = steps[step_no]
+        row = tuple(int(k == j) for k in range(step.quotient_over))
+        bad = replace(step, quotient_basis=step.quotient_basis + (row,))
+        mutated = replace(cert, steps=steps[:step_no] + (bad,) + steps[step_no + 1 :])
+        assert _blame(limitq, mutated) == {
+            (
+                f"step:{step.label}",
+                "quotient basis is dependent modulo the previous steps",
+            )
+        }, (step_no, j)
 
 
 @pytest.mark.parametrize(

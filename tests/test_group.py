@@ -1,13 +1,17 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordlat import presets
 from ordlat.group import (
     CoordinateSystem,
+    Decomposition,
     Presentation,
     SearchExhaustedError,
+    Span,
     finite_prime_test,
     kernel_basis_certificate,
     member_decompose,
@@ -18,7 +22,7 @@ from ordlat.group import (
 from ordlat.ordinal import OMEGA, Ordinal, from_int, parse_ordinal
 
 from .conftest import combos
-from .oracles import greedy_peel
+from .oracles import full_window_decompose, greedy_peel
 
 
 # --- presentations ------------------------------------------------------------
@@ -72,6 +76,110 @@ def test_decompose_recovers_known_combos(any_pres, data):
     for c, g in zip(dec.coeffs, any_pres.elements):
         total = total + c * g
     assert total == f
+
+
+# one factorization per family against the target-widened window
+
+DIFF_PRESETS = ("limitq", "twoblock", "two_prime", "limit_power_two_weights")
+
+
+@functools.lru_cache(maxsize=None)
+def _diff_setup(name):
+    """A preset and the points a spike may sit on: ladder points near the
+    tail starts, small integers and the generators' own prefix points."""
+    pres = presets.load(name)
+    d = pres.domain
+    pts = {L.point(k) for L in d.ladders for k in range(15)}
+    pts |= {from_int(k) for k in range(9)}
+    pts |= {x for g in pres.elements for x, _ in g.prefix}
+    points = sorted(
+        (x for x in pts if d.space.contains(x) and d.target_ladder(x) is None),
+        key=Ordinal.key,
+    )
+    return pres, points
+
+
+def _same_answer(got, want, family, target):
+    assert (got is None) == (want is None), (got, want)
+    if got is not None:
+        assert got.unique == want.unique
+        if got.unique:
+            assert got.coeffs == want.coeffs
+        else:
+            d = target.domain
+            assert d.combine(got.coeffs, family) == target
+            assert d.combine(want.coeffs, family) == target
+
+
+@pytest.mark.parametrize("name", DIFF_PRESETS)
+@given(data=st.data())
+def test_span_matches_full_window_oracle(name, data):
+    pres, points = _diff_setup(name)
+    d = pres.domain
+    gens = pres.elements
+    picked = data.draw(
+        st.lists(
+            st.sampled_from(range(len(gens))), min_size=1, max_size=4, unique=True
+        )
+    )
+    spikes = data.draw(st.lists(st.sampled_from(points), max_size=2, unique=True))
+    family = [gens[i] for i in picked] + [d.e(x) for x in spikes]
+    coeffs = data.draw(
+        st.lists(st.integers(-3, 3), min_size=len(family), max_size=len(family))
+    )
+    member = d.combine(coeffs, family)
+    kind = data.draw(st.sampled_from(("combination", "zeroed", "extra point")))
+    x = data.draw(st.sampled_from(spikes + points))
+    if kind == "combination":
+        target = member
+    elif kind == "zeroed":
+        # zeroed at a family spike, a member whose tail may now start past
+        # every start in the family; zeroed elsewhere, a shifted tail start
+        # or a missing prefix point
+        target = member - member.value(x) * d.e(x)
+    else:
+        target = member + data.draw(st.sampled_from((-1, 1, 2))) * d.e(x)
+    got = Span(family).decompose(target)
+    _same_answer(got, full_window_decompose(family, target), family, target)
+    if kind == "combination":
+        assert got is not None
+    assert pres.span.decompose(target) == member_decompose(gens, target)
+    _same_answer(
+        pres.span.decompose(target),
+        full_window_decompose(gens, target),
+        gens,
+        target,
+    )
+
+
+def test_span_edge_families(limitq):
+    d = limitq.domain
+    a0, a1 = limitq.generator("a_0"), limitq.generator("a_1")
+    e = lambda k: d.e(from_int(k))
+    cases = [
+        # a member whose tail starts past every start in the family
+        ([a0, e(0)], a1, Decomposition((1, -1), True)),
+        # a member whose prefix spreads below a spike above the family's
+        # starts, onto indices outside the family's window
+        ([a0, e(5)], a0 - e(5), Decomposition((1, -1), True)),
+        # non-members matching a combination on the family window: a
+        # shifted tail start, and an extra prefix point
+        ([a0], a1, None),
+        ([a0], a0 + e(3), None),
+        ([a0, e(0)], a0 + e(3), None),
+        # a dependent family
+        ([a0, a1, e(0)], a0, Decomposition((1, 0, 0), False)),
+    ]
+    for family, target, want in cases:
+        got = Span(family).decompose(target)
+        assert got == want, (family, target)
+        _same_answer(got, full_window_decompose(family, target), family, target)
+
+
+def test_presentation_span_is_cached(limitq):
+    assert limitq.span is limitq.span
+    assert limitq.span.gens == limitq.elements
+    assert limitq.span.unique
 
 
 @given(st.data())

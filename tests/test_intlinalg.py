@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordlat.intlinalg import hnf_rows, lattice_basis, row_rank, solve_in_rowspace
+from ordlat.intlinalg import (
+    echelon_basis,
+    hnf_rows,
+    lattice_basis,
+    row_rank,
+    solve_in_rowspace,
+)
 
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(
@@ -52,6 +58,38 @@ def test_hnf_idempotent_on_nonzero_rows(rows):
     again = hnf_rows(res.h[:k]) if k else None
     if k:
         assert again.h[:k] == res.h[:k]
+
+
+@given(matrices)
+def test_hnf_matches_sympy(rows):
+    # sympy reduces columns, so transpose in and out; its row layout differs
+    # from ours, so compare the lattices the nonzero rows span
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    Matrix = sympy.Matrix
+    res = hnf_rows(rows)
+    ours = res.h[: res.rank]
+    theirs = [r for r in hermite_normal_form(Matrix(rows).T).T.tolist() if any(r)]
+    assert len(theirs) == res.rank == row_rank(rows)
+    for r in theirs:
+        assert res.solve(r) is not None, (rows, theirs)
+    for r in ours:
+        assert solve_in_rowspace(theirs, r) is not None, (rows, theirs)
+    assert Matrix(res.u).det() in (1, -1)
+
+
+@given(matrices)
+def test_echelon_basis_spans_the_rows(rows):
+    basis = echelon_basis(rows)
+    assert len(basis) == hnf_rows(rows).rank
+    assert all(any(r) for r in basis)
+    leads = [next(j for j, x in enumerate(r) if x) for r in basis]
+    assert leads == sorted(set(leads))
+    for r in rows:
+        assert solve_in_rowspace(basis, r) is not None
+    for r in basis:
+        assert solve_in_rowspace(rows, r) is not None
 
 
 def test_hnf_frozen_example():
