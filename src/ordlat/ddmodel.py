@@ -58,6 +58,8 @@ def sample_combination(
 ) -> Element:
     """Small random integer combination of the presentation's generators."""
     gens = pres.elements
+    if not gens:
+        raise ValueError("no generators to combine")
     coeffs: List[int] = []
     picks: List[Element] = []
     for _ in range(rng.randint(1, max_terms)):

@@ -87,6 +87,14 @@ def _residue_ratio(base: Element, other: Element, lid: str):
     return t
 
 
+def _ladder_or_first(pres: Presentation, ladder_id: Optional[str]) -> str:
+    if ladder_id:
+        return ladder_id
+    if not pres.domain.ladders:
+        raise ChainError("a staircase needs a ladder")
+    return pres.domain.ladders[0].id
+
+
 def verify_staircase(
     pres: Presentation,
     ladder_id: Optional[str] = None,
@@ -102,7 +110,7 @@ def verify_staircase(
        member's own least index;
     5. d_n divides n! (torsion stays factorially bounded).
     """
-    lid = ladder_id or pres.domain.ladders[0].id
+    lid = _ladder_or_first(pres, ladder_id)
     pres.domain.ladder(lid)  # raises KeyError for an unknown id
     fam = list(family) if family is not None else _ladder_family(pres, lid)
     names = tuple(n for n, _ in fam)
@@ -198,7 +206,7 @@ def construct_staircase(
     max(correction height, previous least index), which forces the least
     indices to ascend while keeping residues untouched.
     """
-    lid = ladder_id or pres.domain.ladders[0].id
+    lid = _ladder_or_first(pres, ladder_id)
     L = pres.domain.ladder(lid)
     fam = _ladder_family(pres, lid)
     if not fam:
@@ -301,6 +309,17 @@ class FreenessCertificate:
         return tuple(pool[0].domain.combine(c, pool) for c in self.final_basis)
 
 
+def _quotient_combos(
+    n: int, m: int, b_rows: Sequence[Sequence[int]]
+) -> Tuple[Tuple[int, ...], ...]:
+    """Combinations of a free family of m and the extras whose classes are
+    independent: the Hermite transform of n * I (m x m) stacked over the
+    coefficients of each n * b on the family."""
+    rows = [[n if j == i else 0 for j in range(m)] for i in range(m)]
+    res = hnf_rows(rows + list(b_rows))
+    return res.u[: res.rank]
+
+
 def free_from_bounded_torsion(
     a_basis: Sequence[Element],
     b_gens: Sequence[Element],
@@ -313,7 +332,8 @@ def free_from_bounded_torsion(
     Every n * b must reduce into the span of a_basis modulo the subgroup;
     the Hermite form of the stacked coordinate rows then picks combinations
     of the originals whose classes are independent.  Returns (element,
-    coefficients over a_basis + b_gens) pairs.
+    coefficients over a_basis + b_gens) pairs.  A chain step derives the
+    same rows from its torsion witnesses.
     """
     if n < 1:
         raise ValueError("torsion bound must be >= 1")
@@ -322,177 +342,173 @@ def free_from_bounded_torsion(
         return ()
     domain = origins[0].domain
     m = len(a_basis)
-    rows: List[List[int]] = []
-    for i in range(m):
-        rows.append([n if j == i else 0 for j in range(m)])
     reducer = Span(list(a_basis) + list(modulo))
+    b_rows = []
     for b in b_gens:
         dec = reducer.decompose(n * b)
         if dec is None:
             raise ValueError(
                 "an extra does not reduce into the base modulo the subgroup"
             )
-        rows.append(list(dec.coeffs[:m]))
-    res = hnf_rows(rows)
+        b_rows.append(dec.coeffs[:m])
     return tuple(
-        (domain.combine(combo, origins), tuple(combo))
-        for combo in res.u[: res.rank]
+        (domain.combine(combo, origins), combo)
+        for combo in _quotient_combos(n, m, b_rows)
     )
 
 
 # --- chain builders -------------------------------------------------------------
 
 
-def _provenance(pres: Presentation, x: Element) -> Optional[Tuple[int, ...]]:
-    dec = pres.span.decompose(x)
-    return dec.coeffs if dec is not None else None
+class _Chain:
+    """A certificate under construction: its pool and its steps.
 
+    An entry gets its provenance over the presentation's generators when it
+    joins the pool.  A step sees the pool from `start` on, so composition
+    builds each block's chain straight into the composite pool; witnesses
+    and quotient rows carry zeros before `start`.
+    """
 
-def _append_step(
-    pool: List[PoolEntry],
-    steps: List[ChainStep],
-    pres: Presentation,
-    label: str,
-    a_ext: Sequence[Tuple[str, Element, Optional[Tuple[int, ...]]]],
-    extras: Sequence[Tuple[str, Element, Optional[Tuple[int, ...]]]],
-    bound: int,
-) -> None:
-    prior = [p.element for p in pool]
-    for name, el, prov in a_ext:
-        pool.append(PoolEntry(name, el, prov))
-    visible = Span([p.element for p in pool])
-    witnesses = []
-    for name, el, prov in extras:
-        dec = visible.decompose(bound * el)
-        if dec is None:
-            raise ChainError(
-                f"{label}: no witness that {bound} * {name} falls into the "
-                "current span"
+    def __init__(self, pres: Presentation, kind: str) -> None:
+        self.pres = pres
+        self.kind = kind
+        self.pool: List[PoolEntry] = []
+        self.steps: List[ChainStep] = []
+        self.start = 0
+
+    def _join(self, name: str, el: Element) -> None:
+        dec = self.pres.span.decompose(el)
+        self.pool.append(
+            PoolEntry(name, el, dec.coeffs if dec is not None else None)
+        )
+
+    def step(
+        self,
+        label: str,
+        a_ext: Sequence[Tuple[str, Element]],
+        extras: Sequence[Tuple[str, Element]],
+        bound: int,
+    ) -> None:
+        """Adjoin the free family a_ext and the extras, each of which falls
+        into the span of the visible pool when multiplied by bound.
+
+        One factorization of the visible pool gives the witnesses, and
+        their coefficients on a_ext give the quotient rows, the same rows
+        free_from_bounded_torsion derives modulo the earlier entries.
+        """
+        offset = len(self.pool)
+        for name, el in a_ext:
+            self._join(name, el)
+        visible = Span([p.element for p in self.pool[self.start :]])
+        over = len(self.pool)
+        witnesses = []
+        b_rows = []
+        for name, el in extras:
+            dec = visible.decompose(bound * el)
+            if dec is None:
+                raise ChainError(
+                    f"{label}: no witness that {bound} * {name} falls into the "
+                    "current span"
+                )
+            coeffs = (0,) * self.start + dec.coeffs
+            witnesses.append(
+                TorsionWitness(extra=name, bound=bound, over=over, coeffs=coeffs)
             )
-        witnesses.append(
-            TorsionWitness(
-                extra=name, bound=bound, over=len(visible.gens), coeffs=dec.coeffs
+            b_rows.append(coeffs[offset:])
+            self._join(name, el)
+        combos = _quotient_combos(bound, len(a_ext), b_rows)
+        self.steps.append(
+            ChainStep(
+                label=label,
+                a_extension=tuple(n for n, _ in a_ext),
+                b_extras=tuple(n for n, _ in extras),
+                torsion_bound=bound,
+                torsion_witnesses=tuple(witnesses),
+                quotient_over=len(self.pool),
+                quotient_basis=tuple((0,) * offset + c for c in combos),
             )
         )
-        pool.append(PoolEntry(name, el, prov))
-    quotient = free_from_bounded_torsion(
-        [el for _, el, _ in a_ext],
-        [el for _, el, _ in extras],
-        bound,
-        modulo=prior,
-    )
-    offset = len(prior)
-    width = len(pool)
-    q_rows = []
-    for _, combo in quotient:
-        row = [0] * width
-        for j, c in enumerate(combo):
-            row[offset + j] = c
-        q_rows.append(tuple(row))
-    steps.append(
-        ChainStep(
-            label=label,
-            a_extension=tuple(n for n, _, _ in a_ext),
-            b_extras=tuple(n for n, _, _ in extras),
-            torsion_bound=bound,
-            torsion_witnesses=tuple(witnesses),
-            quotient_over=width,
-            quotient_basis=tuple(q_rows),
+
+    def finish(self, targets: Sequence[Tuple[str, Element]]) -> FreenessCertificate:
+        """A lattice basis of the pool and each target's coefficients on it."""
+        domain = self.pres.domain
+        elements = [p.element for p in self.pool]
+        cs = CoordinateSystem.for_elements(domain, elements)
+        _, combos = lattice_basis([cs.coords(g) for g in elements])
+        basis = Span([domain.combine(c, elements) for c in combos])
+        entries = []
+        for name, t in targets:
+            dec = basis.decompose(t)
+            if dec is None:
+                raise ChainError(f"target {name} escapes the final basis")
+            entries.append(TargetEntry(name=name, element=t, coeffs=dec.coeffs))
+        return FreenessCertificate(
+            presentation=self.pres.name,
+            kind=self.kind,
+            pool=tuple(self.pool),
+            steps=tuple(self.steps),
+            final_basis=combos,
+            targets=tuple(entries),
+            rank=len(combos),
         )
-    )
 
 
-def _finalize(
-    pres: Presentation,
-    kind: str,
-    pool: List[PoolEntry],
-    steps: List[ChainStep],
-    targets: Sequence[Tuple[str, Element]],
-) -> FreenessCertificate:
-    elements = [p.element for p in pool]
-    cs = CoordinateSystem.for_elements(
-        pres.domain, elements + [t for _, t in targets]
-    )
-    rows = [cs.coords(g) for g in elements]
-    _, combos = lattice_basis(rows)
-    basis = Span([pres.domain.combine(c, elements) for c in combos])
-    entries = []
-    for name, t in targets:
-        dec = basis.decompose(t)
-        if dec is None:
-            raise ChainError(f"target {name} escapes the final basis")
-        entries.append(TargetEntry(name=name, element=t, coeffs=dec.coeffs))
-    return FreenessCertificate(
-        presentation=pres.name,
-        kind=kind,
-        pool=tuple(pool),
-        steps=tuple(steps),
-        final_basis=tuple(tuple(c) for c in combos),
-        targets=tuple(entries),
-        rank=len(combos),
-    )
-
-
-def build_chain_successor(
-    pres: Presentation,
+def _successor_steps(
+    chain: _Chain,
+    family: Presentation,
     depth: int,
     ladder_id: Optional[str] = None,
-    base_index: int = 0,
-    name_prefix: str = "",
-) -> FreenessCertificate:
-    """Step-by-step freeness certificate along one ladder.
+    first: int = 0,
+    prefix: str = "",
+) -> List[Tuple[str, Element]]:
+    """Append a successor chain along one ladder to chain; return its
+    targets: the spikes and the family members it reaches.
 
-    Step r adjoins the spike at ladder index base_index + r plus any family
+    Step r adjoins the spike at ladder index first + r plus any family
     leader arriving there; later family members arriving at r are bounded
-    torsion modulo the previous steps, with witnesses at bound r!.
+    torsion modulo the previous steps, with witnesses at bound r!.  The
+    family is the ladder's staircase in `family`, constructed if needed.
     """
-    lid = ladder_id or pres.domain.ladders[0].id
-    L = pres.domain.ladder(lid)
-    report = verify_staircase(pres, lid)
+    report = verify_staircase(family, ladder_id)
+    lid = report.ladder_id
     if report.ok:
-        fam = _ladder_family(pres, lid)
+        fam = _ladder_family(family, lid)
     else:
-        base = construct_staircase(pres, lid)
-        fam = list(base.elements)
+        fam = list(construct_staircase(family, lid).elements)
     local_mu: List[int] = []
     for name, g in fam:
         mu = g.mu(lid)
-        if mu is None or mu < base_index:
+        if mu is None or mu < first:
             raise ChainError(f"{name} starts below the chain base")
-        local_mu.append(mu - base_index)
+        local_mu.append(mu - first)
 
-    pool: List[PoolEntry] = []
-    steps: List[ChainStep] = []
-    for r in range(depth + 1):
-        spike = pres.domain.e(L.point(base_index + r))
-        a_ext = [(f"{name_prefix}e_{r}", spike, _provenance(pres, spike))]
-        extras = []
-        for k, (name, g) in enumerate(fam):
-            if local_mu[k] != r:
-                continue
-            prov = _provenance(pres, g)
-            if k == 0:
-                a_ext.append((f"{name_prefix}{name}", g, prov))
-            else:
-                extras.append((f"{name_prefix}{name}", g, prov))
-        _append_step(
-            pool,
-            steps,
-            pres,
-            f"{name_prefix}step {r}",
-            a_ext,
-            extras,
-            math.factorial(r),
-        )
-
-    targets = [
-        (f"{name_prefix}e_{r}", pres.domain.e(L.point(base_index + r)))
+    L = chain.pres.domain.ladder(lid)
+    chain.start = len(chain.pool)
+    spikes = [
+        (f"{prefix}e_{r}", chain.pres.domain.e(L.point(first + r)))
         for r in range(depth + 1)
     ]
-    for k, (name, g) in enumerate(fam):
-        if local_mu[k] <= depth:
-            targets.append((f"{name_prefix}{name}", g))
-    return _finalize(pres, "successor", pool, steps, targets)
+    for r, spike in enumerate(spikes):
+        a_ext = [spike]
+        extras = []
+        for k, (name, g) in enumerate(fam):
+            if local_mu[k] == r:
+                (a_ext if k == 0 else extras).append((prefix + name, g))
+        chain.step(f"{prefix}step {r}", a_ext, extras, math.factorial(r))
+    return spikes + [
+        (prefix + name, g) for k, (name, g) in enumerate(fam) if local_mu[k] <= depth
+    ]
+
+
+def build_chain_successor(pres: Presentation, depth: int) -> FreenessCertificate:
+    """Step-by-step freeness certificate along the first ladder.
+
+    Step r adjoins the spike at ladder index r plus any family leader
+    arriving there; later family members arriving at r are bounded torsion
+    modulo the previous steps, with witnesses at bound r!.
+    """
+    chain = _Chain(pres, "successor")
+    return chain.finish(_successor_steps(chain, pres, depth))
 
 
 def chain_torsion_bound(alphas: Sequence[int], delta: int) -> int:
@@ -532,11 +548,10 @@ def build_chain_limit(pres: Presentation, levels: int) -> FreenessCertificate:
 
     weights = sorted(families, key=WeightFn.dominance_key)
 
-    pool: List[PoolEntry] = []
-    steps: List[ChainStep] = []
+    chain = _Chain(pres, "limit")
     for n in range(levels + 1):
-        a_ext: List[Tuple[str, Element, Optional[Tuple[int, ...]]]] = []
-        extras: List[Tuple[str, Element, Optional[Tuple[int, ...]]]] = []
+        a_ext: List[Tuple[str, Element]] = []
+        extras: List[Tuple[str, Element]] = []
         grew = False
         for w in weights:
             fam = families[w]
@@ -544,7 +559,7 @@ def build_chain_limit(pres: Presentation, levels: int) -> FreenessCertificate:
                 continue
             name, f_n = fam[n]
             if n == 0:
-                a_ext.append((name, f_n, _provenance(pres, f_n)))
+                a_ext.append((name, f_n))
                 continue
             r_n = f_n.residue_at(lid)[w]
             base = fam[0][1]
@@ -560,28 +575,21 @@ def build_chain_limit(pres: Presentation, levels: int) -> FreenessCertificate:
                 # strictly above the level's rank threshold
                 beta = g.cb()
                 if compare(beta, from_int(n)) > 0:
-                    a_ext.append(
-                        (f"g_{w.label()}_{n}", g, _provenance(pres, g))
-                    )
+                    a_ext.append((f"g_{w.label()}_{n}", g))
                     grew = True
-            extras.append((name, f_n, _provenance(pres, f_n)))
+            extras.append((name, f_n))
         if not grew:
             x = omega_power(from_int(n + 1))
             if pres.domain.space.contains(x):
-                spike = pres.domain.e(x)
-                a_ext.append(
-                    (f"pad_{n}", spike, _provenance(pres, spike))
-                )
-        _append_step(
-            pool, steps, pres, f"level {n}", a_ext, extras, math.factorial(n)
-        )
+                a_ext.append((f"pad_{n}", pres.domain.e(x)))
+        chain.step(f"level {n}", a_ext, extras, math.factorial(n))
 
     targets = []
     for w in weights:
         for i, (name, g) in enumerate(families[w]):
             if i <= levels:
                 targets.append((name, g))
-    return _finalize(pres, "limit", pool, steps, targets)
+    return chain.finish(targets)
 
 
 # --- composition over clopen blocks ---------------------------------------------
@@ -627,11 +635,11 @@ def _blocks_disjoint(blocks: Sequence[ClopenBlock]) -> bool:
 def multi_prime_compose(
     pres: Presentation, blocks: Sequence[ClopenBlock]
 ) -> FreenessCertificate:
-    """Split a presentation over disjoint clopen blocks, certify each block
-    with its own chain, and reassemble a global certificate.
+    """Split a presentation over disjoint clopen blocks and build each
+    block's successor chain straight into one composite certificate.
 
-    Every generator restriction must stay inside the presented group (its
-    provenance is recomputed over the original generators); the part of
+    Every generator restriction must stay inside the presented group (it
+    must decompose over the original generators); the part of
     each generator outside all blocks must be a finite correction, which is
     certified directly as an integer lattice.
     """
@@ -668,18 +676,16 @@ def multi_prime_compose(
             )
         residues.append(rest)
 
-    pool: List[PoolEntry] = []
-    steps: List[ChainStep] = []
-
+    chain = _Chain(pres, "composite")
     nonzero = [r for r in residues if not r.is_zero]
     if nonzero:
         cs = CoordinateSystem.for_elements(domain, nonzero)
         _, combos = lattice_basis([cs.coords(r) for r in nonzero])
-        a_ext = []
-        for i, combo in enumerate(combos):
-            acc = domain.combine(combo, nonzero)
-            a_ext.append((f"res_{i}", acc, _provenance(pres, acc)))
-        _append_step(pool, steps, pres, "residual", a_ext, [], 1)
+        a_ext = [
+            (f"res_{i}", domain.combine(combo, nonzero))
+            for i, combo in enumerate(combos)
+        ]
+        chain.step("residual", a_ext, [], 1)
 
     for bi, block in enumerate(blocks):
         L = next(M for M in domain.ladders if block.contains(M.target))
@@ -701,36 +707,9 @@ def multi_prime_compose(
         for _, g in fam:
             mu = g.mu(L.id)
             depth = max(depth, (mu or 0) - k_first)
-        sub_cert = build_chain_successor(
-            sub,
-            depth,
-            ladder_id=L.id,
-            base_index=k_first,
-            name_prefix=f"b{bi}.",
-        )
-        offset = len(pool)
-        for entry in sub_cert.pool:
-            prov = _provenance(pres, entry.element)
-            pool.append(replace(entry, provenance=prov))
-        for step in sub_cert.steps:
-            witnesses = tuple(
-                replace(w, over=w.over + offset, coeffs=(0,) * offset + w.coeffs)
-                for w in step.torsion_witnesses
-            )
-            q_rows = tuple(
-                (0,) * offset + row for row in step.quotient_basis
-            )
-            steps.append(
-                replace(
-                    step,
-                    torsion_witnesses=witnesses,
-                    quotient_over=step.quotient_over + offset,
-                    quotient_basis=q_rows,
-                )
-            )
+        _successor_steps(chain, sub, depth, L.id, k_first, f"b{bi}.")
 
-    targets = [(name, g) for name, g in pres.generators]
-    return _finalize(pres, "composite", pool, steps, targets)
+    return chain.finish(pres.generators)
 
 
 def _auto_blocks(pres: Presentation) -> List[ClopenBlock]:
@@ -749,6 +728,8 @@ def certify(
     otherwise.  depth defaults to the highest least index in the ladder's
     family (successor) or one less than the family's size (limit levels).
     """
+    if depth is not None and depth < 0:
+        raise ValueError("chain depth must be >= 0")
     ladders = pres.domain.ladders
     if not ladders:
         raise ChainError("a chain needs a ladder")

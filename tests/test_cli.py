@@ -7,7 +7,8 @@ import pytest
 from ordlat.cli import main
 from ordlat.group import Presentation
 from ordlat.presets import PRESETS
-from ordlat.serialize import dumps, presentation_to_json
+from ordlat.ordinal import from_int
+from ordlat.serialize import dumps, element_to_json, presentation_to_json
 
 
 def run(capsys, *argv):
@@ -57,6 +58,26 @@ def test_verify_staircase_failure_exits_one(capsys, tmp_path, limitq):
     rc, out, _ = run(capsys, "verify-staircase", "--input", str(path))
     assert rc == 1
     assert "FAIL" in out
+
+
+def _limitq_variant(tmp_path, limitq, **fields):
+    """limitq's presentation JSON with some top-level fields replaced."""
+    doc = presentation_to_json(limitq)
+    doc.update(fields)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_verify_staircase_without_ladders_is_bad_input(capsys, tmp_path, limitq):
+    spike = element_to_json(limitq.domain.e(from_int(0)))
+    path = _limitq_variant(
+        tmp_path, limitq, ladders=[], generators=[{"name": "s", "element": spike}]
+    )
+    rc, out, err = run(capsys, "verify-staircase", "--input", path)
+    assert rc == 2
+    assert "error: a staircase needs a ladder" in err
+    assert "Traceback" not in out + err
 
 
 def test_verify_staircase_unknown_ladder_is_bad_input(capsys):
@@ -117,6 +138,14 @@ def test_extract_compose_mode(capsys, tmp_path):
     )
     assert rc == 0
     assert "kind=composite rank=15" in err
+
+
+@pytest.mark.parametrize("preset", ["limitq", "limit_power"])
+def test_extract_basis_negative_depth_is_bad_input(capsys, preset):
+    rc, out, err = run(capsys, "extract-basis", "--preset", preset, "--depth", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "error: chain depth must be >= 0" in err
 
 
 def test_cert_verify_rejects_wrong_presentation(capsys, tmp_path):
@@ -270,6 +299,14 @@ def test_dd_check(capsys):
     )
     assert rc == 0
     assert "ok" in out
+
+
+def test_dd_check_without_generators_is_bad_input(capsys, tmp_path, limitq):
+    path = _limitq_variant(tmp_path, limitq, generators=[])
+    rc, out, err = run(capsys, "dd-check", "--input", path)
+    assert rc == 2
+    assert "error: no generators to combine" in err
+    assert "Traceback" not in out + err
 
 
 # --- input handling ----------------------------------------------------------------------

@@ -139,6 +139,53 @@ def test_free_from_bounded_torsion_unreduced_extra_rejected():
         free_from_bounded_torsion([ey], [ex + ez], 3, modulo=(ez,))
 
 
+def _chain_certificates():
+    """Every successor and limit certificate of the presets, at the default
+    depth and at depth 2."""
+    for name in sorted(presets.PRESETS):
+        pres = presets.load(name)
+        for mode in ("successor", "limit"):
+            for depth in (None, 2):
+                try:
+                    cert = certify(pres, mode, depth)
+                except ChainError:
+                    continue
+                yield f"{name}/{mode}/{depth}", cert
+
+
+def test_chain_quotient_rows_match_free_from_bounded_torsion():
+    """A step's quotient rows come from its witnesses' coefficients; the
+    one-call form derives them from a second factorization of its own."""
+    seen = set()
+    for key, cert in _chain_certificates():
+        seen.add(key.rsplit("/", 1)[0])
+        element = {p.name: p.element for p in cert.pool}
+        cursor = 0
+        for step in cert.steps:
+            prior = [p.element for p in cert.pool[:cursor]]
+            expected = free_from_bounded_torsion(
+                [element[n] for n in step.a_extension],
+                [element[n] for n in step.b_extras],
+                step.torsion_bound,
+                modulo=prior,
+            )
+            padded = tuple((0,) * cursor + combo for _, combo in expected)
+            assert step.quotient_basis == padded, f"{key}: {step.label}"
+            cursor += len(step.a_extension) + len(step.b_extras)
+            assert all(len(row) == cursor for row in step.quotient_basis)
+        assert cursor == len(cert.pool)
+    assert {"limitq/successor", "twoblock/successor", "limit_power/limit"} <= seen
+
+
+def test_staircase_needs_a_ladder():
+    d = Domain(ScatteredSpace(from_int(5)), ())
+    pres = Presentation("flat", d, (("s", d.e(from_int(1))),))
+    with pytest.raises(ChainError, match="a staircase needs a ladder"):
+        verify_staircase(pres)
+    with pytest.raises(ChainError, match="a staircase needs a ladder"):
+        construct_staircase(pres)
+
+
 def test_chain_torsion_bound():
     assert chain_torsion_bound([0, 1, 2, 3], 2) == 2
     assert chain_torsion_bound([0, 2, 4], 3) == 2
@@ -409,3 +456,6 @@ def test_certify_modes_and_depth(limitq, two_prime):
         certify(limitq, mode="limit")
     with pytest.raises(ValueError):
         certify(limitq, mode="sideways")
+    for mode in ("auto", "successor", "limit", "compose"):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            certify(limitq, mode, -1)

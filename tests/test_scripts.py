@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -27,3 +28,22 @@ def test_chain_report_default_presets_verify():
     assert [line.split()[0] for line in lines] == list(CHAIN_REPORT_DEFAULT)
     for line in lines:
         assert re.search(r"ok=True$", line), line
+
+
+def test_tracer_installs():
+    # the tracer looks every name it wraps up by attribute, so a traced
+    # name that leaves ordlat breaks it even with no caller left in src
+    code = "import tracer; tracer.Tracer().install(); print('installed')"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=ROOT,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]),
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "installed\n"
