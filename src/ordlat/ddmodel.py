@@ -50,20 +50,16 @@ class IdealFunction:
         return self.f.is_nonneg()
 
 
-def sample_combination(
-    pres: Presentation,
-    rng: random.Random,
-    max_terms: int = 3,
-    coeff_bound: int = 3,
-) -> Element:
-    """Small random integer combination of the presentation's generators."""
+def sample_combination(pres: Presentation, rng: random.Random) -> Element:
+    """Small random integer combination of the presentation's generators:
+    1 to 3 draws, each a coefficient in [-3, 3] on a random generator."""
     gens = pres.elements
     if not gens:
         raise ValueError("no generators to combine")
     coeffs: List[int] = []
     picks: List[Element] = []
-    for _ in range(rng.randint(1, max_terms)):
-        c = rng.randint(-coeff_bound, coeff_bound)
+    for _ in range(rng.randint(1, 3)):
+        c = rng.randint(-3, 3)
         if c:
             coeffs.append(c)
             picks.append(rng.choice(gens))
@@ -93,12 +89,17 @@ def phi_homomorphism_check(
     over ideal sums.  The law only pins the sum down together with the
     order axioms, so each case also probes commutativity, idempotence,
     the lower-bound property, and maximality against sampled lower
-    bounds; a tampered meet_fn breaks one of them.
+    bounds; a tampered meet_fn breaks one of them.  Stops after five
+    failures; checked counts the cases that ran.
     """
+    if cases < 0:
+        raise ValueError("case count must be >= 0")
     rng = random.Random(seed)
     meet: MeetFn = meet_fn or (lambda a, b: a.meet(b))
     failures: List[str] = []
+    done = 0
     for i in range(cases):
+        done = i + 1
         f = sample_combination(pres, rng)
         g = sample_combination(pres, rng)
         h = sample_combination(pres, rng)
@@ -122,7 +123,7 @@ def phi_homomorphism_check(
                     break
         if len(failures) >= 5:
             break
-    return BatteryReport("phi-homomorphism", cases, tuple(failures))
+    return BatteryReport("phi-homomorphism", done, tuple(failures))
 
 
 def witness_battery(
@@ -131,6 +132,8 @@ def witness_battery(
     """Random radical-membership witnesses (least n with n * f >= g, so
     the n-th power of g's ideal falls inside f's), each checked for
     minimality."""
+    if cases < 0:
+        raise ValueError("case count must be >= 0")
     rng = random.Random(seed)
     failures: List[str] = []
     done = 0

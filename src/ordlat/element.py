@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ordlat.ordinal import (
@@ -367,15 +369,6 @@ class SupportInfo:
     regimes: Tuple[Tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class _LadderAnalysis:
-    terms: Tuple[TailTerm, ...]
-    start: int
-    residue: Tuple[Tuple[WeightFn, Fraction], ...]
-    stabilization: int   # values match the formula and keep one sign from here
-    eventual_sign: int
-
-
 def _tail_sum(terms: Sequence[TailTerm], k: int) -> int:
     """Sum of coeff * weight(k) over the terms already started at index k."""
     total = 0
@@ -395,8 +388,13 @@ class Element:
     off: the nonzero prefix values at points on no ladder, in ordinal
     order.  on: per ladder with prefix values, in ladder-id order, its
     nonzero (index, value) pairs in index order.  tails: by ladder id, then
-    by weight dominance.  The ordinal-keyed prefix is derived from off and
-    on.
+    by ascending weight dominance, one term per weight and one common start
+    per ladder.  The ordinal-keyed prefix is derived from off and on.
+
+    Each ladder's tail terms (`_terms`) are its one record of the ladder's
+    limit: start, residue, dominant weight and eventual sign are read off
+    them.  Its values below the settle index are the one value cache
+    (`_window`).
     """
 
     domain: Domain
@@ -425,8 +423,17 @@ class Element:
     def _offmap(self) -> Dict[Ordinal, int]:
         return dict(self.off)
 
+    @cached_property
+    def _terms(self) -> Dict[str, Tuple[TailTerm, ...]]:
+        """Per ladder with tails, its terms as they sit in tails: the
+        element's behaviour at the ladder's target."""
+        return {
+            lid: tuple(terms)
+            for lid, terms in groupby(self.tails, key=attrgetter("ladder_id"))
+        }
+
     def tails_on(self, lid: str) -> Tuple[TailTerm, ...]:
-        return tuple(t for t in self.tails if t.ladder_id == lid)
+        return self._terms.get(lid, ())
 
     def value(self, x: Ordinal):
         """Integer value at a point.
@@ -455,45 +462,33 @@ class Element:
     # -- ladder analysis --
 
     @cached_property
-    def _analysis(self) -> Dict[str, _LadderAnalysis]:
-        out: Dict[str, _LadderAnalysis] = {}
-        for L in self.domain.ladders:
-            terms = self.tails_on(L.id)
-            if not terms:
-                continue
-            start = terms[0].start
-            residue = {t.weight: t.coeff for t in terms}
-            weights = sorted(residue, key=WeightFn.dominance_key)
-            dom = weights[-1]
-            k0 = start
-            for w in weights[:-1]:
-                k0 = max(k0, dominance_monotone_from(dom, w))
-            k = k0
-            while not (
-                abs(residue[dom]) * dom.value(k)
-                > sum(abs(residue[w]) * w.value(k) for w in weights[:-1])
-            ):
-                k += 1
-            out[L.id] = _LadderAnalysis(
-                terms=terms,
-                start=start,
-                residue=tuple((w, residue[w]) for w in weights),
-                stabilization=k,
-                eventual_sign=1 if residue[dom] > 0 else -1,
-            )
-        return out
-
-    @cached_property
     def _window(self) -> Dict[str, Tuple[int, ...]]:
         """Per ladder, the values at the indices below its settle index;
-        past them a ladder's values are its tail formula."""
+        past them a ladder's values are its tail formula.
+
+        On a ladder with tails the settle index is the least index at or
+        past the start and every dominance_monotone_from(dom, w) at which
+        the dominant (last) term outweighs the others, so the formula keeps
+        that term's sign from there on.  Without tails it is one past the
+        last prefix index.
+        """
         on = dict(self.on)
         window = {}
         for L in self.domain.ladders:
             vals = dict(on.get(L.id, ()))
-            info = self._analysis.get(L.id)
-            terms = info.terms if info else ()
-            n = info.stabilization if info else max(vals, default=-1) + 1
+            terms = self._terms.get(L.id, ())
+            if terms:
+                *rest, dom = terms
+                n = max(
+                    [dom.start]
+                    + [dominance_monotone_from(dom.weight, t.weight) for t in rest]
+                )
+                while abs(dom.coeff) * dom.weight.value(n) <= sum(
+                    abs(t.coeff) * t.weight.value(n) for t in rest
+                ):
+                    n += 1
+            else:
+                n = max(vals, default=-1) + 1
             window[L.id] = tuple(
                 vals.get(k, 0) + _tail_sum(terms, k) for k in range(n)
             )
@@ -510,8 +505,7 @@ class Element:
         vals = self._values_on(lid)
         if k < len(vals):
             return vals[k]
-        info = self._analysis.get(lid)
-        return _tail_sum(info.terms, k) if info else 0
+        return _tail_sum(self._terms.get(lid, ()), k)
 
     def settle_index(self, lid: str) -> int:
         """Index from which values on the ladder follow a fixed pattern:
@@ -522,13 +516,12 @@ class Element:
         """Tail coefficient per weight on one ladder (the behaviour at the
         ladder's target)."""
         L = self.domain.ladder(lid)
-        info = self._analysis.get(lid)
-        got = dict(info.residue) if info else {}
+        got = {t.weight: t.coeff for t in self.tails_on(lid)}
         return {w: got.get(w, Fraction(0)) for w in L.weights}
 
     def tail_start(self, lid: str) -> Optional[int]:
-        info = self._analysis.get(lid)
-        return info.start if info else None
+        terms = self._terms.get(lid)
+        return terms[0].start if terms else None
 
     def mu(self, lid: str) -> Optional[int]:
         """Least ladder index with a nonzero value."""
@@ -537,7 +530,7 @@ class Element:
             if v:
                 return k
         # the value at the settle index of a ladder with tails is nonzero
-        return len(vals) if lid in self._analysis else None
+        return len(vals) if lid in self._terms else None
 
     # -- support & rank --
 
@@ -548,7 +541,7 @@ class Element:
         for L in self.domain.ladders:
             vals = self._window[L.id]
             rho = len(vals)
-            if L.id in self._analysis:  # nonzero forever from index rho on
+            if L.id in self._terms:  # nonzero forever from index rho on
                 while rho > 0 and vals[rho - 1] != 0:
                     rho -= 1
                 regimes.append((L.id, rho))
@@ -588,7 +581,8 @@ class Element:
     # -- order & lattice --
 
     def is_nonneg(self) -> bool:
-        if any(info.eventual_sign < 0 for info in self._analysis.values()):
+        # the eventual sign on a ladder is its dominant (last) term's sign
+        if any(terms[-1].coeff < 0 for terms in self._terms.values()):
             return False
         return all(v >= 0 for _, v in self.off) and all(
             v >= 0 for vals in self._window.values() for v in vals
@@ -602,10 +596,10 @@ class Element:
         tails: List[TailTerm] = []
         for L in self.domain.ladders:
             lid = L.id
-            active = lid in self._analysis or lid in other._analysis
+            active = lid in self._terms or lid in other._terms
             if active:
-                dinfo = diff._analysis.get(lid)
-                survivor = other if (dinfo and dinfo.eventual_sign > 0) else self
+                dterms = diff._terms.get(lid)
+                survivor = other if (dterms and dterms[-1].coeff > 0) else self
                 tails.extend(survivor.tails_on(lid))
             k_settle = max(
                 self.settle_index(lid),
@@ -830,13 +824,12 @@ def bounded_ratio_witness(f: Element, g: Element) -> Optional[int]:
         return 1
     if not f.same_support(g):
         return None
-    for lid, ginfo in g._analysis.items():
-        finfo = f._analysis.get(lid)
-        if finfo is None:
-            return None
-        gdom = max((w for w, r in ginfo.residue), key=WeightFn.dominance_key)
-        fdom = max((w for w, r in finfo.residue), key=WeightFn.dominance_key)
-        if gdom.dominance_key() > fdom.dominance_key():
+    for lid, gterms in g._terms.items():
+        fterms = f._terms.get(lid)
+        # the last term carries the dominant weight
+        if fterms is None or (
+            gterms[-1].weight.dominance_key() > fterms[-1].weight.dominance_key()
+        ):
             return None
 
     def ok(n: int) -> bool:
@@ -879,11 +872,6 @@ def format_element(f: Element) -> str:
         else:
             out += f" + {p}"
     return out
-
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>-?\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[()*+,=/-]))"
-)
 
 
 def parse_element(domain: Domain, text: str) -> Element:

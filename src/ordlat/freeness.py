@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ordlat.element import Element, WeightFn, _from_values
 from ordlat.group import CoordinateSystem, Presentation, Span
-from ordlat.intlinalg import echelon_basis, hnf_rows, lattice_basis
+from ordlat.intlinalg import echelon_basis, hnf_rows
 from ordlat.ordinal import ZERO, Ordinal, compare, format_ordinal, from_int, omega_power
 from ordlat.space import ClopenBlock
 
@@ -433,8 +433,8 @@ class _Chain:
         """A lattice basis of the pool and each target's coefficients on it."""
         domain = self.pres.domain
         elements = [p.element for p in self.pool]
-        cs = CoordinateSystem.for_elements(domain, elements)
-        _, combos = lattice_basis([cs.coords(g) for g in elements])
+        form = Span(elements).hnf
+        combos = form.u[: form.rank]
         basis = Span([domain.combine(c, elements) for c in combos])
         entries = []
         for name, t in targets:
@@ -456,7 +456,7 @@ class _Chain:
 def _successor_steps(
     chain: _Chain,
     family: Presentation,
-    depth: int,
+    depth: Optional[int] = None,
     ladder_id: Optional[str] = None,
     first: int = 0,
     prefix: str = "",
@@ -467,7 +467,8 @@ def _successor_steps(
     Step r adjoins the spike at ladder index first + r plus any family
     leader arriving there; later family members arriving at r are bounded
     torsion modulo the previous steps, with witnesses at bound r!.  The
-    family is the ladder's staircase in `family`, constructed if needed.
+    family is the ladder's staircase in `family`, constructed if needed;
+    depth None reaches its highest least index.
     """
     report = verify_staircase(family, ladder_id)
     lid = report.ladder_id
@@ -481,6 +482,8 @@ def _successor_steps(
         if mu is None or mu < first:
             raise ChainError(f"{name} starts below the chain base")
         local_mu.append(mu - first)
+    if depth is None:
+        depth = max(local_mu)
 
     L = chain.pres.domain.ladder(lid)
     chain.start = len(chain.pool)
@@ -500,12 +503,15 @@ def _successor_steps(
     ]
 
 
-def build_chain_successor(pres: Presentation, depth: int) -> FreenessCertificate:
+def build_chain_successor(
+    pres: Presentation, depth: Optional[int] = None
+) -> FreenessCertificate:
     """Step-by-step freeness certificate along the first ladder.
 
     Step r adjoins the spike at ladder index r plus any family leader
     arriving there; later family members arriving at r are bounded torsion
-    modulo the previous steps, with witnesses at bound r!.
+    modulo the previous steps, with witnesses at bound r!.  depth None
+    runs to the highest least index of the family the chain uses.
     """
     chain = _Chain(pres, "successor")
     return chain.finish(_successor_steps(chain, pres, depth))
@@ -679,11 +685,10 @@ def multi_prime_compose(
     chain = _Chain(pres, "composite")
     nonzero = [r for r in residues if not r.is_zero]
     if nonzero:
-        cs = CoordinateSystem.for_elements(domain, nonzero)
-        _, combos = lattice_basis([cs.coords(r) for r in nonzero])
+        form = Span(nonzero).hnf
         a_ext = [
             (f"res_{i}", domain.combine(combo, nonzero))
-            for i, combo in enumerate(combos)
+            for i, combo in enumerate(form.u[: form.rank])
         ]
         chain.step("residual", a_ext, [], 1)
 
@@ -702,12 +707,7 @@ def multi_prime_compose(
         sub = Presentation(
             f"{pres.name}@{bi}", domain, sub_gens
         )
-        fam = _ladder_family(sub, L.id)
-        depth = 0
-        for _, g in fam:
-            mu = g.mu(L.id)
-            depth = max(depth, (mu or 0) - k_first)
-        _successor_steps(chain, sub, depth, L.id, k_first, f"b{bi}.")
+        _successor_steps(chain, sub, None, L.id, k_first, f"b{bi}.")
 
     return chain.finish(pres.generators)
 
@@ -725,8 +725,10 @@ def certify(
 
     mode "auto" composes over one block per ladder when there are several
     ladders, builds a limit chain on a power ladder and a successor chain
-    otherwise.  depth defaults to the highest least index in the ladder's
-    family (successor) or one less than the family's size (limit levels).
+    otherwise.  depth defaults to the highest least index in the family
+    the successor chain runs over (the ladder's staircase, constructed when
+    the generators fail its axioms; each block's in composition), or to one
+    less than the family's size (limit levels).  Composition takes no depth.
     """
     if depth is not None and depth < 0:
         raise ValueError("chain depth must be >= 0")
@@ -741,14 +743,12 @@ def certify(
         )
     if mode == "compose":
         return multi_prime_compose(pres, _auto_blocks(pres))
-    lid = ladders[0].id
-    family = [g for _, g in pres.generators if g.tails_on(lid)]
-    if mode == "limit":
-        return build_chain_limit(pres, len(family) - 1 if depth is None else depth)
     if mode == "successor":
-        if depth is None:
-            depth = max((g.mu(lid) or 0 for g in family), default=0)
         return build_chain_successor(pres, depth)
+    if mode == "limit":
+        if depth is None:
+            depth = len(_ladder_family(pres, ladders[0].id)) - 1
+        return build_chain_limit(pres, depth)
     raise ValueError(f"unknown chain mode {mode!r}")
 
 

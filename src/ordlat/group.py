@@ -247,17 +247,13 @@ def residue_index_at(f: Element, lid: str) -> Optional[int]:
     return f.tail_start(lid)
 
 
-def semibasic_construct(
-    pres: Presentation,
-    x: Ordinal,
-    coeff_bound: int = 4,
-    max_terms: int = 3,
-) -> Element:
+def semibasic_construct(pres: Presentation, x: Ordinal) -> Element:
     """Search the presentation for a semibasic element at x.
 
     Tries e(x) first; otherwise runs a bounded deterministic search for a
     nonnegative combination that isolates x and flattens it to height one
-    with a meet.
+    with a meet.  The search tries combinations of 1 to 3 generators with
+    nonzero coefficients in [-4, 4].
     """
     domain = pres.domain
     if domain.target_ladder(x) is not None:
@@ -268,11 +264,9 @@ def semibasic_construct(
 
     def search(want: Callable[[Element], bool]) -> Optional[Element]:
         gens = pres.elements
-        for size in range(1, max_terms + 1):
+        for size in range(1, 4):
             for idx in itertools.combinations(range(len(gens)), size):
-                for coeffs in itertools.product(
-                    range(-coeff_bound, coeff_bound + 1), repeat=size
-                ):
+                for coeffs in itertools.product(range(-4, 5), repeat=size):
                     if any(c == 0 for c in coeffs):
                         continue
                     f = domain.combine(coeffs, [gens[i] for i in idx])

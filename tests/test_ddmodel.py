@@ -65,6 +65,7 @@ def test_phi_check_catches_offset_meet(limitq):
     report = phi_homomorphism_check(limitq, cases=60, seed=0, meet_fn=bad)
     assert not report.ok
     assert any("idempotent" in msg for msg in report.failures)
+    assert report.checked < 60  # stopped after five failures
 
 
 def test_phi_check_catches_projection_meet(limitq):
@@ -79,6 +80,12 @@ def test_phi_check_catches_projection_meet(limitq):
 def test_witness_battery(limitq, twoblock):
     assert witness_battery(limitq, cases=60, seed=1).ok
     assert witness_battery(twoblock, cases=60, seed=1).ok
+
+
+def test_batteries_reject_negative_counts(limitq):
+    for battery in (phi_homomorphism_check, witness_battery):
+        with pytest.raises(ValueError, match="case count must be >= 0"):
+            battery(limitq, cases=-1)
 
 
 def test_radical_power_witness_frozen(limitq):

@@ -280,10 +280,16 @@ def test_ladder_queries_match_brute_force(name, data):
             assert settle == (nonzero[-1] + 1 if nonzero else 0)
             points.update(L.point(k) for k in nonzero)
             continue
+        # the canonical record: one common start, weights in ascending
+        # dominance, and the eventual sign carried by the last term
+        assert len({t.start for t in terms}) == 1
+        keys = [t.weight.dominance_key() for t in terms]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
         residue = {}
         for t in terms:
             residue[t.weight] = residue.get(t.weight, 0) + t.coeff
         sign = 1 if residue[max(residue, key=WeightFn.dominance_key)] > 0 else -1
+        assert sign == (1 if terms[-1].coeff > 0 else -1)
         assert settle >= terms[0].start
         if len(residue) == 1:  # nothing to outweigh: settled from the start
             assert settle == terms[0].start
@@ -439,6 +445,18 @@ def test_bounded_ratio_frozen(gens):
     assert bounded_ratio_witness(d.zero(), d.zero()) == 1
     with pytest.raises(ValueError):
         bounded_ratio_witness(a0, -a0)
+
+
+def test_bounded_ratio_two_weights():
+    # the dominant weight decides: no multiple of a factorial tail catches
+    # a factgeom(2) one
+    pres = presets.load("limit_power_two_weights")
+    f0, h0 = pres.generator("f_0"), pres.generator("h_0")
+    f2, h2 = pres.generator("f_2"), pres.generator("h_2")
+    assert bounded_ratio_witness(f0, h0) is None
+    assert bounded_ratio_witness(h0, f0) == 1
+    assert bounded_ratio_witness(f2 + h2, 3 * h2) == 3
+    assert bounded_ratio_witness(h2, f2 + h2) == 2
 
 
 @given(st.integers(1, 40), st.integers(0, 3))

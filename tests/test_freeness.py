@@ -25,7 +25,7 @@ from ordlat.freeness import (
     smooth_chain_check,
     verify_staircase,
 )
-from ordlat.group import Presentation, member_decompose
+from ordlat.group import Presentation, Span, member_decompose
 from ordlat.ordinal import from_int
 from ordlat.serialize import certificate_to_json, dumps
 from ordlat.space import ClopenBlock, ScatteredSpace
@@ -459,3 +459,17 @@ def test_certify_modes_and_depth(limitq, two_prime):
     for mode in ("auto", "successor", "limit", "compose"):
         with pytest.raises(ValueError, match="depth must be >= 0"):
             certify(limitq, mode, -1)
+
+
+def test_default_depth_reaches_the_shaved_staircase(limitq):
+    # e(1) on a_2 breaks the staircase axioms, so the chain runs over the
+    # shaved family, whose least indices sit above the raw generators'
+    d = limitq.domain
+    gens = list(limitq.generators[:6])
+    gens[2] = ("a_2", gens[2][1] + d.e(from_int(1)))
+    noisy = Presentation("noisy", d, tuple(gens))
+    cert = certify(noisy)
+    assert smooth_chain_check(noisy, cert).ok
+    span = Span(cert.basis_elements())
+    for name, g in noisy.generators:
+        assert span.decompose(g) is not None, name
