@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Per-operation costs on the limitq preset, printed as one JSON object.
+
+Usage: microbench.py [--repeat N] [--seed S]
+
+Each cost is in microseconds per call: the median over N repeats of the
+mean over one pass.  The element operations run on seeded combinations of
+one to three generators, rebuilt before every pass, so that no cached
+ladder window carries over from one pass to the next; value reads twelve
+ladder points per element.  The matrix operations factor a seeded 30 x 30
+matrix with entries in [-9, 9].
+"""
+
+import argparse
+import json
+import pathlib
+import platform
+import random
+import statistics
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from ordlat.group import Span
+from ordlat.intlinalg import echelon_basis, hnf_rows
+from ordlat.ordinal import OMEGA, compare, from_int
+from ordlat.presets import load
+
+PAIRS = 40
+POINTS = 12
+
+
+def combos(pres, rng, n):
+    gens = pres.elements
+    out = []
+    for _ in range(n):
+        idx = rng.sample(range(len(gens)), rng.randint(1, 3))
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in idx]
+        out.append((coeffs, [gens[i] for i in idx]))
+    return out
+
+
+def per_call(run, calls, repeat):
+    """Median over repeat passes of the mean microseconds per call; run()
+    prepares a pass and returns the timed callable."""
+    costs = []
+    for _ in range(repeat):
+        timed = run()
+        t = time.perf_counter()
+        timed()
+        costs.append((time.perf_counter() - t) / calls * 1e6)
+    return round(statistics.median(costs), 2)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=7)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be >= 1")
+
+    pres = load("limitq")
+    dom = pres.domain
+    L = dom.ladders[0]
+    rng = random.Random(args.seed)
+    left = combos(pres, rng, PAIRS)
+    right = combos(pres, rng, PAIRS)
+
+    def fresh(side):
+        return [dom.combine(c, g) for c, g in side]
+
+    def pairs():
+        return list(zip(fresh(left), fresh(right)))
+
+    def meet():
+        ps = pairs()
+        return lambda: [f.meet(g) for f, g in ps]
+
+    def add():
+        ps = pairs()
+        return lambda: [f + g for f, g in ps]
+
+    points = [L.point(k) for k in range(POINTS)]
+
+    def value():
+        fs = fresh(left)
+        return lambda: [f.value(x) for f in fs for x in points]
+
+    ordinals = points + [OMEGA]
+    pairs_o = [(a, b) for a in ordinals for b in ordinals]
+
+    def compare_ordinals():
+        return lambda: [compare(a, b) for a, b in pairs_o]
+
+    def span_build():
+        return lambda: Span(pres.elements)
+
+    spikes = [dom.e(from_int(k)) for k in range(10)]
+
+    def span_decompose():
+        span = pres.span
+        return lambda: [span.decompose(e) for e in spikes]
+
+    mrng = random.Random(f"matrix:{args.seed}")
+    matrix = [[mrng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
+
+    ops = {
+        "meet": per_call(meet, PAIRS, args.repeat),
+        "add": per_call(add, PAIRS, args.repeat),
+        "value": per_call(value, PAIRS * POINTS, args.repeat),
+        "ordinal_compare": per_call(compare_ordinals, len(pairs_o), args.repeat),
+        "span_build": per_call(span_build, 1, args.repeat),
+        "span_decompose_spike": per_call(span_decompose, len(spikes), args.repeat),
+        "hnf_rows_30x30": per_call(lambda: lambda: hnf_rows(matrix), 1, args.repeat),
+        "echelon_basis_30x30": per_call(
+            lambda: lambda: echelon_basis(matrix), 1, args.repeat
+        ),
+    }
+    print(
+        json.dumps(
+            {
+                "preset": "limitq",
+                "unit": "us per call",
+                "repeat": args.repeat,
+                "seed": args.seed,
+                "python": platform.python_version(),
+                "ops": ops,
+            },
+            sort_keys=True,
+        )
+    )
+
+
+if __name__ == "__main__":
+    main()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -43,18 +43,28 @@ from ordlat.space import ScatteredSpace
 
 # --- weights ---------------------------------------------------------------
 
-_WEIGHT_KINDS = ("constant", "geometric", "factorial", "factgeom")
+_TIERS = {"constant": 0, "geometric": 1, "factorial": 2, "factgeom": 3}
 
 
 @dataclass(frozen=True, slots=True)
 class WeightFn:
-    """Growth profile of a tail along its ladder."""
+    """Growth profile of a tail along its ladder.
+
+    table holds w(0..n-1) for every element whose tails use this weight
+    (Domain.tail takes its weights from the ladder).  It grows by one step
+    when the index just past its end is asked for, so it reaches an index
+    only once every smaller one was evaluated: as far as the values some
+    element holds, in a ladder window, a prefix or a meet.  A lone large
+    index, such as a hostile tail start, is computed directly and never
+    stored.
+    """
 
     kind: str
     param: int = 0
+    table: List[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in _WEIGHT_KINDS:
+        if self.kind not in _TIERS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "constant" and self.param < 1:
             raise ValueError("constant weight needs param >= 1")
@@ -62,8 +72,9 @@ class WeightFn:
             raise ValueError(f"{self.kind} weight needs param >= 2")
         if self.kind == "factorial" and self.param != 0:
             raise ValueError("factorial weight takes no param")
+        object.__setattr__(self, "table", [self._direct(0)])
 
-    def value(self, k: int) -> int:
+    def _direct(self, k: int) -> int:
         if self.kind == "constant":
             return self.param
         if self.kind == "geometric":
@@ -71,6 +82,32 @@ class WeightFn:
         if self.kind == "factorial":
             return math.factorial(k)
         return math.factorial(k) * self.param**k
+
+    def value(self, k: int) -> int:
+        table = self.table
+        if k < len(table):
+            return table[k]
+        if k == len(table):
+            table.append(table[-1] * self.step(k - 1))
+            return table[k]
+        return self._direct(k)
+
+    def mod(self, k: int, d: int) -> int:
+        """w(k) mod d, in O(min(k, d)) small steps when w(k) is not in the
+        table: d divides k! once d <= k."""
+        table = self.table
+        if k < len(table):
+            return table[k] % d
+        if self.kind == "constant":
+            return self.param % d
+        if self.kind == "geometric":
+            return pow(self.param, k, d)
+        if d <= k:
+            return 0
+        m = 1 if self.kind == "factorial" else pow(self.param, k, d)
+        for i in range(2, k + 1):
+            m = m * i % d
+        return m % d
 
     def step(self, k: int) -> int:
         """w(k+1) / w(k); an integer for every supported kind."""
@@ -84,8 +121,7 @@ class WeightFn:
 
     def dominance_key(self) -> Tuple[int, int]:
         """Sort key that orders weights by eventual growth."""
-        tier = {"constant": 0, "geometric": 1, "factorial": 2, "factgeom": 3}
-        return (tier[self.kind], self.param)
+        return (_TIERS[self.kind], self.param)
 
     def label(self) -> str:
         if self.kind in ("constant", "geometric", "factgeom"):
@@ -297,9 +333,11 @@ class Domain:
         start: int,
         weight: Optional[str] = None,
     ) -> "Element":
-        L = self.ladder(lid)
-        w = L.weight(weight)
-        return _canonical(self, {}, [TailTerm(lid, w, Fraction(coeff), start)])
+        w = self.ladder(lid).weight(weight)
+        r = Fraction(coeff)
+        return _canonical(
+            self, {}, [TailTerm(lid, w, r.numerator, r.denominator, start)]
+        )
 
     def combine(
         self, coeffs: Sequence[int], elements: Sequence["Element"]
@@ -311,7 +349,9 @@ class Domain:
         """
         off: Dict[Ordinal, int] = {}
         on: Dict[str, Dict[int, int]] = {}
-        tails: Dict[Tuple[str, WeightFn, int], Fraction] = {}
+        # numerators by (ladder, weight, start, denominator); _canonical
+        # brings each ladder to one denominator
+        tails: Dict[Tuple[str, WeightFn, int, int], int] = {}
         for c, g in zip(coeffs, elements):
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r:.40} is not an int")
@@ -326,11 +366,9 @@ class Domain:
                 for k, v in kv:
                     vals[k] = vals.get(k, 0) + c * v
             for t in g.tails:
-                key = (t.ladder_id, t.weight, t.start)
-                r = t.coeff if c == 1 else c * t.coeff
-                old = tails.get(key)
-                tails[key] = r if old is None else old + r
-        terms = [TailTerm(lid, w, r, s) for (lid, w, s), r in tails.items() if r]
+                key = (t.ladder_id, t.weight, t.start, t.den)
+                tails[key] = tails.get(key, 0) + c * t.num
+        terms = [TailTerm(lid, w, n, d, s) for (lid, w, s, d), n in tails.items() if n]
         return _canonical(self, off, terms, on)
 
 
@@ -339,21 +377,36 @@ class Domain:
 
 @dataclass(frozen=True, slots=True)
 class TailTerm:
+    """The term (num / den) * weight(k) at every ladder index k >= start.
+
+    The terms of a canonical element on one ladder share one denominator,
+    the least that clears all of their coefficients.
+    """
+
     ladder_id: str
     weight: WeightFn
-    coeff: Fraction
+    num: int
+    den: int
     start: int
 
     def __post_init__(self) -> None:
         if self.start < 0:
             raise ValueError("tail start must be >= 0")
-        if self.coeff == 0:
+        if self.num == 0:
             raise ValueError("tail coefficient must be nonzero")
-        if self.weight.value(self.start) % self.coeff.denominator:
+        if self.den < 1:
+            raise ValueError("tail denominator must be >= 1")
+        # integral from start on, since w(k) / w(start) is an integer
+        d = self.den
+        if d > 1 and self.num * self.weight.mod(self.start, d) % d:
             raise ValueError(
                 f"coefficient {self.coeff} is not integral from index "
                 f"{self.start} under {self.weight.label()}"
             )
+
+    @property
+    def coeff(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,15 +423,36 @@ class SupportInfo:
 
 
 def _tail_sum(terms: Sequence[TailTerm], k: int) -> int:
-    """Sum of coeff * weight(k) over the terms already started at index k."""
+    """Sum of coeff * weight(k) over the terms already started at index k;
+    the terms share one denominator."""
     total = 0
     for t in terms:
         if k >= t.start:
-            q, r = divmod(t.coeff.numerator * t.weight.value(k), t.coeff.denominator)
-            if r:
-                raise AssertionError("non-integer ladder value")
-            total += q
-    return total
+            total += t.num * t.weight.value(k)
+    if not total:
+        return 0
+    q, r = divmod(total, terms[0].den)
+    if r:
+        raise AssertionError("non-integer ladder value")
+    return q
+
+
+def _settle(terms: Sequence[Tuple[WeightFn, int]], n: int) -> int:
+    """Least index at or past n from which sum(c * w(k)) over the (w, c)
+    terms, in ascending dominance, keeps the sign of the last term.
+
+    That is the first index past every dominance_monotone_from(dom, w) at
+    which the dominant term outweighs the others: from there on the ratio
+    of the dominant weight to each other one does not fall.
+    """
+    if len(terms) < 2:
+        return n
+    *rest, (dom, c) = terms
+    n = max([n] + [dominance_monotone_from(dom, w) for w, _ in rest])
+    c = abs(c)
+    while c * dom.value(n) <= sum(abs(r) * w.value(n) for w, r in rest):
+        n += 1
+    return n
 
 
 @dataclass(frozen=True)
@@ -450,7 +524,7 @@ class Element:
                         f"no integer value at target {format_ordinal(x)}; "
                         "inspect residue_at instead"
                     )
-                total += int(t.coeff * t.weight.param)
+                total += t.num * t.weight.param // t.den
             return total
         loc = self.domain.locate(x)
         if loc is not None:
@@ -466,11 +540,9 @@ class Element:
         """Per ladder, the values at the indices below its settle index;
         past them a ladder's values are its tail formula.
 
-        On a ladder with tails the settle index is the least index at or
-        past the start and every dominance_monotone_from(dom, w) at which
-        the dominant (last) term outweighs the others, so the formula keeps
-        that term's sign from there on.  Without tails it is one past the
-        last prefix index.
+        On a ladder with tails the settle index is where, from the start
+        on, the formula keeps its dominant (last) term's sign (`_settle`).
+        Without tails it is one past the last prefix index.
         """
         on = dict(self.on)
         window = {}
@@ -478,19 +550,13 @@ class Element:
             vals = dict(on.get(L.id, ()))
             terms = self._terms.get(L.id, ())
             if terms:
-                *rest, dom = terms
-                n = max(
-                    [dom.start]
-                    + [dominance_monotone_from(dom.weight, t.weight) for t in rest]
-                )
-                while abs(dom.coeff) * dom.weight.value(n) <= sum(
-                    abs(t.coeff) * t.weight.value(n) for t in rest
-                ):
-                    n += 1
+                start = terms[0].start
+                n = _settle([(t.weight, t.num) for t in terms], start)
             else:
-                n = max(vals, default=-1) + 1
+                start = n = max(vals, default=-1) + 1
             window[L.id] = tuple(
-                vals.get(k, 0) + _tail_sum(terms, k) for k in range(n)
+                [vals.get(k, 0) for k in range(start)]
+                + [vals.get(k, 0) + _tail_sum(terms, k) for k in range(start, n)]
             )
         return window
 
@@ -582,33 +648,42 @@ class Element:
 
     def is_nonneg(self) -> bool:
         # the eventual sign on a ladder is its dominant (last) term's sign
-        if any(terms[-1].coeff < 0 for terms in self._terms.values()):
+        if any(terms[-1].num < 0 for terms in self._terms.values()):
             return False
         return all(v >= 0 for _, v in self.off) and all(
             v >= 0 for vals in self._window.values() for v in vals
         )
 
     def meet(self, other: "Element") -> "Element":
-        """Pointwise minimum."""
+        """Pointwise minimum.
+
+        Past both settle indices each side is its tail formula, so the
+        difference is the formula of the residue difference: the most
+        dominant weight on which the residues differ picks the eventually
+        smaller side, whose tails the minimum keeps, and `_settle` from
+        there gives the index past which that choice holds pointwise.
+        """
         self._same_domain(other)
-        diff = self - other
+        fwin, gwin = self._window, other._window
         on: Dict[str, Dict[int, int]] = {}
         tails: List[TailTerm] = []
         for L in self.domain.ladders:
             lid = L.id
-            active = lid in self._terms or lid in other._terms
+            fv, gv = fwin[lid], gwin[lid]
+            fs, gs = self._terms.get(lid, ()), other._terms.get(lid, ())
+            n = max(len(fv), len(gv))
+            active = bool(fs or gs)
             if active:
-                dterms = diff._terms.get(lid)
-                survivor = other if (dterms and dterms[-1].coeff > 0) else self
+                diff = _residue_difference(fs, gs)
+                survivor = other if (diff and diff[-1][1] > 0) else self
                 tails.extend(survivor.tails_on(lid))
-            k_settle = max(
-                self.settle_index(lid),
-                other.settle_index(lid),
-                diff.settle_index(lid),
-            )
+                n = _settle(diff, n)
             vals = on[lid] = {}
-            for k in range(k_settle):
-                v = min(self._at(lid, k), other._at(lid, k))
+            for k in range(n):
+                v = min(
+                    fv[k] if k < len(fv) else _tail_sum(fs, k),
+                    gv[k] if k < len(gv) else _tail_sum(gs, k),
+                )
                 if v or active:  # a zero off the tails adds nothing
                     vals[k] = v
         off: Dict[Ordinal, int] = {}
@@ -651,7 +726,7 @@ class Element:
                 (lid, tuple((k, -v) for k, v in kv)) for lid, kv in self.on
             ),
             tails=tuple(
-                TailTerm(t.ladder_id, t.weight, -t.coeff, t.start)
+                TailTerm(t.ladder_id, t.weight, -t.num, t.den, t.start)
                 for t in self.tails
             ),
         )
@@ -665,6 +740,23 @@ class Element:
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+def _residue_difference(
+    fs: Sequence[TailTerm], gs: Sequence[TailTerm]
+) -> List[Tuple[WeightFn, int]]:
+    """The nonzero (weight, c) of f's residue minus g's on one ladder, in
+    ascending dominance, scaled by both denominators: f and g's terms
+    there, each side over its one denominator."""
+    df = fs[0].den if fs else 1
+    dg = gs[0].den if gs else 1
+    diff: Dict[WeightFn, int] = {t.weight: t.num * dg for t in fs}
+    for t in gs:
+        diff[t.weight] = diff.get(t.weight, 0) - t.num * df
+    return sorted(
+        ((w, c) for w, c in diff.items() if c),
+        key=lambda wc: wc[0].dominance_key(),
+    )
 
 
 # --- canonicalization -------------------------------------------------------
@@ -716,44 +808,54 @@ def _canonical(
     out_tails: List[TailTerm] = []
 
     for lid in sorted(set(by_ladder) | set(on)):
-        terms = by_ladder.get(lid, [])
         window = on.get(lid, {})
-
-        residue: Dict[WeightFn, Fraction] = {}
-        for t in terms:
-            r = residue.get(t.weight)
-            residue[t.weight] = t.coeff if r is None else r + t.coeff
-        residue = {w: r for w, r in residue.items() if r != 0}
-
-        hi = max((t.start for t in terms), default=0)
-        hi = max(hi, 1 + max(window, default=-1))
-
-        if residue:
-            weights = sorted(residue, key=WeightFn.dominance_key)
-            s = hi
-            while s > 0:
-                k = s - 1
-                # the value at k equals the tail formula sum(residue * w(k))
-                # exactly when the window value at k makes up for the terms
-                # that have not started by k
-                if any(w.value(k) % residue[w].denominator for w in weights):
-                    break
-                if window.get(k, 0) != sum(
-                    t.coeff * t.weight.value(k) for t in terms if t.start > k
-                ):
-                    break
-                s = k
-            for w in weights:
-                out_tails.append(TailTerm(lid, w, residue[w], s))
-        else:
-            s = hi
-        vals = tuple(
-            (k, v)
-            for k in range(s)
-            if (v := window.get(k, 0) + _tail_sum(terms, k))
-        )
+        s = 1 + max(window, default=-1)
+        # (start, weight, numerator) over one denominator for the ladder
+        raw: List[Tuple[int, WeightFn, int]] = []
+        den = 1
+        terms = by_ladder.get(lid)
+        if terms:
+            den = math.lcm(*{t.den for t in terms})
+            raw = [(t.start, t.weight, t.num * (den // t.den)) for t in terms]
+            residue: Dict[WeightFn, int] = {}
+            for start, w, n in raw:
+                residue[w] = residue.get(w, 0) + n
+                s = max(s, start)
+            weights = sorted(
+                (w for w, n in residue.items() if n), key=WeightFn.dominance_key
+            )
+            if weights:
+                g = math.gcd(den, *(residue[w] for w in weights))
+                d = den // g
+                nums = [residue[w] // g for w in weights]
+                while s > 0:
+                    k = s - 1
+                    # the value at k equals the tail formula
+                    # sum(residue * w(k)) exactly when the window value at k
+                    # makes up for the terms that have not started by k
+                    if d > 1 and any(
+                        n * w.mod(k, d) % d for w, n in zip(weights, nums)
+                    ):
+                        break
+                    if not _makes_up(window.get(k, 0) * den, raw, k):
+                        break
+                    s = k
+                out_tails.extend(
+                    TailTerm(lid, w, n, d, s) for w, n in zip(weights, nums)
+                )
+        lo = min((start for start, _, _ in raw), default=s)  # no term before lo
+        vals = [(k, v) for k, v in sorted(window.items()) if k < min(lo, s) and v]
+        for k in range(lo, s):
+            v = window.get(k, 0) * den + sum(
+                n * w.value(k) for start, w, n in raw if k >= start
+            )
+            if v:
+                q, r = divmod(v, den)
+                if r:
+                    raise AssertionError("non-integer ladder value")
+                vals.append((k, q))
         if vals:
-            out_on.append((lid, vals))
+            out_on.append((lid, tuple(vals)))
 
     return Element(
         domain=domain,
@@ -766,6 +868,17 @@ def _canonical(
         on=tuple(out_on),
         tails=tuple(out_tails),
     )
+
+
+def _makes_up(v: int, raw: Sequence[Tuple[int, WeightFn, int]], k: int) -> bool:
+    """Whether v equals the sum of num * weight(k) over the (start, weight,
+    num) terms not yet started at k.  Every weight is positive, so terms
+    of one sign cannot sum to 0: a start far past k is never evaluated
+    there."""
+    late = [(w, n) for start, w, n in raw if start > k]
+    if not v and (all(n > 0 for _, n in late) or all(n < 0 for _, n in late)):
+        return not late
+    return v == sum(n * w.value(k) for w, n in late)
 
 
 def _from_values(

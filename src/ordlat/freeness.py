@@ -70,21 +70,19 @@ def _ladder_family(
 
 
 def _residue_ratio(base: Element, other: Element, lid: str):
-    """Positive rational t with t * residue(other) == residue(base), if any."""
-    rb = base.residue_at(lid)
-    ro = other.residue_at(lid)
-    t: Optional[Fraction] = None
-    for w in rb:
-        b, o = rb[w], ro[w]
-        if (b == 0) != (o == 0):
-            return None
-        if b == 0:
-            continue
-        ratio = b / o
-        if ratio <= 0 or (t is not None and ratio != t):
-            return None
-        t = ratio
-    return t
+    """Positive rational t with t * residue(other) == residue(base), if any.
+
+    Each side's terms share one denominator, so the ratio is the same on
+    every weight exactly when the numerators are proportional.
+    """
+    bt, ot = base.tails_on(lid), other.tails_on(lid)
+    if not bt or [t.weight for t in bt] != [t.weight for t in ot]:
+        return None
+    b0, o0 = bt[0].num, ot[0].num
+    if any(b.num * o0 != o.num * b0 for b, o in zip(bt, ot)):
+        return None
+    t = Fraction(b0 * ot[0].den, o0 * bt[0].den)
+    return t if t > 0 else None
 
 
 def _ladder_or_first(pres: Presentation, ladder_id: Optional[str]) -> str:
@@ -366,7 +364,8 @@ class _Chain:
     An entry gets its provenance over the presentation's generators when it
     joins the pool.  A step sees the pool from `start` on, so composition
     builds each block's chain straight into the composite pool; witnesses
-    and quotient rows carry zeros before `start`.
+    and quotient rows carry zeros before `start`.  rank: the rank of the
+    pool from `start` on.
     """
 
     def __init__(self, pres: Presentation, kind: str) -> None:
@@ -375,6 +374,12 @@ class _Chain:
         self.pool: List[PoolEntry] = []
         self.steps: List[ChainStep] = []
         self.start = 0
+        self.rank = 0
+
+    def restart(self) -> None:
+        """Let later steps see only the entries that join from now on."""
+        self.start = len(self.pool)
+        self.rank = 0
 
     def _join(self, name: str, el: Element) -> None:
         dec = self.pres.span.decompose(el)
@@ -388,18 +393,35 @@ class _Chain:
         a_ext: Sequence[Tuple[str, Element]],
         extras: Sequence[Tuple[str, Element]],
         bound: int,
+        pad: Optional[Tuple[str, Element]] = None,
     ) -> None:
         """Adjoin the free family a_ext and the extras, each of which falls
-        into the span of the visible pool when multiplied by bound.
+        into the span of the visible pool when multiplied by bound.  pad
+        joins a_ext only if it raises the rank; otherwise it is torsion
+        modulo the pool and is left out.
 
-        One factorization of the visible pool gives the witnesses, and
-        their coefficients on a_ext give the quotient rows, the same rows
-        free_from_bounded_torsion derives modulo the earlier entries.
+        One factorization of the visible pool gives the rank, the
+        witnesses, and through their coefficients on a_ext the quotient
+        rows, the same rows free_from_bounded_torsion derives modulo the
+        earlier entries.  Raises ChainError when a_ext does not raise the
+        rank by its length, that is, when it is not free modulo the pool.
         """
         offset = len(self.pool)
+        seen = [p.element for p in self.pool[self.start :]]
+        seen += [el for _, el in a_ext]
+        visible = Span(seen + [pad[1]] if pad else seen)
+        if pad and visible.hnf.rank > self.rank + len(a_ext):
+            a_ext = list(a_ext) + [pad]
+        elif pad:
+            visible = Span(seen)
+        if visible.hnf.rank != self.rank + len(a_ext):
+            raise ChainError(
+                f"{label}: the extension raises the rank by "
+                f"{visible.hnf.rank - self.rank}, not {len(a_ext)}"
+            )
+        self.rank = visible.hnf.rank
         for name, el in a_ext:
             self._join(name, el)
-        visible = Span([p.element for p in self.pool[self.start :]])
         over = len(self.pool)
         witnesses = []
         b_rows = []
@@ -486,7 +508,7 @@ def _successor_steps(
         depth = max(local_mu)
 
     L = chain.pres.domain.ladder(lid)
-    chain.start = len(chain.pool)
+    chain.restart()
     spikes = [
         (f"{prefix}e_{r}", chain.pres.domain.e(L.point(first + r)))
         for r in range(depth + 1)
@@ -532,7 +554,8 @@ def build_chain_limit(pres: Presentation, levels: int) -> FreenessCertificate:
     Level n compares each weight's n-th family member against the family
     base: the combination n! * f_n - t * f_0 cancels the residue, and
     either lands above rank n to extend the chain or the level is padded
-    with a spike at w^(n+1), the smallest point of the next rank.
+    with a spike at w^(n+1), the smallest point of the next rank, where
+    that spike raises the rank.
     """
     if len(pres.domain.ladders) != 1 or pres.domain.ladders[0].kind != "power":
         raise ChainError("limit chains need a single power ladder")
@@ -567,15 +590,16 @@ def build_chain_limit(pres: Presentation, levels: int) -> FreenessCertificate:
             if n == 0:
                 a_ext.append((name, f_n))
                 continue
-            r_n = f_n.residue_at(lid)[w]
             base = fam[0][1]
-            r_0 = base.residue_at(lid)[w]
-            t = math.factorial(n) * r_n / r_0
-            if t.denominator != 1:
+            (r_n,), (r_0,) = f_n.tails_on(lid), base.tails_on(lid)
+            t, rem = divmod(
+                math.factorial(n) * r_n.num * r_0.den, r_n.den * r_0.num
+            )
+            if rem:
                 raise ChainError(
                     f"{name}: level {n} residue does not clear at bound {n}!"
                 )
-            g = math.factorial(n) * f_n - int(t) * base
+            g = math.factorial(n) * f_n - t * base
             if not g.is_zero:
                 # the cancellation extends the chain only when it lands
                 # strictly above the level's rank threshold
@@ -584,11 +608,12 @@ def build_chain_limit(pres: Presentation, levels: int) -> FreenessCertificate:
                     a_ext.append((f"g_{w.label()}_{n}", g))
                     grew = True
             extras.append((name, f_n))
+        pad = None
         if not grew:
             x = omega_power(from_int(n + 1))
             if pres.domain.space.contains(x):
-                a_ext.append((f"pad_{n}", pres.domain.e(x)))
-        chain.step(f"level {n}", a_ext, extras, math.factorial(n))
+                pad = (f"pad_{n}", pres.domain.e(x))
+        chain.step(f"level {n}", a_ext, extras, math.factorial(n), pad)
 
     targets = []
     for w in weights:

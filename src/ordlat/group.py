@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ordlat.element import Domain, Element, WeightFn, is_semibasic, isolates
@@ -99,7 +98,7 @@ class CoordinateSystem:
         for f in elements:
             for t in f.tails:
                 key = (t.ladder_id, t.weight)
-                axes[key] = lcm(axes.get(key, 1), t.coeff.denominator)
+                axes[key] = lcm(axes.get(key, 1), t.den // gcd(t.num, t.den))
                 max_start[t.ladder_id] = max(
                     max_start.get(t.ladder_id, 0), t.start
                 )
@@ -140,16 +139,20 @@ class CoordinateSystem:
 
     def coords(self, f: Element) -> Tuple[int, ...]:
         inside = self._inside
-        outside = [x for x, _ in f.off if x not in inside] + [
-            self.domain.ladder(lid).point(k)
-            for lid, kv in f.on
-            for k, v in kv
-            if (lid, k) not in inside
-            and not (
-                k >= dict(self.starts).get(lid, k + 1)
-                and v == sum(t.coeff * t.weight.value(k) for t in f.tails_on(lid))
-            )
-        ]
+        starts = dict(self.starts)
+        outside = [x for x, _ in f.off if x not in inside]
+        for lid, kv in f.on:
+            terms = f.tails_on(lid)
+            den = terms[0].den if terms else 1
+            outside += [
+                self.domain.ladder(lid).point(k)
+                for k, v in kv
+                if (lid, k) not in inside
+                and not (
+                    k >= starts.get(lid, k + 1)
+                    and v * den == sum(t.num * t.weight.value(k) for t in terms)
+                )
+            ]
         if outside:
             raise ValueError(
                 f"prefix point {format_ordinal(min(outside, key=Ordinal.key))} "
@@ -164,12 +167,10 @@ class CoordinateSystem:
             vals = f._values_on(lid)
             for i, k in positions:
                 out[i] = vals[k] if k < len(vals) else f._at(lid, k)
-        residues = {
-            (t.ladder_id, t.weight): t.coeff for t in f.tails
-        }
+        residues = {(t.ladder_id, t.weight): t for t in f.tails}
         for (lid, w), scale in zip(self.axes, self.scales):
-            r = residues.pop((lid, w), Fraction(0))
-            q, rem = divmod(r.numerator * scale, r.denominator)
+            t = residues.pop((lid, w), None)
+            q, rem = divmod(t.num * scale, t.den) if t else (0, 0)
             if rem:
                 raise ValueError("residue outside the scaled lattice")
             out.append(q)

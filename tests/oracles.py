@@ -4,7 +4,8 @@ Everything here recomputes answers from first principles with different
 algorithms than the package uses: ordinal addition by block rewriting,
 derived-set ranks by grid refinement, kernel decompositions by greedy
 forced-coefficient peeling, and membership in a window widened by the
-target with two separate Hermite forms.
+target with two separate Hermite forms, and the lattice meet through the
+canonical difference of its arguments.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ordlat.element import Element
+from ordlat.element import Element, _from_values
 from ordlat.group import CoordinateSystem, Decomposition
 from ordlat.intlinalg import row_rank, solve_in_rowspace
 from ordlat.ordinal import Ordinal, from_int, iter_below, omega_power
@@ -173,3 +174,36 @@ def full_window_decompose(
     if domain.combine(sol, gens) != target:
         raise AssertionError("faithful window produced a bogus solution")
     return Decomposition(coeffs=sol, unique=row_rank(rows) == len(gens))
+
+
+# --- meet through the canonical difference -----------------------------------------
+
+
+def subtract_meet(f: Element, g: Element) -> Element:
+    """Pointwise minimum read off the canonical form of f - g.
+
+    Per ladder, the sign of the difference's dominant tail term picks the
+    side whose tails the minimum keeps, and the difference's own settle
+    index bounds where the two may still cross; below that the minimum is
+    taken value by value.
+    """
+    diff = f - g
+    on: Dict[str, Dict[int, int]] = {}
+    tails = []
+    for L in f.domain.ladders:
+        lid = L.id
+        active = bool(f.tails_on(lid) or g.tails_on(lid))
+        if active:
+            dterms = diff.tails_on(lid)
+            survivor = g if (dterms and dterms[-1].coeff > 0) else f
+            tails.extend(survivor.tails_on(lid))
+        top = max(f.settle_index(lid), g.settle_index(lid), diff.settle_index(lid))
+        vals = on[lid] = {}
+        for k in range(top):
+            v = min(f._at(lid, k), g._at(lid, k))
+            if v or active:
+                vals[k] = v
+    off = {}
+    for x, _ in f.off + g.off:
+        off[x] = min(f._offmap.get(x, 0), g._offmap.get(x, 0))
+    return _from_values(f.domain, off, on, tails)

@@ -8,7 +8,12 @@ from ordlat.cli import main
 from ordlat.group import Presentation
 from ordlat.presets import PRESETS
 from ordlat.ordinal import from_int
-from ordlat.serialize import dumps, element_to_json, presentation_to_json
+from ordlat.serialize import (
+    dumps,
+    element_from_json,
+    element_to_json,
+    presentation_to_json,
+)
 
 
 def run(capsys, *argv):
@@ -233,6 +238,18 @@ def test_cert_verify_large_target_start_is_fast(capsys, tmp_path):
     assert time.perf_counter() - t0 < 1.0
     assert rc == 1
     assert "target:e_0" in out
+
+
+def test_decode_large_tail_start_is_fast(limitq):
+    # integrality is tested modulo the denominator: 7 divides 160 000!
+    # without computing it, and 6! mod 7 != 0 rejects a start of 6
+    tail = {"ladder": "q", "weight": "factorial", "r": "1/7", "start": 160_000}
+    t0 = time.perf_counter()
+    f = element_from_json(limitq.domain, {"tails": [tail]})
+    assert time.perf_counter() - t0 < 0.1
+    assert f.tail_start("q") == 160_000
+    with pytest.raises(ValueError, match="not integral"):
+        element_from_json(limitq.domain, {"tails": [dict(tail, start=6)]})
 
 
 def test_cert_verify_large_pool_start_is_fast(capsys, tmp_path):

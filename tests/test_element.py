@@ -23,6 +23,7 @@ from ordlat.serialize import element_from_json, element_to_json
 from ordlat.space import ScatteredSpace
 
 from .conftest import combos
+from .oracles import subtract_meet
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +386,60 @@ def test_meet_is_pointwise_min_on_ladder(any_pres, data):
         assert m.value(x) == min(f.value(x), g.value(x))
 
 
+def eventual_min(f, g, lid):
+    """Residue vector of the eventually smaller side: the one whose
+    coefficient on the most dominant weight where they differ is smaller."""
+    rf, rg = f.residue_at(lid), g.residue_at(lid)
+    for w in sorted(rf, key=WeightFn.dominance_key, reverse=True):
+        if rf[w] != rg[w]:
+            return rf if rf[w] < rg[w] else rg
+    return rf
+
+
+@st.composite
+def near_ties(draw, pres):
+    """(f, g) with g = f plus or minus a spike or a tail on the least
+    dominant weight of a ladder, which leave the decisive weight to a low
+    term or to no term at all; or plus big * low - top, whose sign on a
+    two-weight ladder turns only where top(k) passes big * low(k); or g
+    drawn on its own."""
+    d = pres.domain
+    f = draw(combos(pres))
+    kind = draw(st.sampled_from(("spike", "low tail", "crossing", "free")))
+    if kind == "free":
+        return f, draw(combos(pres))
+    L = draw(st.sampled_from(d.ladders))
+    k = draw(st.integers(0, 8))
+    c = draw(st.sampled_from((-2, -1, 1, 2)))
+    if kind == "spike":
+        return f, f + c * d.e(L.point(k))
+    low = min(L.weights, key=WeightFn.dominance_key)
+    g = f + d.tail(L.id, c, k, weight=low.label())
+    if kind == "crossing":
+        big = draw(st.sampled_from((3, 50, 1000)))
+        top = max(L.weights, key=WeightFn.dominance_key)
+        g = g + d.tail(L.id, c * (big - 1), k, weight=low.label())
+        g = g - d.tail(L.id, c, k, weight=top.label())
+    return f, g
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PRESETS))
+@given(data=st.data())
+def test_meet_matches_subtract_meet(name, data):
+    pres = ORACLE_PRESETS[name]
+    f, g = data.draw(near_ties(pres))
+    m = f.meet(g)
+    assert m == subtract_meet(f, g)
+    for L in pres.domain.ladders:
+        top = max(h.settle_index(L.id) for h in (f, g, m)) + 3
+        for k in range(top):
+            x = L.point(k)
+            assert m.value(x) == min(f.value(x), g.value(x))
+        assert m.residue_at(L.id) == eventual_min(f, g, L.id)
+    for x, _ in f.off + g.off:
+        assert m.value(x) == min(f.value(x), g.value(x))
+
+
 @given(st.data())
 def test_positive_negative_split(any_pres, data):
     f = data.draw(combos(any_pres))
@@ -502,7 +557,7 @@ def fold(domain, coeffs, elements):
             prefix[x] = prefix.get(x, 0) + c * v
         if c:
             tails += [
-                TailTerm(t.ladder_id, t.weight, c * t.coeff, t.start)
+                TailTerm(t.ladder_id, t.weight, c * t.num, t.den, t.start)
                 for t in g.tails
             ]
     return _canonical(domain, prefix, tails)

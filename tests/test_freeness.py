@@ -14,6 +14,7 @@ from ordlat.freeness import (
     FreenessCertificate,
     PoolEntry,
     TargetEntry,
+    _Chain,
     build_chain_limit,
     build_chain_successor,
     certify,
@@ -473,3 +474,37 @@ def test_default_depth_reaches_the_shaved_staircase(limitq):
     span = Span(cert.basis_elements())
     for name, g in noisy.generators:
         assert span.decompose(g) is not None, name
+
+
+@pytest.mark.parametrize("name", sorted(presets.PRESETS))
+def test_every_built_certificate_verifies(name):
+    # the builder either refuses or emits a certificate the checker passes;
+    # depths 8 and 12 of limit_power_jump pad levels whose spike is torsion
+    # modulo the earlier pool
+    pres = presets.load(name)
+    for mode in ("auto", "successor", "limit", "compose"):
+        for depth in (None, 0, 1, 3, 5, 8, 12):
+            try:
+                cert = certify(pres, mode, depth)
+            except (ChainError, ValueError):
+                continue
+            report = smooth_chain_check(pres, cert)
+            assert report.ok, f"{mode} depth {depth}: {report.explain()}"
+
+
+def test_limit_chain_leaves_out_a_torsion_pad():
+    pres = presets.limit_power_jump()
+    cert = build_chain_limit(pres, 8)
+    names = [p.name for p in cert.pool]
+    assert "pad_8" not in names and "pad_7" in names
+    assert (cert.rank, len(cert.pool)) == (9, 12)
+    assert smooth_chain_check(pres, cert).ok
+
+
+def test_chain_step_rejects_a_dependent_extension(limitq):
+    chain = _Chain(limitq, "successor")
+    e0 = limitq.domain.e(from_int(0))
+    chain.step("one", [("e_0", e0)], [], 1)
+    with pytest.raises(ChainError, match="raises the rank by 0, not 1"):
+        chain.step("again", [("twice", 2 * e0)], [], 1)
+    assert [p.name for p in chain.pool] == ["e_0"]

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -47,3 +48,26 @@ def test_tracer_installs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "installed\n"
+
+
+def test_microbench_prints_one_json_object():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "microbench.py"), "--repeat", "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["preset"] == "limitq" and report["repeat"] == 1
+    assert set(report["ops"]) == {
+        "meet",
+        "add",
+        "value",
+        "ordinal_compare",
+        "span_build",
+        "span_decompose_spike",
+        "hnf_rows_30x30",
+        "echelon_basis_30x30",
+    }
+    assert all(cost > 0 for cost in report["ops"].values())
