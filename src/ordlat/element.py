@@ -467,8 +467,9 @@ class Element:
 
     Each ladder's tail terms (`_terms`) are its one record of the ladder's
     limit: start, residue, dominant weight and eventual sign are read off
-    them.  Its values below the settle index are the one value cache
-    (`_window`).
+    them.  Its values below the settle index (`_window`) are the cache that
+    the ladder-wide queries read; `_at` reads one index from the prefix
+    and the tail formula.
     """
 
     domain: Domain
@@ -496,6 +497,10 @@ class Element:
     @cached_property
     def _offmap(self) -> Dict[Ordinal, int]:
         return dict(self.off)
+
+    @cached_property
+    def _onmap(self) -> Dict[str, Dict[int, int]]:
+        return {lid: dict(kv) for lid, kv in self.on}
 
     @cached_property
     def _terms(self) -> Dict[str, Tuple[TailTerm, ...]]:
@@ -544,10 +549,9 @@ class Element:
         on, the formula keeps its dominant (last) term's sign (`_settle`).
         Without tails it is one past the last prefix index.
         """
-        on = dict(self.on)
         window = {}
         for L in self.domain.ladders:
-            vals = dict(on.get(L.id, ()))
+            vals = self._onmap.get(L.id, {})
             terms = self._terms.get(L.id, ())
             if terms:
                 start = terms[0].start
@@ -567,11 +571,10 @@ class Element:
         return vals
 
     def _at(self, lid: str, k: int) -> int:
-        """Value at index k of ladder lid."""
-        vals = self._values_on(lid)
-        if k < len(vals):
-            return vals[k]
-        return _tail_sum(self._terms.get(lid, ()), k)
+        """Value at index k of ladder lid: a canonical prefix holds values
+        only below the tail start, where no term has started."""
+        prefix = self._onmap.get(lid, {}).get(k, 0)
+        return prefix + _tail_sum(self._terms.get(lid, ()), k)
 
     def settle_index(self, lid: str) -> int:
         """Index from which values on the ladder follow a fixed pattern:

@@ -54,9 +54,7 @@ class StaircaseReport:
 
 @dataclass(frozen=True)
 class StaircaseBase:
-    ladder_id: str
     elements: Tuple[Tuple[str, Element], ...]
-    d: Tuple[int, ...]
 
 
 def _ladder_family(
@@ -210,7 +208,6 @@ def construct_staircase(
     if not fam:
         raise ChainError(f"no generators carry a tail on ladder {lid}")
     out: List[Tuple[str, Element]] = []
-    ds: List[int] = []
     base: Optional[Element] = None
     prev_mu = -1
     for n, (name, g) in enumerate(fam):
@@ -218,7 +215,6 @@ def construct_staircase(
             raise ChainError(f"{name} is not nonnegative")
         if n == 0:
             base = g
-            ds.append(1)
             out.append((f"{name}~", g))
             prev_mu = g.mu(lid)
             continue
@@ -244,13 +240,12 @@ def construct_staircase(
             [1] + [-g.value(x) for x in window],
             [g] + [pres.domain.e(x) for x in window],
         )
-        ds.append(d)
         out.append((f"{name}~", shaved))
         prev_mu = shaved.mu(lid)
     base_report = verify_staircase(pres, lid, family=out)
     if not base_report.ok:
         raise ChainError("constructed staircase failed its own axioms")
-    return StaircaseBase(ladder_id=lid, elements=tuple(out), d=tuple(ds))
+    return StaircaseBase(elements=tuple(out))
 
 
 # --- certificates --------------------------------------------------------------
@@ -670,9 +665,10 @@ def multi_prime_compose(
     block's successor chain straight into one composite certificate.
 
     Every generator restriction must stay inside the presented group (it
-    must decompose over the original generators); the part of
-    each generator outside all blocks must be a finite correction, which is
-    certified directly as an integer lattice.
+    must decompose over the original generators).  Each block chain sees
+    its restrictions' ladder values only; what is left of each generator,
+    outside all blocks or off the ladders, must be a finite correction,
+    which is certified directly as an integer lattice.
     """
     domain = pres.domain
     if not blocks:
@@ -694,7 +690,10 @@ def multi_prime_compose(
                 raise CompositionError(
                     f"restriction of {name} to {block} leaves the group"
                 )
-            col.append(r)
+            # no block chain adjoins a point off the ladders, so those
+            # values are left to the residual step
+            spikes = [domain.e(x) for x, _ in r.off]
+            col.append(domain.combine([1] + [-v for _, v in r.off], [r] + spikes))
         restrictions.append(col)
 
     residues = []

@@ -69,23 +69,19 @@ class CoordinateSystem:
     ladder index below the largest canonical start); sites: each point's
     (ladder id, index), or None off the ladders.  axes: one residue
     coordinate per (ladder, weight) in use, scaled to clear denominators.
-    starts: the largest tail start of the family on each ladder with tails.
 
-    coords is linear and one-to-one on the family's combinations.  Past
-    the largest start on a ladder every member, and so every combination,
+    coords reads an element's values at the window points, then its
+    scaled residues.  It is linear, and one-to-one on the family's
+    combinations: past the largest start on a ladder every combination
     follows its tail formula except at the window's own points, so the
-    residues fix the values there.  coords accepts a prefix point there
-    whose value is its own tail formula, as a combination's may be (a tail
-    from index 0 minus a spike at 5 keeps indices 0-4 in its prefix), and
-    refuses an element with any other prefix point outside the window.
+    residues fix the values there.  It reads any other element the same
+    way and decides nothing about membership.
     """
 
-    domain: Domain
     points: Tuple[Ordinal, ...]
     sites: Tuple[Optional[Tuple[str, int]], ...]
     axes: Tuple[Tuple[str, WeightFn], ...]
     scales: Tuple[int, ...]
-    starts: Tuple[Tuple[str, int], ...]
 
     @classmethod
     def for_elements(
@@ -113,60 +109,18 @@ class CoordinateSystem:
         points = tuple(sorted(window, key=Ordinal.key))
         axis_keys = sorted(axes, key=lambda a: (a[0], a[1].dominance_key()))
         return cls(
-            domain=domain,
             points=points,
             sites=tuple(window[x] for x in points),
             axes=tuple(axis_keys),
             scales=tuple(axes[a] for a in axis_keys),
-            starts=tuple(sorted(max_start.items())),
         )
-
-    @cached_property
-    def _inside(self) -> frozenset:
-        """The window's off-ladder points and (ladder id, index) sites."""
-        return frozenset(
-            x if site is None else site for x, site in zip(self.points, self.sites)
-        )
-
-    @cached_property
-    def _by_ladder(self) -> Tuple[Tuple[str, Tuple[Tuple[int, int], ...]], ...]:
-        """Per ladder in the window, its (position, index) pairs."""
-        groups: Dict[str, List[Tuple[int, int]]] = {}
-        for i, site in enumerate(self.sites):
-            if site is not None:
-                groups.setdefault(site[0], []).append((i, site[1]))
-        return tuple((lid, tuple(v)) for lid, v in groups.items())
 
     def coords(self, f: Element) -> Tuple[int, ...]:
-        inside = self._inside
-        starts = dict(self.starts)
-        outside = [x for x, _ in f.off if x not in inside]
-        for lid, kv in f.on:
-            terms = f.tails_on(lid)
-            den = terms[0].den if terms else 1
-            outside += [
-                self.domain.ladder(lid).point(k)
-                for k, v in kv
-                if (lid, k) not in inside
-                and not (
-                    k >= starts.get(lid, k + 1)
-                    and v * den == sum(t.num * t.weight.value(k) for t in terms)
-                )
-            ]
-        if outside:
-            raise ValueError(
-                f"prefix point {format_ordinal(min(outside, key=Ordinal.key))} "
-                "outside the window"
-            )
         offmap = f._offmap
         out = [
-            offmap.get(x, 0) if site is None else 0
+            offmap.get(x, 0) if site is None else f._at(*site)
             for x, site in zip(self.points, self.sites)
         ]
-        for lid, positions in self._by_ladder:
-            vals = f._values_on(lid)
-            for i, k in positions:
-                out[i] = vals[k] if k < len(vals) else f._at(lid, k)
         residues = {(t.ladder_id, t.weight): t for t in f.tails}
         for (lid, w), scale in zip(self.axes, self.scales):
             t = residues.pop((lid, w), None)
@@ -210,12 +164,10 @@ class Span:
         """Integer coefficients writing target over the family, or None."""
         if not self.gens:
             return Decomposition((), True) if target.is_zero else None
-        # The window is the family's alone and faithful for the family's
-        # combinations (see CoordinateSystem): coords accepts every member
-        # and maps it to the same combination of rows as its coefficients.
-        # So a target coords refuses is no member, a member's coordinates
-        # always solve and re-sum to it, and a non-member that matches a
-        # combination on the window only re-sums to something else.
+        # coords is one-to-one on the family's combinations (see
+        # CoordinateSystem), so a member's coordinates always solve and
+        # re-sum to it.  The re-sum alone decides membership: anything else
+        # has no coordinates, no solution, or re-sums to something else.
         try:
             sol = self.hnf.solve(self.cs.coords(target))
         except ValueError:

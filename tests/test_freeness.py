@@ -386,6 +386,17 @@ def test_compose_two_prime(two_prime):
     assert [t.name for t in cert.targets] == list(two_prime.names)
 
 
+def test_compose_twoblock_leaves_off_ladder_spikes_to_the_residual(twoblock):
+    # e_1-e_3 and e_w lie inside the block but off its ladder, where no
+    # block chain adjoins them
+    cert = certify(twoblock, "compose")
+    report = smooth_chain_check(twoblock, cert)
+    assert report.ok, report.explain()
+    assert (cert.kind, cert.rank, len(cert.pool)) == ("composite", 11, 15)
+    e1 = next(t for t in cert.targets if t.name == "e_1")
+    assert e1.element == twoblock.generator("e_1")
+
+
 def test_compose_rejects_overlapping_blocks(two_prime):
     b1, b2 = presets.two_prime_blocks()
     wide = ClopenBlock(low=None, high=b2.high)

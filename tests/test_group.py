@@ -152,9 +152,10 @@ def test_span_matches_full_window_oracle(name, data):
     )
 
 
-def test_span_edge_families(limitq):
+def test_span_edge_families(limitq, twoblock):
     d = limitq.domain
     a0, a1 = limitq.generator("a_0"), limitq.generator("a_1")
+    t0 = twoblock.generator("t_0")
     e = lambda k: d.e(from_int(k))
     cases = [
         # a member whose tail starts past every start in the family
@@ -167,6 +168,8 @@ def test_span_edge_families(limitq):
         ([a0], a1, None),
         ([a0], a0 + e(3), None),
         ([a0, e(0)], a0 + e(3), None),
+        # a non-member with an off-ladder prefix point outside the window
+        ([t0], t0 + twoblock.domain.e(from_int(1)), None),
         # a dependent family
         ([a0, a1, e(0)], a0, Decomposition((1, 0, 0), False)),
     ]

@@ -1,6 +1,11 @@
+import pathlib
+
 import pytest
 
 from ordlat import presets
+from ordlat.serialize import dumps, presentation_to_json
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def test_registry_contents():
@@ -24,3 +29,10 @@ def test_two_prime_blocks_cover_both_ladders():
     b1, b2 = presets.two_prime_blocks()
     for L in p.domain.ladders:
         assert b1.contains(L.target) != b2.contains(L.target)
+
+
+@pytest.mark.parametrize("name", sorted(presets.PRESETS))
+def test_data_file_is_the_preset(name):
+    # scripts/make_presentations.py writes these files
+    want = dumps(presentation_to_json(presets.load(name))) + "\n"
+    assert (DATA / f"{name}.json").read_text() == want
