@@ -54,7 +54,7 @@ class WeightFn:
     (Domain.tail takes its weights from the ladder).  It grows by one step
     when the index just past its end is asked for, so it reaches an index
     only once every smaller one was evaluated: as far as the values some
-    element holds, in a ladder window, a prefix or a meet.  A lone large
+    element holds, in a prefix, a settle range or a meet.  A lone large
     index, such as a hostile tail start, is computed directly and never
     stored.
     """
@@ -467,9 +467,9 @@ class Element:
 
     Each ladder's tail terms (`_terms`) are its one record of the ladder's
     limit: start, residue, dominant weight and eventual sign are read off
-    them.  Its values below the settle index (`_window`) are the cache that
-    the ladder-wide queries read; `_at` reads one index from the prefix
-    and the tail formula.
+    them.  `_at` reads one index from the prefix and the tail formula; the
+    ladder-wide queries (settle index, mu, support, sign and meet) read it
+    at the stored prefix indices and from the start to the settle index.
     """
 
     domain: Domain
@@ -540,36 +540,6 @@ class Element:
 
     # -- ladder analysis --
 
-    @cached_property
-    def _window(self) -> Dict[str, Tuple[int, ...]]:
-        """Per ladder, the values at the indices below its settle index;
-        past them a ladder's values are its tail formula.
-
-        On a ladder with tails the settle index is where, from the start
-        on, the formula keeps its dominant (last) term's sign (`_settle`).
-        Without tails it is one past the last prefix index.
-        """
-        window = {}
-        for L in self.domain.ladders:
-            vals = self._onmap.get(L.id, {})
-            terms = self._terms.get(L.id, ())
-            if terms:
-                start = terms[0].start
-                n = _settle([(t.weight, t.num) for t in terms], start)
-            else:
-                start = n = max(vals, default=-1) + 1
-            window[L.id] = tuple(
-                [vals.get(k, 0) for k in range(start)]
-                + [vals.get(k, 0) + _tail_sum(terms, k) for k in range(start, n)]
-            )
-        return window
-
-    def _values_on(self, lid: str) -> Tuple[int, ...]:
-        vals = self._window.get(lid)
-        if vals is None:
-            self.domain.ladder(lid)  # raises KeyError for an unknown id
-        return vals
-
     def _at(self, lid: str, k: int) -> int:
         """Value at index k of ladder lid: a canonical prefix holds values
         only below the tail start, where no term has started."""
@@ -578,8 +548,18 @@ class Element:
 
     def settle_index(self, lid: str) -> int:
         """Index from which values on the ladder follow a fixed pattern:
-        the tail formula with a constant sign, or identically zero."""
-        return len(self._values_on(lid))
+        the tail formula with a constant sign, or identically zero.
+
+        On a ladder with tails that is where, from the start on, the
+        formula keeps its dominant (last) term's sign (`_settle`).  Without
+        tails it is one past the last prefix index.
+        """
+        terms = self._terms.get(lid)
+        if terms:
+            return _settle([(t.weight, t.num) for t in terms], terms[0].start)
+        if lid not in self._onmap:
+            self.domain.ladder(lid)  # raises KeyError for an unknown id
+        return max(self._onmap.get(lid, ()), default=-1) + 1
 
     def residue_at(self, lid: str) -> Dict[WeightFn, Fraction]:
         """Tail coefficient per weight on one ladder (the behaviour at the
@@ -594,12 +574,15 @@ class Element:
 
     def mu(self, lid: str) -> Optional[int]:
         """Least ladder index with a nonzero value."""
-        vals = self._values_on(lid)
-        for k, v in enumerate(vals):
-            if v:
-                return k
+        n = self.settle_index(lid)
+        prefix = self._onmap.get(lid)
+        if prefix:  # nonzero values, all below the start
+            return min(prefix)
+        terms = self._terms.get(lid)
+        if not terms:
+            return None
         # the value at the settle index of a ladder with tails is nonzero
-        return len(vals) if lid in self._terms else None
+        return next((k for k in range(terms[0].start, n) if self._at(lid, k)), n)
 
     # -- support & rank --
 
@@ -608,13 +591,18 @@ class Element:
         pts = {x for x, _ in self.off}
         regimes = []
         for L in self.domain.ladders:
-            vals = self._window[L.id]
-            rho = len(vals)
-            if L.id in self._terms:  # nonzero forever from index rho on
-                while rho > 0 and vals[rho - 1] != 0:
+            lid = L.id
+            start = rho = self.settle_index(lid)
+            if lid in self._terms:  # nonzero forever from index rho on
+                start = self.tail_start(lid)
+                while rho > 0 and self._at(lid, rho - 1):
                     rho -= 1
-                regimes.append((L.id, rho))
-            pts.update(L.point(k) for k in range(rho) if vals[k])
+                regimes.append((lid, rho))
+            pts.update(
+                L.point(k)
+                for k in [*self._onmap.get(lid, ()), *range(start, rho)]
+                if k < rho and self._at(lid, k)
+            )
         return SupportInfo(
             points=frozenset(pts), regimes=tuple(sorted(regimes))
         )
@@ -653,8 +641,14 @@ class Element:
         # the eventual sign on a ladder is its dominant (last) term's sign
         if any(terms[-1].num < 0 for terms in self._terms.values()):
             return False
-        return all(v >= 0 for _, v in self.off) and all(
-            v >= 0 for vals in self._window.values() for v in vals
+        return (
+            all(v >= 0 for _, v in self.off)
+            and all(v >= 0 for _, kv in self.on for _, v in kv)
+            and all(
+                self._at(lid, k) >= 0
+                for lid, terms in self._terms.items()
+                for k in range(terms[0].start, self.settle_index(lid))
+            )
         )
 
     def meet(self, other: "Element") -> "Element":
@@ -665,30 +659,30 @@ class Element:
         dominant weight on which the residues differ picks the eventually
         smaller side, whose tails the minimum keeps, and `_settle` from
         there gives the index past which that choice holds pointwise.
+        Below the smaller start neither side has a tail, so only the prefix
+        indices of the two sides can be nonzero there.
         """
         self._same_domain(other)
-        fwin, gwin = self._window, other._window
         on: Dict[str, Dict[int, int]] = {}
         tails: List[TailTerm] = []
         for L in self.domain.ladders:
             lid = L.id
-            fv, gv = fwin[lid], gwin[lid]
             fs, gs = self._terms.get(lid, ()), other._terms.get(lid, ())
-            n = max(len(fv), len(gv))
-            active = bool(fs or gs)
-            if active:
+            lo = n = max(self.settle_index(lid), other.settle_index(lid))
+            if fs or gs:
                 diff = _residue_difference(fs, gs)
                 survivor = other if (diff and diff[-1][1] > 0) else self
                 tails.extend(survivor.tails_on(lid))
+                lo = min(terms[0].start for terms in (fs, gs) if terms)
                 n = _settle(diff, n)
             vals = on[lid] = {}
-            for k in range(n):
-                v = min(
-                    fv[k] if k < len(fv) else _tail_sum(fs, k),
-                    gv[k] if k < len(gv) else _tail_sum(gs, k),
-                )
-                if v or active:  # a zero off the tails adds nothing
-                    vals[k] = v
+            for k in self._onmap.get(lid, {}).keys() | other._onmap.get(lid, {}).keys():
+                if k < lo:  # a zero off the tails adds nothing
+                    v = min(self._at(lid, k), other._at(lid, k))
+                    if v:
+                        vals[k] = v
+            for k in range(lo, n):
+                vals[k] = min(self._at(lid, k), other._at(lid, k))
         off: Dict[Ordinal, int] = {}
         for x, _ in self.off + other.off:
             if x not in off:

@@ -235,10 +235,10 @@ def construct_staircase(
                     f"{name}: correction off the ladder at {format_ordinal(x)}"
                 )
             lam = max(lam, k + 1)
-        window = [L.point(k) for k in range(max(lam, prev_mu) + 1)]
+        window = range(max(lam, prev_mu) + 1)
         shaved = pres.domain.combine(
-            [1] + [-g.value(x) for x in window],
-            [g] + [pres.domain.e(x) for x in window],
+            [1] + [-g._at(lid, k) for k in window],
+            [g] + [pres.domain.e(L.point(k)) for k in window],
         )
         out.append((f"{name}~", shaved))
         prev_mu = shaved.mu(lid)

@@ -6,15 +6,15 @@ Ordinals travel as their text syntax, rationals as Fraction strings
 equal objects serialize to identical bytes.
 
 The decoders reject a document of the wrong shape with ValueError, and
-accept only JSON integers (not floats or booleans) in integer fields and
-only strings in rational fields.
+accept only JSON integers (not floats or booleans) in integer fields,
+only strings in rational and string fields, and only lists of strings in
+the lists of names.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from fractions import Fraction
 from typing import Any, Dict, Tuple
 
 from ordlat.element import Domain, Element, Ladder, parse_weight
@@ -37,20 +37,21 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _int(v: Any) -> int:
-    if type(v) is not int:  # json gives bool and float for true and 1.5
-        raise ValueError(f"expected an integer, got {v!r:.40}")
+def _typed(t: type, v: Any) -> Any:
+    """v itself when its JSON type is exactly t: json gives bool and float
+    for true and 1.5, Fraction would read 0.5 and true as numbers, and a
+    string in place of a list would read as its characters."""
+    if type(v) is not t:
+        raise ValueError(f"expected {t.__name__}, got {v!r:.40}")
     return v
 
 
 def _ints(row: Any) -> Tuple[int, ...]:
-    return tuple(_int(c) for c in row)
+    return tuple(_typed(int, c) for c in row)
 
 
-def _fraction(v: Any) -> Fraction:
-    if type(v) is not str:  # Fraction would read 0.5 and true as numbers
-        raise ValueError(f"expected a Fraction string, got {v!r:.40}")
-    return Fraction(v)
+def _strs(v: Any) -> Tuple[str, ...]:
+    return tuple(_typed(str, x) for x in _typed(list, v))
 
 
 def _decoder(fn):
@@ -88,15 +89,12 @@ def element_to_json(el: Element) -> Dict[str, Any]:
 def element_from_json(domain: Domain, data: Dict[str, Any]) -> Element:
     coeffs, atoms = [], []
     for x, v in data.get("prefix", ()):
-        coeffs.append(_int(v))
+        coeffs.append(_typed(int, v))
         atoms.append(domain.e(parse_ordinal(x)))
     for t in data.get("tails", ()):
         coeffs.append(1)
-        atoms.append(
-            domain.tail(
-                t["ladder"], _fraction(t["r"]), _int(t["start"]), weight=t["weight"]
-            )
-        )
+        r, start = _typed(str, t["r"]), _typed(int, t["start"])
+        atoms.append(domain.tail(t["ladder"], r, start, weight=t["weight"]))
     return domain.combine(coeffs, atoms)
 
 
@@ -126,7 +124,7 @@ def _ladder_from_json(data: Dict[str, Any]) -> Ladder:
         kw["first"] = parse_ordinal(data["first"])
         kw["step"] = parse_ordinal(data["step"])
     else:
-        kw["offset"] = _int(data["offset"])
+        kw["offset"] = _typed(int, data["offset"])
     return Ladder(**kw)
 
 
@@ -152,10 +150,10 @@ def presentation_from_json(data: Dict[str, Any]) -> Presentation:
         space, tuple(_ladder_from_json(L) for L in data["ladders"])
     )
     gens = tuple(
-        (g["name"], element_from_json(domain, g["element"]))
+        (_typed(str, g["name"]), element_from_json(domain, g["element"]))
         for g in data["generators"]
     )
-    return Presentation(data["name"], domain, gens)
+    return Presentation(_typed(str, data["name"]), domain, gens)
 
 
 def certificate_to_json(cert: FreenessCertificate) -> Dict[str, Any]:
@@ -214,7 +212,7 @@ def certificate_from_json(
         raise ValueError(f"not a {CERTIFICATE_FORMAT} document")
     pool = tuple(
         PoolEntry(
-            name=p["name"],
+            name=_typed(str, p["name"]),
             element=element_from_json(domain, p["element"]),
             provenance=_ints(p["provenance"])
             if p.get("provenance") is not None
@@ -224,38 +222,38 @@ def certificate_from_json(
     )
     steps = tuple(
         ChainStep(
-            label=s["label"],
-            a_extension=tuple(s["aExtension"]),
-            b_extras=tuple(s["bExtras"]),
-            torsion_bound=_int(s["torsionBound"]),
+            label=_typed(str, s["label"]),
+            a_extension=_strs(s["aExtension"]),
+            b_extras=_strs(s["bExtras"]),
+            torsion_bound=_typed(int, s["torsionBound"]),
             torsion_witnesses=tuple(
                 TorsionWitness(
-                    extra=w["extra"],
-                    bound=_int(w["bound"]),
-                    over=_int(w["over"]),
+                    extra=_typed(str, w["extra"]),
+                    bound=_typed(int, w["bound"]),
+                    over=_typed(int, w["over"]),
                     coeffs=_ints(w["coeffs"]),
                 )
                 for w in s["torsionWitnesses"]
             ),
-            quotient_over=_int(s["quotientOver"]),
+            quotient_over=_typed(int, s["quotientOver"]),
             quotient_basis=tuple(_ints(r) for r in s["quotientBasis"]),
         )
         for s in data["steps"]
     )
     targets = tuple(
         TargetEntry(
-            name=t["name"],
+            name=_typed(str, t["name"]),
             element=element_from_json(domain, t["element"]),
             coeffs=_ints(t["coeffs"]),
         )
         for t in data["certifiedTargets"]
     )
     return FreenessCertificate(
-        presentation=data["presentation"],
-        kind=data["kind"],
+        presentation=_typed(str, data["presentation"]),
+        kind=_typed(str, data["kind"]),
         pool=pool,
         steps=steps,
         final_basis=tuple(_ints(r) for r in data["finalBasis"]),
         targets=targets,
-        rank=_int(data["rank"]),
+        rank=_typed(int, data["rank"]),
     )

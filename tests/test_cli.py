@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ordlat.cli import main
+from ordlat.element import parse_element
 from ordlat.group import Presentation
 from ordlat.presets import PRESETS
 from ordlat.ordinal import from_int
@@ -221,6 +222,23 @@ def test_cert_verify_hostile_certificate_is_bad_input(capsys, tmp_path, corrupt)
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("name", [["e_0"], {"e": 0}], ids=["list", "object"])
+def test_cert_verify_pool_name_not_a_string_is_bad_input(capsys, tmp_path, name):
+    # an unhashable name must not reach the checker's set of pool names
+    cert = tmp_path / "cert.json"
+    rc, _, _ = run(
+        capsys, "extract-basis", "--preset", "limitq", "--depth", "3", "--output", str(cert)
+    )
+    assert rc == 0
+    data = json.loads(cert.read_text())
+    data["pool"][0]["name"] = name
+    cert.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "cert-verify", "--preset", "limitq", "--cert", str(cert))
+    assert rc == 2
+    assert "error:" in err
+    assert "Traceback" not in out + err
+
+
 def test_cert_verify_large_target_start_is_fast(capsys, tmp_path):
     # a target tail starting far out must not widen the checker's window
     cert = tmp_path / "cert.json"
@@ -264,6 +282,32 @@ def test_far_tail_reads_only_the_indices_asked_for(limitq):
     t0 = time.perf_counter()
     assert t.value(L.point(5)) == 0
     assert time.perf_counter() - t0 < 0.05
+
+
+def test_far_tail_ladder_queries_are_cheap(limitq):
+    # the ladder-wide queries read the prefix and the settle range, not
+    # the values at every index below a far start
+    t = limitq.domain.tail("q", Fraction(1, 7), 1_000_000, weight="factorial")
+    zero = limitq.domain.zero()
+    queries = {
+        "mu": lambda: t.mu("q"),
+        "is_nonneg": t.is_nonneg,
+        "settle_index": lambda: t.settle_index("q"),
+        "support": t.support,
+        "cb": t.cb,
+        "meet": lambda: t.meet(zero),
+        "join": lambda: t.join(zero),
+        "plus_part": t.plus_part,
+    }
+    for name, query in queries.items():
+        t0 = time.perf_counter()
+        query()
+        assert time.perf_counter() - t0 < 0.05, name
+    assert t.mu("q") == t.settle_index("q") == 1_000_000
+    assert t.is_nonneg()
+    assert t.support().regimes == (("q", 1_000_000),)
+    assert t.meet(zero) == zero
+    assert t.join(zero) == t.plus_part() == t
 
 
 def test_cert_verify_large_pool_start_is_fast(capsys, tmp_path):
@@ -337,6 +381,33 @@ def test_dd_check_without_generators_is_bad_input(capsys, tmp_path, limitq):
     rc, out, err = run(capsys, "dd-check", "--input", path)
     assert rc == 2
     assert "error: no generators to combine" in err
+    assert "Traceback" not in out + err
+
+
+def test_dd_check_far_tail_generator_is_fast(capsys, tmp_path, limitq):
+    # meets and sign tests of a generator whose tail starts far out
+    g = "-2*e(3) + tail(ladder=q, weight=factorial, r=1, start=1000000)"
+    gen = {"name": "a", "element": element_to_json(parse_element(limitq.domain, g))}
+    path = _limitq_variant(tmp_path, limitq, generators=[gen])
+    t0 = time.perf_counter()
+    rc, out, _ = run(
+        capsys, "dd-check", "--cases", "5", "--witnesses", "5", "--input", path
+    )
+    assert time.perf_counter() - t0 < 2.0
+    assert rc == 0
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("name", [None, 7, True], ids=["null", "number", "boolean"])
+def test_extract_basis_generator_name_not_a_string_is_bad_input(
+    capsys, tmp_path, limitq, name
+):
+    doc = presentation_to_json(limitq)
+    doc["generators"][0]["name"] = name
+    path = _limitq_variant(tmp_path, limitq, generators=doc["generators"])
+    rc, out, err = run(capsys, "extract-basis", "--input", path)
+    assert rc == 2
+    assert "error:" in err
     assert "Traceback" not in out + err
 
 

@@ -264,7 +264,27 @@ def brute_value(f, L, k):
 @given(data=st.data())
 def test_ladder_queries_match_brute_force(name, data):
     pres = ORACLE_PRESETS[name]
-    f = data.draw(combos(pres))
+    check_ladder_queries(pres, data.draw(combos(pres)))
+
+
+# On pw, k! and k! 2^k from index 0: the values -1, 0, 4, 36, ... and
+# 2, 1, -2, -30, ... change sign before the settle index 2, with no prefix.
+@pytest.mark.parametrize(
+    "coeffs", [{"h_0": 1, "f_0": -2}, {"f_0": 3, "h_0": -1}, {"h_0": -1, "f_0": 2}]
+)
+def test_ladder_queries_inside_the_settle_range(coeffs):
+    pres = ORACLE_PRESETS["limit_power_two_weights"]
+    f = pres.domain.combine(
+        list(coeffs.values()), [pres.generator(n) for n in coeffs]
+    )
+    assert not f.on and f.settle_index("pw") == 2
+    check_ladder_queries(pres, f)
+    zero = pres.domain.zero()
+    assert f.meet(zero) == subtract_meet(f, zero)
+
+
+def check_ladder_queries(pres, f):
+    """settle_index, mu, support and is_nonneg of f against its values."""
     on_ladder = set()
     points = set()
     nonneg = True

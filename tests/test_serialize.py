@@ -107,6 +107,51 @@ def test_certificate_integer_fields_are_strict(limitq, value):
         certificate_from_json(limitq.domain, blob)
 
 
+def _replace(doc, path, value):
+    """Set the field at path (keys and list indices) in a document."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+NOT_STRINGS = [None, 3, True, ["e_1"], {"e": 1}]
+# a string where a list of names belongs would read as its characters
+NOT_LISTS = [None, 3, "abc", {"e": 1}]
+CERTIFICATE_STRINGS = [
+    ("presentation",),
+    ("kind",),
+    ("pool", 0, "name"),
+    ("steps", 1, "label"),
+    ("steps", 1, "aExtension", 0),
+    ("steps", 1, "bExtras", 0),
+    ("steps", 1, "torsionWitnesses", 0, "extra"),
+    ("certifiedTargets", 0, "name"),
+]
+CERTIFICATE_LISTS = [("steps", 1, "aExtension"), ("steps", 1, "bExtras")]
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(p, v) for p in CERTIFICATE_STRINGS for v in NOT_STRINGS]
+    + [(p, v) for p in CERTIFICATE_LISTS for v in NOT_LISTS],
+)
+def test_certificate_string_fields_are_strict(limitq, path, value):
+    blob = certificate_to_json(build_chain_successor(limitq, 2))
+    _replace(blob, path, value)
+    with pytest.raises(ValueError):
+        certificate_from_json(limitq.domain, blob)
+
+
+@pytest.mark.parametrize("value", NOT_STRINGS)
+@pytest.mark.parametrize("path", [("name",), ("generators", 0, "name")])
+def test_presentation_string_fields_are_strict(limitq, path, value):
+    blob = presentation_to_json(limitq)
+    _replace(blob, path, value)
+    with pytest.raises(ValueError):
+        presentation_from_json(blob)
+
+
 @pytest.mark.parametrize(
     "data",
     [
