@@ -94,6 +94,33 @@ def test_verify_staircase_unknown_ladder_is_bad_input(capsys):
     assert "FAIL" not in out
 
 
+# exit code and stdout digest of `verify-staircase` per preset (the default
+# ladder) and per extra ladder argument
+VERIFY_STAIRCASE_FROZEN = {
+    ("gridrows", None): (1, "88c6243585e44c15"),
+    ("limit_power", None): (0, "572fc528e0cc769b"),
+    ("limit_power_integer", None): (0, "1e8b151d1d267267"),
+    ("limit_power_jump", None): (0, "33e95e71cf4d236e"),
+    ("limit_power_two_weights", None): (1, "8bc10f2642121db1"),
+    ("limitq", None): (0, "f8918a40d7ddf3b6"),
+    ("two_prime", None): (0, "7bd82e93f9323a65"),
+    ("two_prime", "inf"): (0, "351b9ed1c321c660"),
+    ("twoblock", None): (0, "0d69401630d956b6"),
+}
+
+
+@pytest.mark.parametrize("preset, ladder", sorted(VERIFY_STAIRCASE_FROZEN, key=str))
+def test_verify_staircase_output_is_frozen(capsys, preset, ladder):
+    extra = ("--ladder", ladder) if ladder else ()
+    rc, out, _ = run(capsys, "verify-staircase", "--preset", preset, *extra)
+    digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+    assert (rc, digest) == VERIFY_STAIRCASE_FROZEN[preset, ladder]
+
+
+def test_verify_staircase_frozen_table_covers_every_preset():
+    assert {p for p, _ in VERIFY_STAIRCASE_FROZEN} == set(PRESETS)
+
+
 # --- extraction and verification ------------------------------------------------------
 
 
