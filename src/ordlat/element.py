@@ -441,18 +441,19 @@ def _settle(terms: Sequence[Tuple[WeightFn, int]], n: int) -> int:
     """Least index at or past n from which sum(c * w(k)) over the (w, c)
     terms, in ascending dominance, keeps the sign of the last term.
 
-    That is the first index past every dominance_monotone_from(dom, w) at
-    which the dominant term outweighs the others: from there on the ratio
-    of the dominant weight to each other one does not fall.
+    Past every dominance_monotone_from(dom, w) the ratio of the dominant
+    weight to each other one does not fall, so once the dominant term
+    outweighs the others there it does so for good: the search runs from
+    that small index, and a far n never has its weights evaluated.
     """
     if len(terms) < 2:
         return n
     *rest, (dom, c) = terms
-    n = max([n] + [dominance_monotone_from(dom, w) for w, _ in rest])
+    k = max(dominance_monotone_from(dom, w) for w, _ in rest)
     c = abs(c)
-    while c * dom.value(n) <= sum(abs(r) * w.value(n) for w, r in rest):
-        n += 1
-    return n
+    while c * dom.value(k) <= sum(abs(r) * w.value(k) for w, r in rest):
+        k += 1
+    return max(n, k)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ordlat.element import Element, WeightFn, _from_values
 from ordlat.group import CoordinateSystem, Presentation, Span
 from ordlat.intlinalg import echelon_basis, hnf_rows
-from ordlat.ordinal import ZERO, Ordinal, compare, format_ordinal, from_int, omega_power
+from ordlat.ordinal import ZERO, Ordinal, compare, format_ordinal, from_int
 from ordlat.space import ClopenBlock
 
 
@@ -52,11 +51,6 @@ class StaircaseReport:
         return all(a.ok for a in self.axioms)
 
 
-@dataclass(frozen=True)
-class StaircaseBase:
-    elements: Tuple[Tuple[str, Element], ...]
-
-
 def _ladder_family(
     pres: Presentation, lid: str
 ) -> List[Tuple[str, Element]]:
@@ -67,11 +61,12 @@ def _ladder_family(
     return fam
 
 
-def _residue_ratio(base: Element, other: Element, lid: str):
-    """Positive rational t with t * residue(other) == residue(base), if any.
+def _divisor(base: Element, other: Element, lid: str) -> Optional[int]:
+    """The integer d >= 1 with d * residue(other) == residue(base), if any.
 
     Each side's terms share one denominator, so the ratio is the same on
-    every weight exactly when the numerators are proportional.
+    every weight exactly when the numerators are proportional.  Then
+    d * other - base keeps no tail term.
     """
     bt, ot = base.tails_on(lid), other.tails_on(lid)
     if not bt or [t.weight for t in bt] != [t.weight for t in ot]:
@@ -79,8 +74,8 @@ def _residue_ratio(base: Element, other: Element, lid: str):
     b0, o0 = bt[0].num, ot[0].num
     if any(b.num * o0 != o.num * b0 for b, o in zip(bt, ot)):
         return None
-    t = Fraction(b0 * ot[0].den, o0 * bt[0].den)
-    return t if t > 0 else None
+    d, rem = divmod(b0 * ot[0].den, o0 * bt[0].den)
+    return d if d >= 1 and not rem else None
 
 
 def _ladder_or_first(pres: Presentation, ladder_id: Optional[str]) -> str:
@@ -107,145 +102,88 @@ def verify_staircase(
     5. d_n divides n! (torsion stays factorially bounded).
     """
     lid = _ladder_or_first(pres, ladder_id)
-    pres.domain.ladder(lid)  # raises KeyError for an unknown id
+    L = pres.domain.ladder(lid)  # raises KeyError for an unknown id
     fam = list(family) if family is not None else _ladder_family(pres, lid)
-    names = tuple(n for n, _ in fam)
-    axioms: List[StaircaseAxiom] = []
-    ds: List[Optional[int]] = []
-
     bad = [n for n, g in fam if g.is_zero or not g.is_nonneg()]
-    axioms.append(
-        StaircaseAxiom(
-            "positive",
-            not bad and bool(fam),
-            "all members nonnegative and nonzero"
-            if not bad and fam
-            else f"violations: {bad or 'empty family'}",
-        )
-    )
-
     mus = [g.mu(lid) for _, g in fam]
-    increasing = all(
-        a is not None and b is not None and a < b
-        for a, b in zip(mus, mus[1:])
-    ) and (not mus or mus[0] is not None)
-    axioms.append(
-        StaircaseAxiom(
-            "ascending",
-            increasing,
-            f"least indices {mus}",
-        )
-    )
-
-    ok3, ok4, ok5 = True, True, True
-    det3: List[str] = []
-    det4: List[str] = []
-    det5: List[str] = []
-    if fam:
-        base = fam[0][1]
-        for n, (name, g) in enumerate(fam):
-            t = _residue_ratio(base, g, lid)
-            if t is None or t.denominator != 1 or t < 1:
-                ok3 = False
-                det3.append(f"{name}: residue ratio {t}")
-                ds.append(None)
-                continue
-            d = int(t)
-            ds.append(d)
-            diff = d * g - base
-            if diff.tails:
-                ok3 = False
-                det3.append(f"{name}: d*b - base keeps a tail")
-                continue
-            mu_n = g.mu(lid)
-            L = pres.domain.ladder(lid)
-            for x in diff.support().points:
-                k = L.index_of(x)
-                if k is None or (mu_n is not None and k >= mu_n):
-                    ok4 = False
-                    det4.append(f"{name}: correction at {format_ordinal(x)}")
-            if math.factorial(n) % d:
-                ok5 = False
-                det5.append(f"{name}: d={d} does not divide {n}!")
-    axioms.append(
-        StaircaseAxiom(
-            "commensurable",
-            ok3,
-            "; ".join(det3) or "integer residue ratios to the base",
-        )
-    )
-    axioms.append(
-        StaircaseAxiom(
-            "low-difference",
-            ok4,
-            "; ".join(det4) or "corrections sit strictly below each least index",
-        )
-    )
-    axioms.append(
-        StaircaseAxiom(
-            "factorial-bound",
-            ok5,
-            "; ".join(det5) or "each d_n divides n!",
-        )
+    ascending = None not in mus and all(a < b for a, b in zip(mus, mus[1:]))
+    ds = [_divisor(fam[0][1], g, lid) for _, g in fam]
+    ratios, corrections, bounds = [], [], []
+    for n, ((name, g), d, mu) in enumerate(zip(fam, ds, mus)):
+        if d is None:
+            ratios.append(f"{name}: residue ratio None")
+            continue
+        for x in (d * g - fam[0][1]).support().points:
+            k = L.index_of(x)
+            if k is None or (mu is not None and k >= mu):
+                corrections.append(f"{name}: correction at {format_ordinal(x)}")
+        if math.factorial(n) % d:
+            bounds.append(f"{name}: d={d} does not divide {n}!")
+    # each axiom: its detail when it holds, and its violations
+    table = (
+        ("positive", "all members nonnegative and nonzero",
+         [f"violations: {bad or 'empty family'}"] if bad or not fam else []),
+        ("ascending", f"least indices {mus}",
+         [] if ascending else [f"least indices {mus}"]),
+        ("commensurable", "integer residue ratios to the base", ratios),
+        ("low-difference", "corrections sit strictly below each least index",
+         corrections),
+        ("factorial-bound", "each d_n divides n!", bounds),
     )
     return StaircaseReport(
-        ladder_id=lid, names=names, axioms=tuple(axioms), d=tuple(ds)
+        ladder_id=lid,
+        names=tuple(n for n, _ in fam),
+        axioms=tuple(
+            StaircaseAxiom(name, not v, "; ".join(v) or holds)
+            for name, holds, v in table
+        ),
+        d=tuple(ds),
     )
 
 
 def construct_staircase(
     pres: Presentation, ladder_id: Optional[str] = None
-) -> StaircaseBase:
+) -> Tuple[Tuple[str, Element], ...]:
     """Flatten a generator family into a staircase by shaving low values.
 
-    Follows the recursion: subtract each member's window below
+    Follows the recursion: subtract each member's values up to
     max(correction height, previous least index), which forces the least
-    indices to ascend while keeping residues untouched.
+    indices to ascend while keeping residues untouched.  The base has no
+    correction and no previous member, so it is kept as it is.
     """
     lid = _ladder_or_first(pres, ladder_id)
     L = pres.domain.ladder(lid)
     fam = _ladder_family(pres, lid)
     if not fam:
         raise ChainError(f"no generators carry a tail on ladder {lid}")
+    base = fam[0][1]
     out: List[Tuple[str, Element]] = []
-    base: Optional[Element] = None
-    prev_mu = -1
+    top = -1  # shave up to here: the previous least index, or past a correction
     for n, (name, g) in enumerate(fam):
         if not g.is_nonneg():
             raise ChainError(f"{name} is not nonnegative")
-        if n == 0:
-            base = g
-            out.append((f"{name}~", g))
-            prev_mu = g.mu(lid)
-            continue
-        t = _residue_ratio(base, g, lid)
-        if t is None or t.denominator != 1 or t < 1:
+        d = _divisor(base, g, lid)
+        if d is None:
             raise ChainError(f"{name}: residues are not commensurable")
-        d = int(t)
         if math.factorial(n) % d:
             raise ChainError(f"{name}: divisor {d} exceeds the {n}! bound")
-        diff = d * g - base
-        if diff.tails:
-            raise ChainError(f"{name}: residue ratio failed to cancel the tail")
-        lam = 0
-        for x in diff.support().points:
+        for x in (d * g - base).support().points:
             k = L.index_of(x)
             if k is None:
                 raise ChainError(
                     f"{name}: correction off the ladder at {format_ordinal(x)}"
                 )
-            lam = max(lam, k + 1)
-        window = range(max(lam, prev_mu) + 1)
+            top = max(top, k + 1)
+        window = range(top + 1)
         shaved = pres.domain.combine(
             [1] + [-g._at(lid, k) for k in window],
             [g] + [pres.domain.e(L.point(k)) for k in window],
         )
         out.append((f"{name}~", shaved))
-        prev_mu = shaved.mu(lid)
-    base_report = verify_staircase(pres, lid, family=out)
-    if not base_report.ok:
+        top = shaved.mu(lid)
+    if not verify_staircase(pres, lid, family=out).ok:
         raise ChainError("constructed staircase failed its own axioms")
-    return StaircaseBase(elements=tuple(out))
+    return tuple(out)
 
 
 # --- certificates --------------------------------------------------------------
@@ -294,11 +232,8 @@ class FreenessCertificate:
     targets: Tuple[TargetEntry, ...]
     rank: int
 
-    def pool_elements(self) -> Tuple[Element, ...]:
-        return tuple(p.element for p in self.pool)
-
     def basis_elements(self) -> Tuple[Element, ...]:
-        pool = self.pool_elements()
+        pool = [p.element for p in self.pool]
         return tuple(pool[0].domain.combine(c, pool) for c in self.final_basis)
 
 
@@ -492,7 +427,7 @@ def _successor_steps(
     if report.ok:
         fam = _ladder_family(family, lid)
     else:
-        fam = list(construct_staircase(family, lid).elements)
+        fam = construct_staircase(family, lid)
     local_mu: List[int] = []
     for name, g in fam:
         mu = g.mu(lid)
@@ -523,13 +458,7 @@ def _successor_steps(
 def build_chain_successor(
     pres: Presentation, depth: Optional[int] = None
 ) -> FreenessCertificate:
-    """Step-by-step freeness certificate along the first ladder.
-
-    Step r adjoins the spike at ladder index r plus any family leader
-    arriving there; later family members arriving at r are bounded torsion
-    modulo the previous steps, with witnesses at bound r!.  depth None
-    runs to the highest least index of the family the chain uses.
-    """
+    """Successor-chain certificate along the first ladder (`_successor_steps`)."""
     chain = _Chain(pres, "successor")
     return chain.finish(_successor_steps(chain, pres, depth))
 
@@ -543,33 +472,32 @@ def chain_torsion_bound(alphas: Sequence[int], delta: int) -> int:
     raise ValueError("rank exceeds the chain's thresholds")
 
 
-def build_chain_limit(pres: Presentation, levels: int) -> FreenessCertificate:
+def build_chain_limit(
+    pres: Presentation, levels: Optional[int] = None
+) -> FreenessCertificate:
     """Freeness certificate for a power ladder reaching a rank-limit space.
 
     Level n compares each weight's n-th family member against the family
     base: the combination n! * f_n - t * f_0 cancels the residue, and
     either lands above rank n to extend the chain or the level is padded
-    with a spike at w^(n+1), the smallest point of the next rank, where
-    that spike raises the rank.
+    with a spike at the smallest point of rank n + 1, where that spike
+    raises the rank.  levels None runs one level per family member: the
+    family's size less one.
     """
     if len(pres.domain.ladders) != 1 or pres.domain.ladders[0].kind != "power":
         raise ChainError("limit chains need a single power ladder")
-    L = pres.domain.ladders[0]
-    lid = L.id
-
+    lid = pres.domain.ladders[0].id
+    members = _ladder_family(pres, lid)
     families: Dict[WeightFn, List[Tuple[str, Element]]] = {}
-    for name, g in pres.generators:
+    for name, g in members:
         terms = g.tails_on(lid)
-        if not terms:
-            continue
         if len(terms) != 1:
             raise ChainError(f"{name}: limit chains take single-weight tails")
         families.setdefault(terms[0].weight, []).append((name, g))
     if not families:
         raise ChainError("no generator carries a tail")
-    for w in families:
-        families[w].sort(key=lambda item: item[1].mu(lid))
-
+    if levels is None:
+        levels = len(members) - 1
     weights = sorted(families, key=WeightFn.dominance_key)
 
     chain = _Chain(pres, "limit")
@@ -605,17 +533,14 @@ def build_chain_limit(pres: Presentation, levels: int) -> FreenessCertificate:
             extras.append((name, f_n))
         pad = None
         if not grew:
-            x = omega_power(from_int(n + 1))
-            if pres.domain.space.contains(x):
+            x = pres.domain.space.smallest_point_of_rank(from_int(n + 1))
+            if x is not None:
                 pad = (f"pad_{n}", pres.domain.e(x))
         chain.step(f"level {n}", a_ext, extras, math.factorial(n), pad)
 
-    targets = []
-    for w in weights:
-        for i, (name, g) in enumerate(families[w]):
-            if i <= levels:
-                targets.append((name, g))
-    return chain.finish(targets)
+    return chain.finish(
+        [m for w in weights for i, m in enumerate(families[w]) if i <= levels]
+    )
 
 
 # --- composition over clopen blocks ---------------------------------------------
@@ -749,10 +674,8 @@ def certify(
 
     mode "auto" composes over one block per ladder when there are several
     ladders, builds a limit chain on a power ladder and a successor chain
-    otherwise.  depth defaults to the highest least index in the family
-    the successor chain runs over (the ladder's staircase, constructed when
-    the generators fail its axioms; each block's in composition), or to one
-    less than the family's size (limit levels).  Composition takes no depth.
+    otherwise.  depth None leaves the builder its own default;
+    composition takes no depth.
     """
     if depth is not None and depth < 0:
         raise ValueError("chain depth must be >= 0")
@@ -770,8 +693,6 @@ def certify(
     if mode == "successor":
         return build_chain_successor(pres, depth)
     if mode == "limit":
-        if depth is None:
-            depth = len(_ladder_family(pres, ladders[0].id)) - 1
         return build_chain_limit(pres, depth)
     raise ValueError(f"unknown chain mode {mode!r}")
 

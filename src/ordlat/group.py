@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ordlat.element import Domain, Element, WeightFn, is_semibasic, isolates
 from ordlat.intlinalg import HnfResult, hnf_rows
@@ -248,15 +248,8 @@ def semibasic_construct(pres: Presentation, x: Ordinal) -> Element:
     return q
 
 
-QuarkSource = Union[Mapping[Ordinal, Element], Callable[[Ordinal], Element], None]
-
-
-def _quark_at(domain: Domain, quarks: QuarkSource, x: Ordinal) -> Element:
-    if quarks is None:
-        return domain.e(x)
-    if callable(quarks):
-        return quarks(x)
-    return quarks.get(x, domain.e(x))
+# supplied quarks by point; the spike stands in at every other point
+QuarkSource = Optional[Mapping[Ordinal, Element]]
 
 
 def span_qx_decompose(
@@ -272,6 +265,7 @@ def span_qx_decompose(
     """
     if f.tails:
         raise ValueError("decomposition over quarks needs a finite support")
+    quarks = quarks or {}
     domain = f.domain
     space = domain.space
     result: Dict[Ordinal, int] = {}
@@ -296,7 +290,7 @@ def span_qx_decompose(
                 c = work.value(x)
                 if c == 0:
                     continue
-                q = _quark_at(domain, quarks, x)
+                q = quarks.get(x, domain.e(x))
                 if not is_semibasic(q, x):
                     raise ValueError(
                         f"supplied quark at {format_ordinal(x)} is not semibasic"
@@ -341,6 +335,7 @@ def kernel_basis_certificate(
 ) -> KernelBasisCertificate:
     if not gens:
         raise ValueError("need at least one element")
+    quarks = quarks or {}
     domain = gens[0].domain
     space = domain.space
     decomps = [span_qx_decompose(g, quarks) for g in gens]
@@ -348,7 +343,7 @@ def kernel_basis_certificate(
     for d in decomps:
         for x in d:
             if x not in seen:
-                seen[x] = _quark_at(domain, quarks, x)
+                seen[x] = quarks.get(x, domain.e(x))
     ranks = sorted({space.cb_rank(x) for x in seen}, key=Ordinal.key)
     ordered: List[Ordinal] = []
     for r in reversed(ranks):

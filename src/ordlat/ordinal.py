@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 MAX_DEPTH = 8
 MAX_COEFF = 2**31
@@ -271,26 +271,3 @@ def parse_ordinal(text: str) -> Ordinal:
     if sc.pos != len(sc.text):
         raise OrdinalParseError("trailing input", sc.pos)
     return value
-
-
-def iter_below(bound: Ordinal, coeff_cap: int) -> Iterator[Ordinal]:
-    """Yield the grid of ordinals <= bound whose coefficients are all <= cap.
-
-    Only supports bounds below w^4, which covers every space used here.
-    """
-    exps = [from_int(i) for i in range(4)]
-    digits = [range(coeff_cap + 1) for _ in exps]
-
-    def build(ds):
-        terms = []
-        for exp, d in zip(reversed(exps), reversed(ds)):
-            if d:
-                terms.append((exp, d))
-        return Ordinal(tuple(terms))
-
-    import itertools
-
-    for ds in itertools.product(*digits):
-        x = build(ds)
-        if compare(x, bound) <= 0:
-            yield x

@@ -10,15 +10,40 @@ canonical difference of its arguments.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ordlat.element import Element, _from_values
 from ordlat.group import CoordinateSystem, Decomposition
 from ordlat.intlinalg import row_rank, solve_in_rowspace
-from ordlat.ordinal import Ordinal, from_int, iter_below, omega_power
+from ordlat.ordinal import Ordinal, compare, from_int, omega_power
 from ordlat.space import ScatteredSpace
+
+# --- bounded ordinal grids -------------------------------------------------------
+
+
+def iter_below(bound: Ordinal, coeff_cap: int) -> Iterator[Ordinal]:
+    """Yield the grid of ordinals <= bound whose coefficients are all <= cap.
+
+    Only supports bounds below w^4, which covers every space used here.
+    """
+    exps = [from_int(i) for i in range(4)]
+    digits = [range(coeff_cap + 1) for _ in exps]
+
+    def build(ds):
+        terms = []
+        for exp, d in zip(reversed(exps), reversed(ds)):
+            if d:
+                terms.append((exp, d))
+        return Ordinal(tuple(terms))
+
+    for ds in itertools.product(*digits):
+        x = build(ds)
+        if compare(x, bound) <= 0:
+            yield x
+
 
 # --- ordinal addition below w^3 by block rewriting -----------------------------
 

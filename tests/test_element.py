@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from ordlat.element import (
     TailTerm,
     WeightFn,
     _canonical,
+    _settle,
     bounded_ratio_witness,
     dominance_monotone_from,
     format_element,
@@ -234,6 +236,51 @@ def test_ladder_analysis(gens):
     assert gens["a_3"].mu("q") == 3
     assert gens["a_0"].domain.e(from_int(5)).mu("q") == 5
     assert gens["a_0"].domain.zero().mu("q") is None
+
+
+def settle_from(terms, n):
+    """The settle index by its definition: the least index at or past n and
+    past every monotone index at which the dominant term outweighs the
+    others, evaluating every weight at that index."""
+    *rest, (dom, c) = terms
+    n = max([n] + [dominance_monotone_from(dom, w) for w, _ in rest])
+    while abs(c) * dom.value(n) <= sum(abs(r) * w.value(n) for w, r in rest):
+        n += 1
+    return n
+
+
+WEIGHTS = st.one_of(
+    st.builds(WeightFn, st.just("constant"), st.integers(1, 6)),
+    st.builds(WeightFn, st.sampled_from(["geometric", "factgeom"]), st.integers(2, 6)),
+    st.just(WeightFn("factorial")),
+)
+
+
+@given(
+    # a ladder's weights: distinct, with at most one constant
+    weights=st.lists(
+        WEIGHTS,
+        min_size=2,
+        max_size=4,
+        unique_by=lambda w: w.kind if w.kind == "constant" else w.dominance_key(),
+    ),
+    coeffs=st.lists(st.integers(-10**6, 10**6).filter(bool), min_size=4, max_size=4),
+    start=st.integers(0, 40),
+)
+def test_settle_matches_its_definition(weights, coeffs, start):
+    terms = list(zip(sorted(weights, key=WeightFn.dominance_key), coeffs))
+    assert _settle(terms, start) == settle_from(terms, start)
+
+
+def test_two_weight_settle_at_a_far_start_is_cheap():
+    # limit_power_two_weights carries k! and k! 2^k on one ladder
+    d = presets.load("limit_power_two_weights").domain
+    f = d.tail("pw", 1, 80_000, weight="factorial") - d.tail(
+        "pw", 1, 80_000, weight="factgeom(2)"
+    )
+    t0 = time.perf_counter()
+    assert f.settle_index("pw") == 80_000
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_tail_cancellation_leaves_prefix(gens):

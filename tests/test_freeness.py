@@ -102,9 +102,12 @@ def test_construct_staircase_shaves_noise(limitq):
     noisy = Presentation(name="noisy", domain=d, generators=tuple(gens))
     assert not verify_staircase(noisy).ok
     base = construct_staircase(noisy)
-    rep = verify_staircase(noisy, "q", family=base.elements)
+    rep = verify_staircase(noisy, "q", family=base)
     assert rep.ok
-    assert all(n.endswith("~") for n, _ in base.elements)
+    assert all(n.endswith("~") for n, _ in base)
+    # a_1's correction sits at index 3, so a_1 is shaved through index 4
+    # and each later member through the previous least index
+    assert [g.mu("q") for _, g in base] == [0, 5, 6, 7, 8]
 
 
 # --- bounded-torsion extraction ----------------------------------------------------

@@ -14,7 +14,6 @@ from ordlat.ordinal import (
     floor_rank,
     format_ordinal,
     from_int,
-    iter_below,
     last_exponent,
     omega_power,
     parse_ordinal,
@@ -22,7 +21,7 @@ from ordlat.ordinal import (
 )
 
 from .conftest import deeper_ordinals, small_ordinals, triples
-from .oracles import add_triples, ordinal_of, triple_of
+from .oracles import add_triples, iter_below, ordinal_of, triple_of
 
 
 # --- construction and ordering -----------------------------------------------

@@ -6,7 +6,6 @@ from ordlat.ordinal import (
     ONE,
     ZERO,
     from_int,
-    iter_below,
     omega_power,
     parse_ordinal,
     successor,
@@ -14,7 +13,7 @@ from ordlat.ordinal import (
 from ordlat.space import ClopenBlock, InfiniteSliceError, ScatteredSpace
 
 from .conftest import small_ordinals
-from .oracles import grid_rank
+from .oracles import grid_rank, iter_below
 
 W2 = omega_power(from_int(2))
 W3 = omega_power(from_int(3))
