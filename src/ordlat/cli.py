@@ -46,11 +46,19 @@ def _add_source(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_json(path: str):
+    """Parse a JSON file; nesting too deep for the parser is bad input."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_presentation(args: argparse.Namespace) -> Presentation:
     if args.preset:
         return load(args.preset)
-    with open(args.input) as fh:
-        return presentation_from_json(json.load(fh))
+    return presentation_from_json(_read_json(args.input))
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -110,8 +118,7 @@ def _cmd_extract_basis(args: argparse.Namespace) -> int:
 
 def _cmd_cert_verify(args: argparse.Namespace) -> int:
     pres = _load_presentation(args)
-    with open(args.cert) as fh:
-        cert = certificate_from_json(pres.domain, json.load(fh))
+    cert = certificate_from_json(pres.domain, _read_json(args.cert))
     if cert.presentation != pres.name:
         print(
             f"certificate names presentation {cert.presentation!r}, "

@@ -30,7 +30,6 @@ from ordlat.ordinal import (
     ZERO,
     Ordinal,
     add,
-    compare,
     format_ordinal,
     from_int,
     last_exponent,
@@ -221,7 +220,7 @@ class Ladder:
                 return None
             k = exp.as_nat() - self.offset
             return k if k >= 0 else None
-        if compare(x, self.first) < 0 or compare(x, self.target) >= 0:
+        if x < self.first or x >= self.target:
             return None
         if x == self.first:
             return 0
@@ -245,7 +244,7 @@ class Ladder:
 
 def _left_difference(a: Ordinal, b: Ordinal) -> Ordinal:
     """The unique d with a + d == b; requires a <= b."""
-    if compare(a, b) > 0:
+    if a > b:
         raise ValueError("left difference needs a <= b")
     for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):
         if ta == tb:
@@ -620,21 +619,15 @@ class Element:
         if self.is_zero:
             raise ValueError("the zero element has empty support")
         space = self.domain.space
-        best = ZERO
-        for x in self._support.points:
-            r = space.cb_rank(x)
-            if compare(r, best) > 0:
-                best = r
+        ranks = [space.cb_rank(x) for x in self._support.points]
         for lid, rho in self._support.regimes:
             L = self.domain.ladder(lid)
-            for cand in (
+            ranks += [
                 space.cb_rank(L.target),
                 space.cb_rank(L.point(rho)),
                 space.cb_rank(L.point(rho + 1)),
-            ):
-                if compare(cand, best) > 0:
-                    best = cand
-        return best
+            ]
+        return max(ranks)
 
     # -- order & lattice --
 
@@ -872,10 +865,23 @@ def _makes_up(v: int, raw: Sequence[Tuple[int, WeightFn, int]], k: int) -> bool:
     """Whether v equals the sum of num * weight(k) over the (start, weight,
     num) terms not yet started at k.  Every weight is positive, so terms
     of one sign cannot sum to 0: a start far past k is never evaluated
-    there."""
+    there.  Mixed signs are summed by weight first: the sum is 0 when they
+    all cancel, and from `_settle` on it keeps its dominant term's sign."""
     late = [(w, n) for start, w, n in raw if start > k]
-    if not v and (all(n > 0 for _, n in late) or all(n < 0 for _, n in late)):
-        return not late
+    if not v:
+        if all(n > 0 for _, n in late) or all(n < 0 for _, n in late):
+            return not late
+        residue: Dict[WeightFn, int] = {}
+        for w, n in late:
+            residue[w] = residue.get(w, 0) + n
+        terms = sorted(
+            ((w, n) for w, n in residue.items() if n),
+            key=lambda wn: wn[0].dominance_key(),
+        )
+        if not terms:
+            return True
+        if k >= _settle(terms, 0):
+            return False
     return v == sum(n * w.value(k) for w, n in late)
 
 
@@ -906,13 +912,13 @@ def isolates(f: Element, x: Ordinal) -> bool:
     space = f.domain.space
     gamma = space.cb_rank(x)
     for p in f._support.points:
-        if p != x and compare(space.cb_rank(p), gamma) >= 0:
+        if p != x and space.cb_rank(p) >= gamma:
             return False
     for lid, rho in f._support.regimes:
         L = f.domain.ladder(lid)
-        if compare(space.cb_rank(L.target), gamma) >= 0:
+        if space.cb_rank(L.target) >= gamma:
             return False
-        if rho == 0 and compare(space.cb_rank(L.point(0)), gamma) >= 0:
+        if rho == 0 and space.cb_rank(L.point(0)) >= gamma:
             return False
     return True
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ordlat.element import Element, WeightFn, _from_values
 from ordlat.group import CoordinateSystem, Presentation, Span
 from ordlat.intlinalg import echelon_basis, hnf_rows
-from ordlat.ordinal import ZERO, Ordinal, compare, format_ordinal, from_int
+from ordlat.ordinal import ZERO, Ordinal, format_ordinal, from_int
 from ordlat.space import ClopenBlock
 
 
@@ -113,7 +113,7 @@ def verify_staircase(
         if d is None:
             ratios.append(f"{name}: residue ratio None")
             continue
-        for x in (d * g - fam[0][1]).support().points:
+        for x in sorted((d * g - fam[0][1]).support().points, key=Ordinal.key):
             k = L.index_of(x)
             if k is None or (mu is not None and k >= mu):
                 corrections.append(f"{name}: correction at {format_ordinal(x)}")
@@ -167,7 +167,7 @@ def construct_staircase(
             raise ChainError(f"{name}: residues are not commensurable")
         if math.factorial(n) % d:
             raise ChainError(f"{name}: divisor {d} exceeds the {n}! bound")
-        for x in (d * g - base).support().points:
+        for x in sorted((d * g - base).support().points, key=Ordinal.key):
             k = L.index_of(x)
             if k is None:
                 raise ChainError(
@@ -527,7 +527,7 @@ def build_chain_limit(
                 # the cancellation extends the chain only when it lands
                 # strictly above the level's rank threshold
                 beta = g.cb()
-                if compare(beta, from_int(n)) > 0:
+                if beta > from_int(n):
                     a_ext.append((f"g_{w.label()}_{n}", g))
                     grew = True
             extras.append((name, f_n))
@@ -554,7 +554,7 @@ def restrict_element(f: Element, block: ClopenBlock) -> Element:
     tails = []
     for L in domain.ladders:
         low = block.low
-        if low is not None and compare(L.target, low) <= 0:
+        if low is not None and L.target <= low:
             continue  # ladder entirely below the block
         vals = on[L.id] = {}
         if block.contains(L.target):
@@ -567,7 +567,7 @@ def restrict_element(f: Element, block: ClopenBlock) -> Element:
                 vals[k] = f._at(L.id, k)
         else:
             k = 0
-            while compare(L.point(k), block.high) <= 0:
+            while L.point(k) <= block.high:
                 x = L.point(k)
                 if block.contains(x):
                     vals[k] = f._at(L.id, k)
@@ -578,7 +578,7 @@ def restrict_element(f: Element, block: ClopenBlock) -> Element:
 def _blocks_disjoint(blocks: Sequence[ClopenBlock]) -> bool:
     ordered = sorted(blocks, key=lambda b: b.high.key())
     for a, b in zip(ordered, ordered[1:]):
-        if b.low is None or compare(a.high, b.low) > 0:
+        if b.low is None or a.high > b.low:
             return False
     return True
 

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ordlat.element import Domain, Element, WeightFn, is_semibasic, isolates
 from ordlat.intlinalg import HnfResult, hnf_rows
-from ordlat.ordinal import Ordinal, compare, format_ordinal, successor, floor_rank
+from ordlat.ordinal import Ordinal, format_ordinal, successor, floor_rank
 from ordlat.space import ClopenBlock
 
 
@@ -297,7 +297,7 @@ def span_qx_decompose(
                     )
                 work = work - c * q
                 result[x] = c
-        if not work.is_zero and compare(work.cb(), gamma) >= 0:
+        if not work.is_zero and work.cb() >= gamma:
             raise AssertionError("rank failed to descend")
     return result
 
@@ -344,14 +344,9 @@ def kernel_basis_certificate(
         for x in d:
             if x not in seen:
                 seen[x] = quarks.get(x, domain.e(x))
-    ranks = sorted({space.cb_rank(x) for x in seen}, key=Ordinal.key)
-    ordered: List[Ordinal] = []
-    for r in reversed(ranks):
-        ordered.extend(
-            sorted(
-                (x for x in seen if space.cb_rank(x) == r), key=Ordinal.key
-            )
-        )
+    # by decreasing rank, then increasing ordinal: sorts are stable
+    ordered = sorted(seen, key=Ordinal.key)
+    ordered.sort(key=lambda x: space.cb_rank(x).key(), reverse=True)
     rows = tuple(
         tuple(d.get(x, 0) for x in ordered) for d in decomps
     )

@@ -3,13 +3,15 @@
 An ordinal below epsilon_0 is stored as a tuple of (exponent, coefficient)
 pairs with strictly decreasing exponents and positive integer coefficients;
 the empty tuple is zero.  Everything here is immutable and hashable so
-ordinals can key dictionaries and sit inside frozen dataclasses.
+ordinals can key dictionaries and sit inside frozen dataclasses.  Equality,
+hash and order read one key stored at construction: the terms with each
+exponent replaced by its own key.  Normal forms compare term by term,
+exponent first, so the lexicographic order of the keys is the ordinal order.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 MAX_DEPTH = 8
@@ -26,21 +28,22 @@ class OrdinalParseError(ValueError):
         self.position = position
 
 
-@functools.total_ordering
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class Ordinal:
-    terms: Tuple[Tuple["Ordinal", int], ...] = ()
+    terms: Tuple[Tuple["Ordinal", int], ...] = field(default=(), compare=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        prev: Optional[Ordinal] = None
+        key = []
         for exp, coeff in self.terms:
             if not isinstance(coeff, int) or coeff < 1:
                 raise ValueError(f"coefficient must be a positive int, got {coeff!r}")
             if coeff > MAX_COEFF:
                 raise OrdinalCapError(f"coefficient {coeff} exceeds cap {MAX_COEFF}")
-            if prev is not None and compare(exp, prev) >= 0:
+            if key and exp._key >= key[-1][0]:
                 raise ValueError("exponents must be strictly decreasing")
-            prev = exp
+            key.append((exp._key, coeff))
+        object.__setattr__(self, "_key", tuple(key))
         if self.depth() > MAX_DEPTH:
             raise OrdinalCapError(f"nesting depth exceeds cap {MAX_DEPTH}")
 
@@ -64,13 +67,9 @@ class Ordinal:
             raise ValueError(f"{self} is not a natural number")
         return self.terms[0][1] if self.terms else 0
 
-    def key(self):
-        # Tuple encoding whose lexicographic order agrees with the ordinal
-        # order; handy as a sort key.
-        return tuple((exp.key(), coeff) for exp, coeff in self.terms)
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) < 0
+    def key(self) -> tuple:
+        """The stored order key; a sort key that costs no comparison calls."""
+        return self._key
 
     def __add__(self, other: "Ordinal") -> "Ordinal":
         return add(self, other)
@@ -103,15 +102,7 @@ def omega_power(exp: Ordinal, coeff: int = 1) -> Ordinal:
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Three-way comparison: -1, 0 or 1."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) == len(b.terms):
-        return 0
-    return -1 if len(a.terms) < len(b.terms) else 1
+    return (a._key > b._key) - (a._key < b._key)
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -121,8 +112,8 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     if a.is_zero:
         return b
     lead_exp = b.terms[0][0]
-    kept = [t for t in a.terms if compare(t[0], lead_exp) > 0]
-    boundary = [t for t in a.terms if compare(t[0], lead_exp) == 0]
+    kept = [t for t in a.terms if t[0] > lead_exp]
+    boundary = [t for t in a.terms if t[0] == lead_exp]
     if boundary:
         merged = (lead_exp, boundary[0][1] + b.terms[0][1])
         return Ordinal(tuple(kept) + (merged,) + b.terms[1:])
@@ -153,15 +144,8 @@ def last_exponent(a: Ordinal) -> Ordinal:
 
 def floor_rank(a: Ordinal, delta: Ordinal) -> Ordinal:
     """Largest multiple of w^delta that is <= a (zero when there is none)."""
-    if delta.is_zero:
-        return a
-    kept = []
-    for exp, coeff in a.terms:
-        if compare(exp, delta) >= 0:
-            kept.append((exp, coeff))
-        else:
-            break
-    return Ordinal(tuple(kept))
+    # exponents decrease, so the terms at or above delta are a prefix
+    return Ordinal(tuple(t for t in a.terms if t[0] >= delta))
 
 
 # --- text syntax -----------------------------------------------------------
@@ -195,6 +179,7 @@ class _Scanner:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.nesting = 0  # open parentheses; each one nests an exponent
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -252,9 +237,14 @@ def _parse_term(sc: _Scanner) -> Ordinal:
 def _parse_exponent(sc: _Scanner) -> Ordinal:
     ch = sc.peek()
     if ch == "(":
+        # nesting p builds depth >= p, so the cap applies before recursing
+        sc.nesting += 1
+        if sc.nesting > MAX_DEPTH:
+            raise OrdinalCapError(f"nesting depth exceeds cap {MAX_DEPTH}")
         sc.pos += 1
         inner = _parse_expr(sc)
         sc.expect(")")
+        sc.nesting -= 1
         return inner
     if ch == "w":
         sc.pos += 1

@@ -16,7 +16,6 @@ from ordlat.ordinal import (
     Ordinal,
     add,
     classify,
-    compare,
     floor_rank,
     format_ordinal,
     last_exponent,
@@ -41,13 +40,11 @@ class ClopenBlock:
     high: Ordinal
 
     def __post_init__(self) -> None:
-        if self.low is not None and compare(self.low, self.high) >= 0:
+        if self.low is not None and self.low >= self.high:
             raise ValueError("empty block: low must be strictly below high")
 
     def contains(self, x: Ordinal) -> bool:
-        if compare(x, self.high) > 0:
-            return False
-        return self.low is None or compare(x, self.low) > 0
+        return x <= self.high and (self.low is None or x > self.low)
 
     def __str__(self) -> str:
         lo = "[0" if self.low is None else f"({format_ordinal(self.low)}"
@@ -59,7 +56,7 @@ class ScatteredSpace:
     top: Ordinal
 
     def contains(self, x: Ordinal) -> bool:
-        return compare(x, self.top) <= 0
+        return x <= self.top
 
     def whole_block(self) -> ClopenBlock:
         return ClopenBlock(low=None, high=self.top)
@@ -81,7 +78,7 @@ class ScatteredSpace:
             return True
         if x.is_zero:
             return False
-        return compare(last_exponent(x), gamma) >= 0
+        return last_exponent(x) >= gamma
 
     def is_limit_point(self, x: Ordinal) -> bool:
         return self.contains(x) and classify(x)[0] == "limit"
@@ -110,13 +107,13 @@ class ScatteredSpace:
         barrier = floor_rank(block.high, successor(gamma))
         if block.low is None:
             return barrier.is_zero
-        return compare(barrier, block.low) <= 0
+        return barrier <= block.low
 
     def rank_slice(
         self, block: ClopenBlock, gamma: Ordinal
     ) -> Tuple[Ordinal, ...]:
         """All points of rank exactly gamma in the block, in increasing order."""
-        if compare(block.high, self.top) > 0:
+        if block.high > self.top:
             raise ValueError("block exceeds the space")
         if not self.slice_is_finite(block, gamma):
             raise InfiniteSliceError(
@@ -128,8 +125,8 @@ class ScatteredSpace:
             out.append(ZERO)
         step = omega_power(gamma)
         x = add(floor_rank(low, gamma), step)
-        while compare(x, block.high) <= 0:
-            if compare(x, low) > 0:
+        while x <= block.high:
+            if x > low:
                 out.append(x)
             x = add(x, step)
         return tuple(out)

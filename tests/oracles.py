@@ -1,7 +1,8 @@
 """Independent oracles the tests compare library output against.
 
 Everything here recomputes answers from first principles with different
-algorithms than the package uses: ordinal addition by block rewriting,
+algorithms than the package uses: the ordinal order by a term-by-term
+walk of the normal forms, ordinal addition by block rewriting,
 derived-set ranks by grid refinement, kernel decompositions by greedy
 forced-coefficient peeling, and membership in a window widened by the
 target with two separate Hermite forms, and the lattice meet through the
@@ -20,6 +21,24 @@ from ordlat.group import CoordinateSystem, Decomposition
 from ordlat.intlinalg import row_rank, solve_in_rowspace
 from ordlat.ordinal import Ordinal, compare, from_int, omega_power
 from ordlat.space import ScatteredSpace
+
+# --- the ordinal order, read off the normal forms ------------------------------
+
+
+def reference_compare(a: Ordinal, b: Ordinal) -> int:
+    """Three-way comparison by walking both normal forms term by term:
+    the first differing exponent decides, then the coefficient, then
+    which form runs out first.  Reads no stored key."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = reference_compare(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) == len(b.terms):
+        return 0
+    return -1 if len(a.terms) < len(b.terms) else 1
+
 
 # --- bounded ordinal grids -------------------------------------------------------
 

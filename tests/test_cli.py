@@ -392,6 +392,26 @@ def test_decompose_parse_error(capsys):
     assert "error:" in err
 
 
+def test_decompose_deeply_nested_ordinal_is_bad_input(capsys):
+    # the parser refuses the nesting before it recurses into it
+    text = "e(" + "w^(" * 3000 + "1" + ")" * 3000 + ")"
+    rc, out, err = run(capsys, "decompose", "--preset", "limitq", text)
+    assert rc == 2
+    assert "nesting depth exceeds cap" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("flag", ["--cert", "--input"])
+def test_deeply_nested_json_file_is_bad_input(capsys, tmp_path, flag):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    source = ["--preset", "limitq"] if flag == "--cert" else ["--input", str(path)]
+    rc, out, err = run(capsys, "cert-verify", *source, "--cert", str(path))
+    assert rc == 2
+    assert "nested too deeply" in err
+    assert "Traceback" not in out + err
+
+
 # --- ideal dictionary --------------------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordlat import presets
@@ -12,6 +12,7 @@ from ordlat.element import (
     TailTerm,
     WeightFn,
     _canonical,
+    _makes_up,
     _settle,
     bounded_ratio_witness,
     dominance_monotone_from,
@@ -281,6 +282,58 @@ def test_two_weight_settle_at_a_far_start_is_cheap():
     t0 = time.perf_counter()
     assert f.settle_index("pw") == 80_000
     assert time.perf_counter() - t0 < 0.05
+
+
+@given(
+    weights=st.lists(
+        WEIGHTS,
+        min_size=1,
+        max_size=3,
+        unique_by=lambda w: w.kind if w.kind == "constant" else w.dominance_key(),
+    ),
+    data=st.data(),
+    k=st.integers(0, 10),
+    v=st.one_of(st.just(0), st.integers(-50, 50)),
+)
+@settings(max_examples=300)
+def test_makes_up_matches_its_definition(weights, data, k, v):
+    raw = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 15),
+                st.sampled_from(weights),
+                st.integers(-6, 6).filter(bool),
+            ),
+            max_size=4,
+        )
+    )
+    # partners that cancel some terms weight by weight, from other starts
+    starts = data.draw(st.lists(st.integers(0, 15), max_size=len(raw)))
+    raw += [(s, w, -n) for s, (_, w, n) in zip(starts, raw)]
+    # the formula the shortcuts must agree with: every late term evaluated
+    assert _makes_up(v, raw, k) == (
+        v == sum(n * w.value(k) for start, w, n in raw if start > k)
+    )
+
+
+def test_makes_up_one_index_before_the_sum_settles():
+    # 4 - 2^k is 0 at k = 2 and negative from k = 3 on
+    c4, g2 = WeightFn("constant", 4), WeightFn("geometric", 2)
+    raw = [(5, c4, 1), (5, g2, -1)]
+    assert _makes_up(0, raw, 2)
+    assert not _makes_up(0, raw, 3)
+
+
+def test_two_weight_difference_at_a_far_start_is_cheap():
+    # both terms start at 80 000, so canonicalizing tests index 79 999 with
+    # the late terms of mixed signs; no factorial-sized value is evaluated
+    d = presets.load("limit_power_two_weights").domain
+    t0 = time.perf_counter()
+    f = d.tail("pw", 1, 80_000, weight="factorial") - d.tail(
+        "pw", 1, 80_000, weight="factgeom(2)"
+    )
+    assert time.perf_counter() - t0 < 0.05
+    assert f.tail_start("pw") == 80_000
 
 
 def test_tail_cancellation_leaves_prefix(gens):

@@ -84,6 +84,19 @@ def test_staircase_low_difference_failure(limitq):
     assert failing_axioms(rep) == {"low-difference"}
 
 
+def test_staircase_corrections_list_in_ordinal_order():
+    pres = presets.limitq(6)
+    d = pres.domain
+    fam = list(pres.generators)
+    spikes = sum((d.e(from_int(k)) for k in (9, 5, 12, 7)), d.zero())
+    fam[3] = ("a_3", pres.generator("a_3") + spikes)
+    rep = verify_staircase(pres, "q", family=fam)
+    (low,) = [a for a in rep.axioms if a.name == "low-difference"]
+    assert low.detail == "; ".join(
+        f"a_3: correction at {k}" for k in (5, 7, 9, 12)
+    )
+
+
 def test_staircase_factorial_bound_failure(limitq):
     d = limitq.domain
     # ratio to the base is 7, which does not divide 1!

@@ -1,5 +1,8 @@
+from functools import cmp_to_key
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ordlat.ordinal import (
     OMEGA,
@@ -21,7 +24,13 @@ from ordlat.ordinal import (
 )
 
 from .conftest import deeper_ordinals, small_ordinals, triples
-from .oracles import add_triples, iter_below, ordinal_of, triple_of
+from .oracles import (
+    add_triples,
+    iter_below,
+    ordinal_of,
+    reference_compare,
+    triple_of,
+)
 
 
 # --- construction and ordering -----------------------------------------------
@@ -64,6 +73,47 @@ def test_compare_transitive(a, b, c):
 @given(small_ordinals, small_ordinals)
 def test_compare_matches_key(a, b):
     assert compare(a, b) == (a.key() > b.key()) - (a.key() < b.key())
+
+
+def _normal_form(pairs):
+    """Ordinal from (exponent, coefficient) pairs: the exponents are put in
+    decreasing order by the reference walk, and a repeat keeps one term."""
+    terms = {}
+    for exp, coeff in pairs:
+        terms[exp] = coeff
+    ordered = sorted(terms, key=cmp_to_key(reference_compare), reverse=True)
+    return Ordinal(tuple((exp, terms[exp]) for exp in ordered))
+
+
+# exponents are themselves ordinals, so the order of exponents is exercised
+# at depth and not only on naturals; max_leaves=8 lets st.recursive nest
+# four levels, which stays within MAX_DEPTH
+nested_ordinals = st.recursive(
+    st.builds(from_int, st.integers(0, 3)),
+    lambda inner: st.builds(
+        _normal_form,
+        st.lists(st.tuples(inner, st.integers(1, 3)), min_size=1, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@given(st.lists(nested_ordinals, min_size=2, max_size=8))
+def test_order_matches_reference(xs):
+    for a in xs:
+        for b in xs:
+            ref = reference_compare(a, b)
+            assert compare(a, b) == ref
+            assert (a < b) == (ref < 0)
+            assert (a <= b) == (ref <= 0)
+            assert (a > b) == (ref > 0)
+            assert (a >= b) == (ref >= 0)
+            assert (a == b) == (ref == 0)
+            if ref == 0:
+                assert hash(a) == hash(b)
+    assert sorted(xs, key=Ordinal.key) == sorted(
+        xs, key=cmp_to_key(reference_compare)
+    )
 
 
 # --- addition ------------------------------------------------------------------
@@ -160,6 +210,19 @@ def test_nesting_depth_cap():
         a = omega_power(a)
     with pytest.raises(OrdinalCapError):
         omega_power(a)
+
+
+def test_parse_nesting_cap():
+    def nested(p):
+        return "w^(" * p + "1" + ")" * p
+
+    assert parse_ordinal(nested(7)).depth() == 8
+    with pytest.raises(OrdinalCapError):
+        parse_ordinal(nested(8))  # depth 9, refused on construction
+    with pytest.raises(OrdinalCapError):
+        parse_ordinal(nested(9))  # refused by the parser at the 9th "("
+    with pytest.raises(OrdinalCapError):
+        parse_ordinal(nested(3000))
 
 
 def test_coefficient_cap():
