@@ -26,7 +26,6 @@ from ordlat.ddmodel import (
 from ordlat.element import parse_element
 from ordlat.freeness import ChainError, certify, smooth_chain_check, verify_staircase
 from ordlat.group import Presentation
-from ordlat.ordinal import OrdinalParseError
 from ordlat.presets import PRESETS, load
 from ordlat.serialize import (
     certificate_from_json,
@@ -216,14 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        OrdinalParseError,
-        ChainError,
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-    ) as ex:
+    except (ChainError, ValueError, KeyError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -22,19 +22,20 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ordlat.ordinal import (
     ONE,
     OMEGA,
     ZERO,
     Ordinal,
+    _parse_expr,
+    _Scanner,
     add,
     format_ordinal,
     from_int,
     last_exponent,
     omega_power,
-    parse_ordinal,
     successor,
 )
 from ordlat.space import ScatteredSpace
@@ -319,11 +320,11 @@ class Domain:
         return None
 
     def zero(self) -> "Element":
-        return _canonical(self, {}, [])
+        return self.literal((), ())
 
     def e(self, x: Ordinal) -> "Element":
         """Unit spike at a single point."""
-        return _canonical(self, {x: 1}, [])
+        return self.literal(((x, 1),), ())
 
     def tail(
         self,
@@ -332,11 +333,66 @@ class Domain:
         start: int,
         weight: Optional[str] = None,
     ) -> "Element":
-        w = self.ladder(lid).weight(weight)
-        r = Fraction(coeff)
-        return _canonical(
-            self, {}, [TailTerm(lid, w, r.numerator, r.denominator, start)]
-        )
+        return self.literal((), ((1, lid, coeff, start, weight),))
+
+    def literal(
+        self,
+        points: Iterable[Tuple[Ordinal, int]],
+        tails: Iterable[Tuple[int, str, object, int, Optional[str]]],
+    ) -> "Element":
+        """The sum of v * e(x) over the (x, v) points and of
+        m * tail(lid, coeff, start, weight) over the (m, lid, coeff, start,
+        weight) tails, canonicalized once: the one entry for an element
+        written out from outside.
+
+        Every point and every tail is checked as written, whatever its
+        value or multiplier: a point must lie in the space and off every
+        ladder target, and a tail's coefficient (a Fraction or its text)
+        must be nonzero and integral under its weight from its start on.
+        """
+        off: Dict[Ordinal, int] = {}
+        on: Dict[str, Dict[int, int]] = {}
+        for x, v in points:
+            if not self.space.contains(x):
+                raise ValueError(f"point {format_ordinal(x)} outside the space")
+            if self.target_ladder(x) is not None:
+                raise ValueError(
+                    f"{format_ordinal(x)} is a ladder target; values there are "
+                    "set by tails"
+                )
+            loc = self.locate(x)
+            if loc is None:
+                off[x] = off.get(x, 0) + v
+            else:
+                vals = on.setdefault(loc[0].id, {})
+                vals[loc[1]] = vals.get(loc[1], 0) + v
+        # numerators by (ladder, weight, start, denominator), as in combine
+        sums: Dict[Tuple[str, WeightFn, int, int], int] = {}
+        for m, lid, coeff, start, weight in tails:
+            w = self.ladder(lid).weight(weight)
+            try:
+                r = Fraction(coeff)  # den >= 1 from here on
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"tail coefficient {coeff!r} has a zero denominator"
+                ) from None
+            if start < 0:
+                raise ValueError("tail start must be >= 0")
+            if not r:
+                raise ValueError("tail coefficient must be nonzero")
+            # integral from start on, since w(k) / w(start) is an integer
+            d = r.denominator
+            if d > 1 and r.numerator * w.mod(start, d) % d:
+                raise ValueError(
+                    f"coefficient {r} is not integral from index {start} "
+                    f"under {w.label()}"
+                )
+            key = (lid, w, start, d)
+            sums[key] = sums.get(key, 0) + m * r.numerator
+        # what cancels goes, so that no far index widens the canonical scan
+        terms = [TailTerm(lid, w, n, d, s) for (lid, w, s, d), n in sums.items() if n]
+        on = {lid: {k: v for k, v in kv.items() if v} for lid, kv in on.items()}
+        return _canonical(self, off, terms, on)
 
     def combine(
         self, coeffs: Sequence[int], elements: Sequence["Element"]
@@ -378,8 +434,10 @@ class Domain:
 class TailTerm:
     """The term (num / den) * weight(k) at every ladder index k >= start.
 
-    The terms of a canonical element on one ladder share one denominator,
-    the least that clears all of their coefficients.
+    Plain data: Domain.literal checks the terms written from outside, and
+    arithmetic on canonical elements builds only valid ones.  The terms of
+    a canonical element on one ladder share one denominator, the least
+    that clears all of their coefficients.
     """
 
     ladder_id: str
@@ -387,21 +445,6 @@ class TailTerm:
     num: int
     den: int
     start: int
-
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError("tail start must be >= 0")
-        if self.num == 0:
-            raise ValueError("tail coefficient must be nonzero")
-        if self.den < 1:
-            raise ValueError("tail denominator must be >= 1")
-        # integral from start on, since w(k) / w(start) is an integer
-        d = self.den
-        if d > 1 and self.num * self.weight.mod(self.start, d) % d:
-            raise ValueError(
-                f"coefficient {self.coeff} is not integral from index "
-                f"{self.start} under {self.weight.label()}"
-            )
 
     @property
     def coeff(self) -> Fraction:
@@ -755,44 +798,15 @@ def _residue_difference(
 
 def _canonical(
     domain: Domain,
-    raw_prefix: Mapping[Ordinal, int],
+    off: Mapping[Ordinal, int],
     raw_tails: Sequence[TailTerm],
-    on: Optional[Mapping[str, Mapping[int, int]]] = None,
+    on: Mapping[str, Mapping[int, int]],
 ) -> Element:
-    """The canonical element with the given prefix values and tail terms.
-
-    With on=None this is the ordinal entry: raw_prefix may hold any points,
-    which are validated and located here, once.  Otherwise raw_prefix holds
-    values at points on no ladder and on holds each ladder's values by
-    index, as the arithmetic on canonical elements produces them.
-    """
-    if on is None:
-        off: Dict[Ordinal, int] = {}
-        on = {}
-        for x, v in raw_prefix.items():
-            if v == 0:
-                continue
-            if not domain.space.contains(x):
-                raise ValueError(f"point {format_ordinal(x)} outside the space")
-            if domain.target_ladder(x) is not None:
-                raise ValueError(
-                    f"{format_ordinal(x)} is a ladder target; values there are "
-                    "set by tails"
-                )
-            loc = domain.locate(x)
-            if loc is None:
-                off[x] = v
-            else:
-                on.setdefault(loc[0].id, {})[loc[1]] = v
-        raw_prefix = off
-
+    """The canonical element with the given prefix values and tail terms:
+    off holds values at points on no ladder, on holds each ladder's values
+    by index, and every tail term's weight lies on its ladder."""
     by_ladder: Dict[str, List[TailTerm]] = {}
     for t in raw_tails:
-        L = domain.ladder(t.ladder_id)
-        if t.weight not in L.weights:
-            raise ValueError(
-                f"weight {t.weight.label()} not configured on ladder {L.id}"
-            )
         by_ladder.setdefault(t.ladder_id, []).append(t)
 
     out_on: List[Tuple[str, Tuple[Tuple[int, int], ...]]] = []
@@ -852,7 +866,7 @@ def _canonical(
         domain=domain,
         off=tuple(
             sorted(
-                ((x, v) for x, v in raw_prefix.items() if v),
+                ((x, v) for x, v in off.items() if v),
                 key=lambda item: item[0].key(),
             )
         ),
@@ -991,89 +1005,50 @@ def format_element(f: Element) -> str:
     return out
 
 
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?")
+# a tail(...) call whose arguments may hold one level of parentheses, as
+# the weight labels do
+_TAIL = re.compile(r"tail\(((?:[^()]|\([^()]*\))*)\)")
+
+
 def parse_element(domain: Domain, text: str) -> Element:
     """Parse a linear combination of e(...) spikes and tail(...) terms.
 
-    Grammar:  elem := [-] term (("+"|"-") term)* ;
-    term := [INT *] atom ; atom := e(ORDINAL) | tail(key=value, ...).
+    Grammar:  elem := "0" | [[+|-] term (("+"|"-") term)*] ;
+    term := [INT *] atom ; atom := e(ORDINAL) | tail(key=value, ...),
+    each of the keys ladder, r and start once, and weight at most once.
     """
-    if text.strip() == "0":
-        return domain.zero()
-    pos = 0
-    coeffs: List[int] = []
-    atoms: List[Element] = []
-    sign = 1
-    first = True
+    sc = _Scanner("" if text.strip() == "0" else text)
+    points: List[Tuple[Ordinal, int]] = []
+    tails: List[Tuple[int, str, str, int, Optional[str]]] = []
 
     def error(msg: str):
-        raise ValueError(f"{msg} (at offset {pos} in {text!r})")
+        raise ValueError(f"{msg} (at offset {sc.pos} in {text!r})")
 
-    n = len(text)
-    while pos < n:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        if not first or text[pos] in "+-":
-            if text[pos] == "+":
-                sign = 1
-            elif text[pos] == "-":
-                sign = -1
-            elif first:
-                sign = 1
-                pos -= 1  # no sign; re-read
-            else:
-                error("expected + or -")
-            pos += 1
-        first = False
-        while pos < n and text[pos].isspace():
-            pos += 1
-        m = re.match(r"(\d+)\s*\*\s*", text[pos:])
-        coeff = 1
-        if m:
-            coeff = int(m.group(1))
-            pos += m.end()
-        if text.startswith("e(", pos):
-            depth, j = 1, pos + 2
-            while j < n and depth:
-                depth += text[j] == "("
-                depth -= text[j] == ")"
-                j += 1
-            if depth:
-                error("unbalanced parentheses")
-            coeffs.append(sign * coeff)
-            atoms.append(domain.e(parse_ordinal(text[pos + 2 : j - 1])))
-            pos = j
-        elif text.startswith("tail(", pos):
-            depth, j = 1, pos + 5
-            while j < n and depth:
-                depth += text[j] == "("
-                depth -= text[j] == ")"
-                j += 1
-            if depth:
-                error("unbalanced tail(...)")
-            body = text[pos + 5 : j - 1]
+    while sc.peek():
+        m = _TERM.match(sc.text, sc.pos)
+        if (points or tails) and not m.group(1):
+            error("expected + or -")
+        c = (-1 if m.group(1) == "-" else 1) * int(m.group(2) or 1)
+        sc.pos = m.end()
+        if sc.text.startswith("e(", sc.pos):
+            sc.pos += 2
+            points.append((_parse_expr(sc), c))
+            sc.expect(")")
+        elif call := _TAIL.match(sc.text, sc.pos):
             kv: Dict[str, str] = {}
-            for piece in body.split(","):
-                if "=" not in piece:
+            for piece in call.group(1).split(","):
+                key, eq, val = piece.partition("=")
+                key = key.strip()
+                if not eq or key not in ("ladder", "weight", "r", "start"):
                     error(f"bad tail argument {piece!r}")
-                key, val = piece.split("=", 1)
-                kv[key.strip()] = val.strip()
-            unknown = set(kv) - {"ladder", "weight", "r", "start"}
-            if unknown:
-                error(f"unknown tail arguments {sorted(unknown)}")
-            if "ladder" not in kv or "r" not in kv or "start" not in kv:
+                if key in kv:
+                    error(f"tail argument {key} given twice")
+                kv[key] = val.strip()
+            if not {"ladder", "r", "start"} <= kv.keys():
                 error("tail needs ladder=, r= and start=")
-            coeffs.append(sign * coeff)
-            atoms.append(
-                domain.tail(
-                    kv["ladder"],
-                    Fraction(kv["r"]),
-                    int(kv["start"]),
-                    weight=kv.get("weight"),
-                )
-            )
-            pos = j
+            tails.append((c, kv["ladder"], kv["r"], int(kv["start"]), kv.get("weight")))
+            sc.pos = call.end()
         else:
             error("expected e(...) or tail(...)")
-    return domain.combine(coeffs, atoms)
+    return domain.literal(points, tails)

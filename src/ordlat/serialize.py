@@ -87,15 +87,13 @@ def element_to_json(el: Element) -> Dict[str, Any]:
 
 @_decoder
 def element_from_json(domain: Domain, data: Dict[str, Any]) -> Element:
-    coeffs, atoms = [], []
-    for x, v in data.get("prefix", ()):
-        coeffs.append(_typed(int, v))
-        atoms.append(domain.e(parse_ordinal(x)))
-    for t in data.get("tails", ()):
-        coeffs.append(1)
-        r, start = _typed(str, t["r"]), _typed(int, t["start"])
-        atoms.append(domain.tail(t["ladder"], r, start, weight=t["weight"]))
-    return domain.combine(coeffs, atoms)
+    return domain.literal(
+        [(parse_ordinal(x), _typed(int, v)) for x, v in data.get("prefix", ())],
+        [
+            (1, t["ladder"], _typed(str, t["r"]), _typed(int, t["start"]), t["weight"])
+            for t in data.get("tails", ())
+        ],
+    )
 
 
 def _ladder_to_json(L: Ladder) -> Dict[str, Any]:

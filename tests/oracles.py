@@ -5,21 +5,24 @@ algorithms than the package uses: the ordinal order by a term-by-term
 walk of the normal forms, ordinal addition by block rewriting,
 derived-set ranks by grid refinement, kernel decompositions by greedy
 forced-coefficient peeling, and membership in a window widened by the
-target with two separate Hermite forms, and the lattice meet through the
-canonical difference of its arguments.
+target with two separate Hermite forms, the lattice meet through the
+canonical difference of its arguments, and element literals by a
+character scanner that sums one canonical atom per term.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ordlat.element import Element, _from_values
+from ordlat.element import Domain, Element, _from_values
 from ordlat.group import CoordinateSystem, Decomposition
 from ordlat.intlinalg import row_rank, solve_in_rowspace
-from ordlat.ordinal import Ordinal, compare, from_int, omega_power
+from ordlat.ordinal import Ordinal, compare, from_int, omega_power, parse_ordinal
 from ordlat.space import ScatteredSpace
 
 # --- the ordinal order, read off the normal forms ------------------------------
@@ -251,3 +254,99 @@ def subtract_meet(f: Element, g: Element) -> Element:
     for x, _ in f.off + g.off:
         off[x] = min(f._offmap.get(x, 0), g._offmap.get(x, 0))
     return _from_values(f.domain, off, on, tails)
+
+
+# --- element literals, one atom per term ----------------------------------------
+
+
+def reference_parse_element(domain: Domain, text: str) -> Element:
+    """Parse a linear combination of e(...) spikes and tail(...) terms.
+
+    Each term becomes its own canonical atom through Domain.e or
+    Domain.tail, found by matching parentheses character by character,
+    and Domain.combine sums the atoms.  A repeated tail argument keeps its
+    last value, and a zero denominator raises ZeroDivisionError.
+
+    Grammar:  elem := [-] term (("+"|"-") term)* ;
+    term := [INT *] atom ; atom := e(ORDINAL) | tail(key=value, ...).
+    """
+    if text.strip() == "0":
+        return domain.zero()
+    pos = 0
+    coeffs: List[int] = []
+    atoms: List[Element] = []
+    sign = 1
+    first = True
+
+    def error(msg: str):
+        raise ValueError(f"{msg} (at offset {pos} in {text!r})")
+
+    n = len(text)
+    while pos < n:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos >= n:
+            break
+        if not first or text[pos] in "+-":
+            if text[pos] == "+":
+                sign = 1
+            elif text[pos] == "-":
+                sign = -1
+            elif first:
+                sign = 1
+                pos -= 1  # no sign; re-read
+            else:
+                error("expected + or -")
+            pos += 1
+        first = False
+        while pos < n and text[pos].isspace():
+            pos += 1
+        m = re.match(r"(\d+)\s*\*\s*", text[pos:])
+        coeff = 1
+        if m:
+            coeff = int(m.group(1))
+            pos += m.end()
+        if text.startswith("e(", pos):
+            depth, j = 1, pos + 2
+            while j < n and depth:
+                depth += text[j] == "("
+                depth -= text[j] == ")"
+                j += 1
+            if depth:
+                error("unbalanced parentheses")
+            coeffs.append(sign * coeff)
+            atoms.append(domain.e(parse_ordinal(text[pos + 2 : j - 1])))
+            pos = j
+        elif text.startswith("tail(", pos):
+            depth, j = 1, pos + 5
+            while j < n and depth:
+                depth += text[j] == "("
+                depth -= text[j] == ")"
+                j += 1
+            if depth:
+                error("unbalanced tail(...)")
+            body = text[pos + 5 : j - 1]
+            kv: Dict[str, str] = {}
+            for piece in body.split(","):
+                if "=" not in piece:
+                    error(f"bad tail argument {piece!r}")
+                key, val = piece.split("=", 1)
+                kv[key.strip()] = val.strip()
+            unknown = set(kv) - {"ladder", "weight", "r", "start"}
+            if unknown:
+                error(f"unknown tail arguments {sorted(unknown)}")
+            if "ladder" not in kv or "r" not in kv or "start" not in kv:
+                error("tail needs ladder=, r= and start=")
+            coeffs.append(sign * coeff)
+            atoms.append(
+                domain.tail(
+                    kv["ladder"],
+                    Fraction(kv["r"]),
+                    int(kv["start"]),
+                    weight=kv.get("weight"),
+                )
+            )
+            pos = j
+        else:
+            error("expected e(...) or tail(...)")
+    return domain.combine(coeffs, atoms)

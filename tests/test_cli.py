@@ -229,10 +229,27 @@ def _float_coefficient(doc):
     )
 
 
+def _zero_denominator_tail(doc):
+    entry = next(p for p in doc["pool"] if p["element"]["tails"])
+    entry["element"]["tails"][0]["r"] = "1/0"
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_null_pool_entry, _float_rank, _string_provenance, _float_coefficient],
-    ids=["null-pool-entry", "float-rank", "string-provenance", "float-coefficient"],
+    [
+        _null_pool_entry,
+        _float_rank,
+        _string_provenance,
+        _float_coefficient,
+        _zero_denominator_tail,
+    ],
+    ids=[
+        "null-pool-entry",
+        "float-rank",
+        "string-provenance",
+        "float-coefficient",
+        "zero-denominator-tail",
+    ],
 )
 def test_cert_verify_hostile_certificate_is_bad_input(capsys, tmp_path, corrupt):
     cert = tmp_path / "cert.json"
@@ -390,6 +407,32 @@ def test_decompose_parse_error(capsys):
     rc, _, err = run(capsys, "decompose", "--preset", "limitq", "e(3) + garbage")
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "tail(ladder=q, r=1/0, start=1)",
+        "tail(ladder=q, r=1, start=1, start=2)",
+    ],
+    ids=["zero-denominator", "repeated-argument"],
+)
+def test_decompose_bad_tail_literal_is_bad_input(capsys, text):
+    rc, out, err = run(capsys, "decompose", "--preset", "limitq", text)
+    assert rc == 2
+    assert "error:" in err
+    assert "Traceback" not in out + err
+
+
+def test_decompose_input_zero_denominator_is_bad_input(capsys, tmp_path, limitq):
+    doc = presentation_to_json(limitq)
+    doc["generators"][0]["element"]["tails"][0]["r"] = "1/0"
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "decompose", "--input", str(path), "e(3)")
+    assert rc == 2
+    assert "zero denominator" in err
+    assert "Traceback" not in out + err
 
 
 def test_decompose_deeply_nested_ordinal_is_bad_input(capsys):

@@ -9,9 +9,7 @@ from ordlat import presets
 from ordlat.element import (
     Domain,
     Ladder,
-    TailTerm,
     WeightFn,
-    _canonical,
     _makes_up,
     _settle,
     bounded_ratio_witness,
@@ -26,7 +24,7 @@ from ordlat.serialize import element_from_json, element_to_json
 from ordlat.space import ScatteredSpace
 
 from .conftest import combos
-from .oracles import subtract_meet
+from .oracles import reference_parse_element, subtract_meet
 
 
 @pytest.fixture(scope="module")
@@ -432,7 +430,12 @@ def check_ladder_queries(pres, f):
     assert f.is_nonneg() == nonneg
 
 
-# --- index-keyed arithmetic against the ordinal entry -----------------------------
+# --- index-keyed arithmetic against the literal entry -----------------------------
+
+
+def literal_tails(c, g):
+    """g's tail terms, times c, as Domain.literal reads them."""
+    return [(c, t.ladder_id, t.coeff, t.start, t.weight.label()) for t in g.tails]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PRESETS))
@@ -453,7 +456,7 @@ def test_indexed_results_match_ordinal_entry(name, data):
         d.combine(coeffs, [f, g, -f, g]),
     ]
     for h in results:
-        assert _canonical(d, dict(h.prefix), h.tails) == h
+        assert d.literal(h.prefix, literal_tails(1, h)) == h
         assert element_from_json(d, element_to_json(h)) == h
 
 
@@ -668,19 +671,14 @@ COMBINE_PRESETS = {
 
 def fold(domain, coeffs, elements):
     """The reference sum: every ordinal prefix value and tail term scaled
-    and collected by hand, then canonicalized once through the ordinal
-    entry, so that neither Domain.combine nor + and * take part."""
-    prefix = {}
+    and listed by hand, then canonicalized once through Domain.literal,
+    so that neither Domain.combine nor + and * take part."""
+    points = []
     tails = []
     for c, g in zip(coeffs, elements):
-        for x, v in g.prefix:
-            prefix[x] = prefix.get(x, 0) + c * v
-        if c:
-            tails += [
-                TailTerm(t.ladder_id, t.weight, c * t.num, t.den, t.start)
-                for t in g.tails
-            ]
-    return _canonical(domain, prefix, tails)
+        points += [(x, c * v) for x, v in g.prefix]
+        tails += literal_tails(c, g)
+    return domain.literal(points, tails)
 
 
 @pytest.mark.parametrize("name", sorted(COMBINE_PRESETS))
@@ -739,3 +737,131 @@ def test_parse_element_errors(limitq):
     with pytest.raises(ValueError) as exc:
         parse_element(limitq.domain, "e(0) + nonsense")
     assert "offset 7" in str(exc.value)
+
+
+# --- the literal entry ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "e(w) - e(w)",  # a target is refused even where its values cancel
+        "0*e(w)",
+        "0*tail(ladder=q, r=1/6, start=0)",  # checked though scaled to 0
+        "3*tail(ladder=q, r=1/6, start=2)",  # checked before it is scaled
+        "tail(ladder=q, r=0, start=1)",
+        "tail(ladder=q, r=1, start=-1)",
+        "tail(ladder=q, r=1/0, start=1)",
+        "tail(ladder=q, r=1, start=1, start=2)",
+        "tail(ladder=q, ladder=q, r=1, start=1)",
+        "tail(ladder=q, weight=factorial, weight=factorial, r=1, start=1)",
+    ],
+)
+def test_literal_refusals(limitq, text):
+    with pytest.raises(ValueError):
+        parse_element(limitq.domain, text)
+
+
+def test_literal_checks_every_listed_term(limitq):
+    d = limitq.domain
+    with pytest.raises(ValueError, match="ladder target"):
+        d.literal([(OMEGA, 1), (OMEGA, -1)], [])
+    with pytest.raises(ValueError, match="not integral"):
+        d.literal([], [(0, "q", Fraction(1, 6), 0, None)])
+    with pytest.raises(ValueError, match="zero denominator"):
+        d.literal([], [(1, "q", "1/0", 1, None)])
+    assert d.literal([(from_int(3), 2), (from_int(3), -2)], []).is_zero
+    assert d.literal([], [(2, "q", "1/2", 2, None), (-1, "q", 1, 2, None)]).is_zero
+
+
+def test_literal_cancellation_at_a_far_index_is_cheap(limitq):
+    # what cancels never reaches the canonical scan
+    d = limitq.domain
+    far = d.ladder("q").point(10**6)
+    t0 = time.perf_counter()
+    f = d.literal([(far, 0)], [(1, "q", 1, 0, None)])
+    far_tails = [(1, "q", 1, 10**6, None), (-1, "q", 1, 10**6, None)]
+    g = d.literal([], [(1, "q", 1, 0, None)] + far_tails)
+    assert time.perf_counter() - t0 < 0.1
+    assert f == g == d.tail("q", 1, 0)
+
+
+def _grammar_texts(pres):
+    """Literal texts drawn from the element grammar: spacing, signs, 0*
+    and other multipliers, parenthesised weight labels, and, now and then,
+    an atom that is refused.  No tail repeats an argument or has a zero
+    denominator."""
+    d = pres.domain
+    ladders = [L.id for L in d.ladders]
+    labels = sorted({w.label() for L in d.ladders for w in L.weights})
+    points = []
+    for x in ("0", "1", " 2 ", "3", "w", "w + 1", "w*2", "w^2 + 3", "w^(2)", "w^w"):
+        y = parse_ordinal(x)
+        if d.space.contains(y) and d.target_ladder(y) is None:
+            points.append(x)
+    pad = st.sampled_from(["", " ", "  "])
+
+    def mostly(good, bad):
+        return st.sampled_from(good * 6 + bad)
+
+    @st.composite
+    def tail(draw):
+        args = {
+            "ladder": mostly(ladders, ["zz"]),
+            "weight": mostly(labels, ["geometric(3)", "factgeom(2)", "bogus(1)"]),
+            "r": mostly(["1", "-1", "2", "1/2", "-3/2", "2/3", " 3 "], ["0", "x"]),
+            "start": mostly(["0", "1", "2", "3", "5", " 2"], ["-1", "x"]),
+        }
+        keys = draw(st.permutations(list(args)))
+        keys = [k for k in keys if k != "weight" or draw(st.booleans())]
+        if draw(st.integers(0, 19)) == 0:
+            keys = keys[1:]  # a required argument may go missing
+        body = ",".join(
+            f"{draw(pad)}{k}{draw(pad)}={draw(pad)}{draw(args[k])}" for k in keys
+        )
+        return f"tail({body})"
+
+    bad_atoms = ["e(w*9)", "e(w^^2)", "e()", "e(1", "e (1)", "tail(ladder=q", "junk"]
+    atom = st.one_of(
+        st.sampled_from(points).map(lambda x: f"e({x})"),
+        tail(),
+        st.integers(0, 9).flatmap(
+            lambda i: st.sampled_from(bad_atoms if i == 0 else points).map(
+                lambda x: x if i == 0 else f"e({x})"
+            )
+        ),
+    )
+    def term(sign):
+        multiplier = st.sampled_from(["", "0*", "2 * ", "3*", "1*"])
+        return st.tuples(sign, pad, multiplier, atom).map("".join)
+
+    @st.composite
+    def text(draw):
+        if draw(st.integers(0, 19)) == 0:
+            return draw(st.sampled_from(["0", " 0 ", "", "  "]))
+        first = draw(term(st.sampled_from(["", "-", "+"])))
+        rest = draw(st.lists(term(mostly(["-", "+"], [""])), max_size=3))
+        return draw(pad).join([first] + rest) + draw(pad)
+
+    return text()
+
+
+LITERAL_PRESETS = {
+    n: presets.load(n)
+    for n in ("limitq", "two_prime", "gridrows", "limit_power_two_weights")
+}
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_PRESETS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_parse_matches_reference_parser(name, data):
+    d = LITERAL_PRESETS[name].domain
+    text = data.draw(_grammar_texts(LITERAL_PRESETS[name]))
+    outcomes = []
+    for parse in (parse_element, reference_parse_element):
+        try:
+            outcomes.append(parse(d, text))
+        except (ValueError, KeyError):
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1], text

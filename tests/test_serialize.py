@@ -165,6 +165,9 @@ def test_presentation_string_fields_are_strict(limitq, path, value):
         {"tails": [{"ladder": "q", "weight": "factorial", "r": 1, "start": 3}]},
         {"tails": [{"ladder": "q", "weight": "factorial", "r": True, "start": 3}]},
         {"tails": [{"ladder": "q", "weight": "factorial", "r": None, "start": 3}]},
+        {"tails": [{"ladder": "q", "weight": "factorial", "r": "1/0", "start": 3}]},
+        # every listed point is checked, whatever its value
+        {"prefix": [["w", 0]]},
     ],
 )
 def test_malformed_element_is_value_error(limitq, data):
