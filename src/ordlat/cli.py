@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 a check failed, 2 bad input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -163,7 +164,10 @@ def _cmd_dd_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves
+    it as it was, so every `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="ordlat",
         description="lattice groups of finitely supported functions "

@@ -389,9 +389,8 @@ class Domain:
                 )
             key = (lid, w, start, d)
             sums[key] = sums.get(key, 0) + m * r.numerator
-        # what cancels goes, so that no far index widens the canonical scan
+        # what cancels goes; _canonical merges the rest over one denominator
         terms = [TailTerm(lid, w, n, d, s) for (lid, w, s, d), n in sums.items() if n]
-        on = {lid: {k: v for k, v in kv.items() if v} for lid, kv in on.items()}
         return _canonical(self, off, terms, on)
 
     def combine(
@@ -813,8 +812,14 @@ def _canonical(
     out_tails: List[TailTerm] = []
 
     for lid in sorted(set(by_ladder) | set(on)):
+        # What cancels goes before the walk down picks its first index: a
+        # window value that summed to 0, and the terms of one start and
+        # weight whose numerators over the ladder's denominator sum to 0
+        # (different denominators keep them apart until here).
         window = on.get(lid, {})
         s = 1 + max(window, default=-1)
+        if s and not window[s - 1]:
+            s = 1 + max((k for k, v in window.items() if v), default=-1)
         # (start, weight, numerator) over one denominator for the ladder
         raw: List[Tuple[int, WeightFn, int]] = []
         den = 1
@@ -822,6 +827,11 @@ def _canonical(
         if terms:
             den = math.lcm(*{t.den for t in terms})
             raw = [(t.start, t.weight, t.num * (den // t.den)) for t in terms]
+            if len(terms) > 1 and len({t.start for t in terms}) < len(terms):
+                merged: Dict[Tuple[int, WeightFn], int] = {}
+                for start, w, n in raw:
+                    merged[start, w] = merged.get((start, w), 0) + n
+                raw = [(start, w, n) for (start, w), n in merged.items() if n]
             residue: Dict[WeightFn, int] = {}
             for start, w, n in raw:
                 residue[w] = residue.get(w, 0) + n

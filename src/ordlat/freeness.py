@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ordlat.element import Element, WeightFn, _from_values
 from ordlat.group import CoordinateSystem, Presentation, Span
-from ordlat.intlinalg import echelon_basis, hnf_rows
+from ordlat.intlinalg import combine_rows, echelon_basis, hnf_rows
 from ordlat.ordinal import ZERO, Ordinal, format_ordinal, from_int
 from ordlat.space import ClopenBlock
 
@@ -717,11 +717,13 @@ class CheckReport:
         return "\n".join(f"{f.location}: {f.message}" for f in self.failures)
 
 
-def _independent_modulo(
+def _extend(
     basis: Tuple[Tuple[int, ...], ...], rows: Sequence[Sequence[int]]
-) -> bool:
-    """Whether rows are independent modulo the span of an echelon basis."""
-    return len(echelon_basis(basis + tuple(rows))) == len(basis) + len(rows)
+) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
+    """An echelon basis of basis + rows, and whether rows are independent
+    modulo the span of basis, itself an echelon basis."""
+    ext = echelon_basis(basis + tuple(rows))
+    return ext, len(ext) == len(basis) + len(rows)
 
 
 def smooth_chain_check(
@@ -733,6 +735,11 @@ def smooth_chain_check(
     re-sums, per-step independence ranks, torsion witness re-sums, final
     basis rank, and target re-sums.  No chain-building logic is trusted.
     When a provenance fails, the check stops after the provenance re-sums.
+
+    Each pool element's coordinate row is read once.  coords is linear, so
+    the row of a combination of pool elements is the same combination of
+    their rows: quotient and final-basis rows come from row arithmetic
+    alone.  Provenance, witnesses and targets are re-sums of elements.
     """
     failures: List[CheckFailure] = []
     domain = pres.domain
@@ -771,11 +778,13 @@ def smooth_chain_check(
     elements = [p.element for p in pool]
     # The window comes from the pool alone, so a target cannot widen it.
     # Each pool element is now a checked combination of the generators or
-    # has no provenance.  coords only ever sees pool elements and their
-    # combinations, for which the window is faithful (see
-    # CoordinateSystem).  Targets are checked by re-summing alone.
+    # has no provenance.  coords reads pool elements only; the rows of
+    # their combinations are the same combinations of their rows, which
+    # the window keeps faithful (see CoordinateSystem).  Targets are
+    # checked by re-summing alone.
     cs = CoordinateSystem.for_elements(domain, elements)
     rows = [cs.coords(g) for g in elements]
+    ncols = len(cs.points) + len(cs.axes)
     # an echelon basis of the rows of the pool entries before the step
     prior: Tuple[Tuple[int, ...], ...] = ()
 
@@ -795,7 +804,8 @@ def smooth_chain_check(
             cursor = width
             continue
         visible = cursor + len(step.a_extension)
-        if not _independent_modulo(prior, rows[cursor:visible]):
+        extended, free = _extend(prior, rows[cursor:visible])
+        if not free:
             failures.append(
                 CheckFailure(
                     f"step:{step.label}",
@@ -832,8 +842,11 @@ def smooth_chain_check(
                     )
                 )
                 continue
-            acc = domain.combine(w.coeffs, elements[:visible])
-            if acc != w.bound * elements[idx]:
+            # coeffs over the visible pool less bound * the extra
+            residual = domain.combine(
+                (*w.coeffs, -w.bound), elements[:visible] + [elements[idx]]
+            )
+            if not residual.is_zero:
                 failures.append(
                     CheckFailure(
                         f"step:{step.label}",
@@ -864,36 +877,34 @@ def smooth_chain_check(
                     )
                 )
                 continue
-            acc = domain.combine(combo, elements[: len(combo)])
-            q_rows.append(cs.coords(acc))
-        if q_rows and not _independent_modulo(prior, q_rows):
+            q_rows.append(combine_rows(combo, rows, ncols))
+        if q_rows and not _extend(prior, q_rows)[1]:
             failures.append(
                 CheckFailure(
                     f"step:{step.label}",
                     "quotient basis is dependent modulo the previous steps",
                 )
             )
-        prior = echelon_basis(prior + tuple(rows[cursor:width]))
+        # the extension's echelon basis already spans prior and a_ext
+        extras = rows[visible:width]
+        prior = echelon_basis(extended + tuple(extras)) if extras else extended
         cursor = width
     if cursor != len(pool):
         failures.append(
             CheckFailure("pool", "steps do not account for every pool entry")
         )
 
-    basis_rows = []
-    basis_elements = []
+    combos = []
     for i, combo in enumerate(cert.final_basis):
         if len(combo) != len(pool):
             failures.append(
                 CheckFailure(f"basis:{i}", "combo length mismatch")
             )
             continue
-        acc = domain.combine(combo, elements)
-        basis_elements.append(acc)
-        basis_rows.append(cs.coords(acc))
+        combos.append(combo)
     # one Hermite form of the basis gives its rank and every pool solve
-    basis = hnf_rows(basis_rows)
-    if basis.rank != len(basis_rows):
+    basis = hnf_rows([combine_rows(c, rows, ncols) for c in combos])
+    if basis.rank != len(combos):
         failures.append(CheckFailure("basis", "final basis is dependent"))
     if cert.rank != len(cert.final_basis):
         failures.append(
@@ -909,12 +920,14 @@ def smooth_chain_check(
             )
 
     for t in cert.targets:
-        if len(t.coeffs) != len(basis_elements):
+        if len(t.coeffs) != len(combos):
             failures.append(
                 CheckFailure(f"target:{t.name}", "coefficient length mismatch")
             )
             continue
-        if domain.combine(t.coeffs, basis_elements) != t.element:
+        # one re-sum over the pool: the coefficients times the basis combos
+        over_pool = combine_rows(t.coeffs, combos, len(pool))
+        if domain.combine(over_pool, elements) != t.element:
             failures.append(
                 CheckFailure(
                     f"target:{t.name}", "coefficients do not re-sum to the target"

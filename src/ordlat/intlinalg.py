@@ -137,6 +137,18 @@ def echelon_basis(rows: Sequence[Sequence[int]]) -> Tuple[Row, ...]:
     return tuple(tuple(row) for row in h[: len(_reduce(h, None))])
 
 
+def combine_rows(
+    coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int
+) -> Row:
+    """The sum of c * row over zip(coeffs, rows): x @ rows for rows of the
+    given width."""
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [a + c * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
 def row_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(echelon_basis(rows))
 

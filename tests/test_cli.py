@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ordlat.cli import main
+from ordlat.cli import build_parser, main
 from ordlat.element import parse_element
 from ordlat.group import Presentation
 from ordlat.presets import PRESETS
@@ -16,6 +20,9 @@ from ordlat.serialize import (
     element_to_json,
     presentation_to_json,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -648,3 +655,55 @@ def test_extract_basis_frozen_table_covers_every_preset():
     assert set(EXTRACT_BASIS_FROZEN) == set(PRESETS)
     codes = [rc for runs in EXTRACT_BASIS_FROZEN.values() for rc, _, _ in runs]
     assert (len(codes), codes.count(0), codes.count(2)) == (64, 46, 18)
+
+
+# --- one parser per process ------------------------------------------------------------
+
+
+def _in_this_process(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as ex:  # argparse's usage errors
+        rc = ex.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _in_a_fresh_process(argv):
+    code = "import sys; from ordlat.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_reuses_one_parser(capsys, tmp_path, monkeypatch):
+    # every call answers as it does as the first call of a new interpreter,
+    # a usage error included, and the parser is built once
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    build_parser.cache_clear()
+
+    def calls(d):
+        d.mkdir()
+        cert = str(d / "cert.json")
+        return [
+            ["extract-basis", "--depth", "3"],  # no source
+            ["extract-basis", "--preset", "limitq", "--output", cert],
+            ["cert-verify", "--preset", "limitq", "--cert", cert],
+            ["decompose", "--preset", "limitq", "e(3)"],
+        ]
+
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    codes = []
+    for argv, fresh_argv in zip(calls(here), calls(fresh)):
+        got = _in_this_process(capsys, argv)
+        assert got == _in_a_fresh_process(fresh_argv), argv
+        codes.append(got[0])
+    assert codes == [2, 0, 0, 0]
+    assert (here / "cert.json").read_text() == (fresh / "cert.json").read_text()
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)

@@ -1,9 +1,14 @@
+import functools
 import hashlib
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ordlat import presets
 from ordlat.element import Domain
@@ -26,10 +31,13 @@ from ordlat.freeness import (
     smooth_chain_check,
     verify_staircase,
 )
-from ordlat.group import Presentation, Span, member_decompose
+from ordlat.group import CoordinateSystem, Presentation, Span, member_decompose
+from ordlat.intlinalg import combine_rows
 from ordlat.ordinal import from_int
 from ordlat.serialize import certificate_to_json, dumps
 from ordlat.space import ClopenBlock, ScatteredSpace
+
+from .checker_cases import GROUPS, checker_reports
 
 AXIOMS = ("positive", "ascending", "commensurable", "low-difference", "factorial-bound")
 
@@ -517,6 +525,53 @@ def test_every_built_certificate_verifies(name):
                 continue
             report = smooth_chain_check(pres, cert)
             assert report.ok, f"{mode} depth {depth}: {report.explain()}"
+
+
+@functools.cache
+def _auto_pool(name):
+    """A preset's auto-certificate pool, its coordinates and their rows."""
+    pres = presets.load(name)
+    elements = [p.element for p in certify(pres).pool]
+    cs = CoordinateSystem.for_elements(pres.domain, elements)
+    return pres.domain, elements, cs, [cs.coords(g) for g in elements]
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_BUILDS))
+@given(data=st.data())
+def test_pool_rows_combine_as_the_pool_does(name, data):
+    # the checker's premise: coords is linear on the pool's combinations,
+    # so a combination of a pool prefix has that combination of its rows
+    domain, elements, cs, rows = _auto_pool(name)
+    n = data.draw(st.integers(0, len(elements)))
+    c = data.draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+    ncols = len(cs.points) + len(cs.axes)
+    assert combine_rows(c, rows, ncols) == cs.coords(domain.combine(c, elements[:n]))
+
+
+# (ok, first 16 hex digits of the SHA-256 of explain()) per checker case,
+# frozen from a checker that built and read every combination as an element
+CHECKER_REPORTS = json.loads(
+    (Path(__file__).parent / "checker_reports.json").read_text()
+)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_checker_reports_are_frozen(group):
+    got = checker_reports(group)
+    want = {
+        case: tuple(v)
+        for case, v in CHECKER_REPORTS.items()
+        if case.split(":")[0] == group
+    }
+    assert set(got) == set(want)
+    changed = sorted(case for case in got if got[case] != want[case])
+    assert not changed, changed[:10]
+
+
+def test_checker_report_table_covers_every_certifying_preset():
+    assert {case.split(":")[0] for case in CHECKER_REPORTS} == set(GROUPS)
+    assert sum(case.startswith("mutation:") for case in CHECKER_REPORTS) == 20
+    assert set(GROUPS) == {"mutation"} | set(EXPLICIT_BUILDS)
 
 
 def test_limit_chain_leaves_out_a_torsion_pad():
