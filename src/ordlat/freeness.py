@@ -575,20 +575,12 @@ def restrict_element(f: Element, block: ClopenBlock) -> Element:
     return _from_values(domain, off, on, tails)
 
 
-def _blocks_disjoint(blocks: Sequence[ClopenBlock]) -> bool:
-    ordered = sorted(blocks, key=lambda b: b.high.key())
-    for a, b in zip(ordered, ordered[1:]):
-        if b.low is None or a.high > b.low:
-            return False
-    return True
-
-
-def multi_prime_compose(
-    pres: Presentation, blocks: Sequence[ClopenBlock]
-) -> FreenessCertificate:
-    """Split a presentation over disjoint clopen blocks and build each
+def multi_prime_compose(pres: Presentation) -> FreenessCertificate:
+    """Split a presentation over one clopen block per ladder and build each
     block's successor chain straight into one composite certificate.
 
+    The blocks follow the ladders in target order: each runs from the
+    previous ladder's target (exclusive; 0 for the first) up to its own.
     Every generator restriction must stay inside the presented group (it
     must decompose over the original generators).  Each block chain sees
     its restrictions' ladder values only; what is left of each generator,
@@ -596,18 +588,12 @@ def multi_prime_compose(
     which is certified directly as an integer lattice.
     """
     domain = pres.domain
-    if not blocks:
-        raise CompositionError("need at least one block")
-    if not _blocks_disjoint(blocks):
-        raise CompositionError("blocks overlap")
-    for L in domain.ladders:
-        if sum(1 for b in blocks if b.contains(L.target)) != 1:
-            raise CompositionError(
-                f"target of ladder {L.id} must lie in exactly one block"
-            )
+    ladders = sorted(domain.ladders, key=lambda L: L.target)
+    lows = [ZERO] + [L.target for L in ladders]
+    blocks = [ClopenBlock(low, L.target) for low, L in zip(lows, ladders)]
 
     restrictions: List[List[Element]] = []
-    for bi, block in enumerate(blocks):
+    for block in blocks:
         col = []
         for name, g in pres.generators:
             r = restrict_element(g, block)
@@ -641,8 +627,7 @@ def multi_prime_compose(
         ]
         chain.step("residual", a_ext, [], 1)
 
-    for bi, block in enumerate(blocks):
-        L = next(M for M in domain.ladders if block.contains(M.target))
+    for bi, (L, block) in enumerate(zip(ladders, blocks)):
         k_first = 0
         while not block.contains(L.point(k_first)):
             k_first += 1
@@ -659,12 +644,6 @@ def multi_prime_compose(
         _successor_steps(chain, sub, None, L.id, k_first, f"b{bi}.")
 
     return chain.finish(pres.generators)
-
-
-def _auto_blocks(pres: Presentation) -> List[ClopenBlock]:
-    """One block per ladder: from the previous target up to its own."""
-    targets = sorted((L.target for L in pres.domain.ladders), key=Ordinal.key)
-    return [ClopenBlock(low, t) for low, t in zip([ZERO] + targets, targets)]
 
 
 def certify(
@@ -689,7 +668,7 @@ def certify(
             else "successor"
         )
     if mode == "compose":
-        return multi_prime_compose(pres, _auto_blocks(pres))
+        return multi_prime_compose(pres)
     if mode == "successor":
         return build_chain_successor(pres, depth)
     if mode == "limit":
@@ -732,8 +711,9 @@ def smooth_chain_check(
     """Re-verify a freeness certificate from scratch.
 
     Uses only exact evaluation and integer row reduction: provenance
-    re-sums, per-step independence ranks, torsion witness re-sums, final
-    basis rank, and target re-sums.  No chain-building logic is trusted.
+    re-sums, per-step independence ranks, one quotient row per extension
+    element, torsion witness re-sums, final basis rank, and target
+    re-sums.  No chain-building logic is trusted.
     When a provenance fails, the check stops after the provenance re-sums.
 
     Each pool element's coordinate row is read once.  coords is linear, so
@@ -883,6 +863,13 @@ def smooth_chain_check(
                 CheckFailure(
                     f"step:{step.label}",
                     "quotient basis is dependent modulo the previous steps",
+                )
+            )
+        elif len(step.quotient_basis) != len(step.a_extension):
+            failures.append(
+                CheckFailure(
+                    f"step:{step.label}",
+                    "quotient basis needs one row per extension element",
                 )
             )
         # the extension's echelon basis already spans prior and a_ext

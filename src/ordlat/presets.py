@@ -1,13 +1,14 @@
 """Ready-made domains and presentations used by the CLI, tests, and scripts.
 
-Each preset is a zero-argument callable registered in PRESETS; call
-`load(name)` to instantiate one.  The constructions are small enough to
-rebuild on every call, which keeps them immune to cross-test mutation.
+Each preset is a zero-argument callable registered in PRESETS; `load(name)`
+builds it once per process.  A presentation is immutable, so every caller
+shares that one instance and its cached span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Callable, Dict, List, Tuple
 
@@ -21,7 +22,7 @@ from ordlat.ordinal import (
     from_int,
     omega_power,
 )
-from ordlat.space import ClopenBlock, ScatteredSpace
+from ordlat.space import ScatteredSpace
 
 FACTORIAL = WeightFn("factorial")
 
@@ -138,14 +139,6 @@ def two_prime() -> Presentation:
     return Presentation("two_prime", dom, gens)
 
 
-def two_prime_blocks() -> Tuple[ClopenBlock, ClopenBlock]:
-    """The canonical split for two_prime: (0, w] and (w, w*2]."""
-    return (
-        ClopenBlock(ZERO, OMEGA),
-        ClopenBlock(OMEGA, omega_power(ONE, 2)),
-    )
-
-
 def _power_domain() -> Domain:
     top = omega_power(OMEGA)
     return Domain(
@@ -162,18 +155,18 @@ def _power_domain() -> Domain:
     )
 
 
-def limit_power(levels: int = 5) -> Presentation:
-    """Factorial staircase on the power ladder of [0, w^w]."""
+def limit_power() -> Presentation:
+    """Factorial staircase f_0..f_5 on the power ladder of [0, w^w]."""
     dom = _power_domain()
     gens = tuple(
         (f"f_{n}", dom.tail("pw", Fraction(1, factorial(n)), n))
-        for n in range(levels + 1)
+        for n in range(6)
     )
     return Presentation("limit_power", dom, gens)
 
 
-def limit_power_two_weights(levels: int = 4) -> Presentation:
-    """Two weight scales sharing one power ladder."""
+def limit_power_two_weights() -> Presentation:
+    """Two weight scales sharing one power ladder: f_0..f_4 and h_0..h_4."""
     top = omega_power(OMEGA)
     dom = Domain(
         ScatteredSpace(top),
@@ -187,44 +180,31 @@ def limit_power_two_weights(levels: int = 4) -> Presentation:
             ),
         ),
     )
-    gens: List[Tuple[str, Element]] = []
-    for n in range(levels + 1):
-        gens.append(
-            (
-                f"f_{n}",
-                dom.tail(
-                    "pw", Fraction(1, factorial(n)), n, weight="factorial"
-                ),
-            )
-        )
-    for n in range(levels + 1):
-        gens.append(
-            (
-                f"h_{n}",
-                dom.tail(
-                    "pw", Fraction(1, factorial(n)), n, weight="factgeom(2)"
-                ),
-            )
-        )
+    gens = tuple(
+        (f"{p}_{n}", dom.tail("pw", Fraction(1, factorial(n)), n, weight=w))
+        for p, w in (("f", "factorial"), ("h", "factgeom(2)"))
+        for n in range(5)
+    )
     return Presentation("limit_power_two_weights", dom, gens)
 
 
-def limit_power_integer(levels: int = 4) -> Presentation:
-    """Degenerate staircase: every residue is 1, so levels stay redundant."""
+def limit_power_integer() -> Presentation:
+    """Degenerate staircase f_0..f_4: every residue is 1, so levels stay
+    redundant."""
     dom = _power_domain()
     gens = tuple(
         (f"f_{n}", dom.tail("pw", Fraction(1), n))
-        for n in range(levels + 1)
+        for n in range(5)
     )
     return Presentation("limit_power_integer", dom, gens)
 
 
-def limit_power_jump(levels: int = 3) -> Presentation:
-    """Members start three rungs per level up, so cancellations land high."""
+def limit_power_jump() -> Presentation:
+    """f_0..f_3 start three rungs per level up, so cancellations land high."""
     dom = _power_domain()
     gens = tuple(
         (f"f_{n}", dom.tail("pw", Fraction(1, factorial(n)), 3 * n))
-        for n in range(levels + 1)
+        for n in range(4)
     )
     return Presentation("limit_power_jump", dom, gens)
 
@@ -241,6 +221,7 @@ PRESETS: Dict[str, Callable[[], Presentation]] = {
 }
 
 
+@cache
 def load(name: str) -> Presentation:
     try:
         return PRESETS[name]()

@@ -223,6 +223,60 @@ def full_window_decompose(
     return Decomposition(coeffs=sol, unique=row_rank(rows) == len(gens))
 
 
+# --- quotient bases of a chain, by rational projection ------------------------------
+
+
+def quotient_basis_ok(cert) -> bool:
+    """Whether each step's quotient rows form a basis of L / sat_L(P).
+
+    L is the lattice of the pool prefix the step's quotient combinations
+    range over, P that of the entries before the step, and sat_L(P) the
+    part of L in P's rational span.  Right-multiplying by a matrix whose
+    columns span the kernel of P's rows maps L onto a lattice isomorphic
+    to L / sat_L(P), and sends the entries before the step to 0.  So the
+    rows form a basis exactly when their images are independent and each
+    of the step's own entries maps to an integer combination of them.
+    The lattice algebra is sympy's; only the coordinate rows come from
+    the package.
+    """
+    import sympy
+
+    pool = [p.element for p in cert.pool]
+    if not pool:
+        return not cert.steps
+    cs = CoordinateSystem.for_elements(pool[0].domain, pool)
+    rows = [cs.coords(g) for g in pool]
+    ncols = len(rows[0])
+
+    def matrix(rs, width=ncols):
+        return sympy.Matrix(len(rs), width, [x for r in rs for x in r])
+
+    cursor = 0
+    for step in cert.steps:
+        width = cursor + len(step.a_extension) + len(step.b_extras)
+        combos = step.quotient_basis
+        if step.quotient_over != width or any(len(c) != width for c in combos):
+            return False
+        kernel = matrix(rows[:cursor]).nullspace()
+        proj = sympy.Matrix.hstack(sympy.zeros(ncols, 0), *kernel)
+        own = matrix(rows[cursor:width]) * proj
+        quot = matrix(combos, width) * matrix(rows[:width]) * proj
+        cursor = width
+        if not combos:
+            if not own.is_zero_matrix:
+                return False
+            continue
+        if quot.rank() != len(combos):
+            return False
+        try:
+            coeffs, _ = quot.T.gauss_jordan_solve(own.T)
+        except ValueError:  # an entry's image is not in their rational span
+            return False
+        if not all(x.is_integer for x in coeffs):
+            return False
+    return True
+
+
 # --- meet through the canonical difference -----------------------------------------
 
 

@@ -346,7 +346,7 @@ def test_criterion_09_ideal_dictionary():
 def test_criterion_10_composition():
     t0 = time.perf_counter()
     pres = presets.two_prime()
-    cert = multi_prime_compose(pres, list(presets.two_prime_blocks()))
+    cert = multi_prime_compose(pres)
     rep = smooth_chain_check(pres, cert)
     assert rep.ok, rep.explain()
     assert cert.kind == "composite"

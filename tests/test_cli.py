@@ -12,7 +12,7 @@ import pytest
 from ordlat.cli import build_parser, main
 from ordlat.element import parse_element
 from ordlat.group import Presentation
-from ordlat.presets import PRESETS
+from ordlat.presets import PRESETS, load
 from ordlat.ordinal import from_int
 from ordlat.serialize import (
     dumps,
@@ -707,3 +707,30 @@ def test_main_reuses_one_parser(capsys, tmp_path, monkeypatch):
     assert (here / "cert.json").read_text() == (fresh / "cert.json").read_text()
     info = build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+def test_presets_are_loaded_once_per_process(capsys, tmp_path):
+    # a preset comes from load's cache after its first use, and every call
+    # on it prints what the first call of a new interpreter prints
+    load.cache_clear()
+
+    def calls(d, preset, element):
+        d.mkdir()
+        cert = str(d / "cert.json")
+        return [
+            ["extract-basis", "--preset", preset, "--output", cert],
+            ["cert-verify", "--preset", preset, "--cert", cert],
+            ["decompose", "--preset", preset, element],
+        ]
+
+    for preset, element in (("limitq", "e(3)"), ("two_prime", "2*e(0) + e(w+2)")):
+        here, fresh = tmp_path / f"{preset}-here", tmp_path / f"{preset}-fresh"
+        for argv, fresh_argv in zip(
+            calls(here, preset, element), calls(fresh, preset, element)
+        ):
+            got = _in_this_process(capsys, argv)
+            assert got == _in_a_fresh_process(fresh_argv), argv
+            assert got[0] == 0, argv
+        assert (here / "cert.json").read_text() == (fresh / "cert.json").read_text()
+    info = load.cache_info()
+    assert (info.misses, info.hits) == (2, 4)

@@ -93,7 +93,7 @@ def test_arith_ladder_points(limitq):
 def test_power_ladder_points():
     from ordlat import presets
 
-    L = presets.limit_power(3).domain.ladder("pw")
+    L = presets.limit_power().domain.ladder("pw")
     assert [str(L.point(k)) for k in range(3)] == ["w", "w^2", "w^3"]
     assert L.index_of(parse_ordinal("w^2")) == 1
     assert L.index_of(parse_ordinal("w^2 + 1")) is None

@@ -18,17 +18,15 @@ def test_registry_contents():
         assert p.generators
 
 
+def test_load_builds_each_preset_once():
+    for name in presets.PRESETS:
+        assert presets.load(name) is presets.load(name)
+
+
 def test_load_unknown_name():
     with pytest.raises(KeyError) as exc:
         presets.load("no_such_preset")
     assert "no_such_preset" in str(exc.value)
-
-
-def test_two_prime_blocks_cover_both_ladders():
-    p = presets.two_prime()
-    b1, b2 = presets.two_prime_blocks()
-    for L in p.domain.ladders:
-        assert b1.contains(L.target) != b2.contains(L.target)
 
 
 @pytest.mark.parametrize("name", sorted(presets.PRESETS))

@@ -73,7 +73,7 @@ def test_certificate_roundtrip(limitq):
 
 
 def test_composite_certificate_roundtrip(two_prime):
-    cert = multi_prime_compose(two_prime, list(presets.two_prime_blocks()))
+    cert = multi_prime_compose(two_prime)
     blob = certificate_to_json(cert)
     back = certificate_from_json(two_prime.domain, json.loads(dumps(blob)))
     assert back == cert
