@@ -23,7 +23,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from ordlat.group import Span
-from ordlat.intlinalg import echelon_basis, hnf_rows
+from ordlat.intlinalg import hnf_rows
 from ordlat.ordinal import OMEGA, compare, from_int
 from ordlat.presets import load
 
@@ -114,9 +114,6 @@ def main(argv=None):
         "span_build": per_call(span_build, 1, args.repeat),
         "span_decompose_spike": per_call(span_decompose, len(spikes), args.repeat),
         "hnf_rows_30x30": per_call(lambda: lambda: hnf_rows(matrix), 1, args.repeat),
-        "echelon_basis_30x30": per_call(
-            lambda: lambda: echelon_basis(matrix), 1, args.repeat
-        ),
     }
     print(
         json.dumps(

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ordlat.element import Element, WeightFn, _from_values
 from ordlat.group import CoordinateSystem, Presentation, Span
-from ordlat.intlinalg import combine_rows, echelon_basis, hnf_rows
+from ordlat.intlinalg import Row, combine_rows, hnf_rows
 from ordlat.ordinal import ZERO, Ordinal, format_ordinal, from_int
 from ordlat.space import ClopenBlock
 
@@ -696,13 +696,27 @@ class CheckReport:
         return "\n".join(f"{f.location}: {f.message}" for f in self.failures)
 
 
-def _extend(
-    basis: Tuple[Tuple[int, ...], ...], rows: Sequence[Sequence[int]]
-) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
-    """An echelon basis of basis + rows, and whether rows are independent
-    modulo the span of basis, itself an echelon basis."""
-    ext = echelon_basis(basis + tuple(rows))
-    return ext, len(ext) == len(basis) + len(rows)
+def _project(
+    prior: Sequence[Tuple[int, Row]], rows: Sequence[Sequence[int]]
+) -> List[List[int]]:
+    """Images of rows under one linear map whose kernel is the rational
+    span of prior, a list of (pivot column, row) pairs, each row zero at
+    every earlier pair's pivot.
+
+    Fraction-free elimination by each pair in list order, r <- b[c]*r -
+    r[c]*b, then division by the rows' joint gcd.  All rows share every
+    scale, so images of one call may be compared with each other.
+    """
+    out = [list(r) for r in rows]
+    for c, b in prior:
+        if not any(r[c] for r in out):
+            continue
+        s = b[c]
+        out = [[s * x - r[c] * y for x, y in zip(r, b)] for r in out]
+        g = math.gcd(*(x for r in out for x in r))
+        if g > 1:
+            out = [[x // g for x in r] for r in out]
+    return out
 
 
 def smooth_chain_check(
@@ -712,8 +726,8 @@ def smooth_chain_check(
 
     Uses only exact evaluation and integer row reduction: provenance
     re-sums, per-step independence ranks, one quotient row per extension
-    element, torsion witness re-sums, final basis rank, and target
-    re-sums.  No chain-building logic is trusted.
+    element and the quotient's index, torsion witness re-sums, final basis
+    rank, and target re-sums.  No chain-building logic is trusted.
     When a provenance fails, the check stops after the provenance re-sums.
 
     Each pool element's coordinate row is read once.  coords is linear, so
@@ -722,29 +736,29 @@ def smooth_chain_check(
     alone.  Provenance, witnesses and targets are re-sums of elements.
     """
     failures: List[CheckFailure] = []
+
+    def fail(location: str, message: str) -> None:
+        failures.append(CheckFailure(location, message))
+
     domain = pres.domain
     pool = cert.pool
 
     names = [p.name for p in pool]
     if len(set(names)) != len(names):
-        failures.append(CheckFailure("pool", "duplicate pool names"))
+        fail("pool", "duplicate pool names")
 
     provenance_fails = False
     for entry in pool:
         if entry.provenance is None:
             continue
         if len(entry.provenance) != len(pres.generators):
-            failures.append(
-                CheckFailure(f"pool:{entry.name}", "provenance length mismatch")
-            )
+            fail(f"pool:{entry.name}", "provenance length mismatch")
             provenance_fails = True
             continue
         if domain.combine(entry.provenance, pres.elements) != entry.element:
-            failures.append(
-                CheckFailure(
-                    f"pool:{entry.name}",
-                    "provenance does not re-sum to the pool element",
-                )
+            fail(
+                f"pool:{entry.name}",
+                "provenance does not re-sum to the pool element",
             )
             provenance_fails = True
     if provenance_fails:
@@ -765,160 +779,105 @@ def smooth_chain_check(
     cs = CoordinateSystem.for_elements(domain, elements)
     rows = [cs.coords(g) for g in elements]
     ncols = len(cs.points) + len(cs.axes)
-    # an echelon basis of the rows of the pool entries before the step
-    prior: Tuple[Tuple[int, ...], ...] = ()
+    # (pivot column, row) pairs whose rows span the pool entries before
+    # the step rationally, each row zero at every earlier pivot
+    prior: List[Tuple[int, Row]] = []
 
     cursor = 0
     for step in cert.steps:
+        at = f"step:{step.label}"
         expected = list(step.a_extension) + list(step.b_extras)
         width = cursor + len(expected)
         got = names[cursor:width]
         if got != expected:
-            failures.append(
-                CheckFailure(
-                    f"step:{step.label}",
-                    f"pool order mismatch: expected {expected}, found {got}",
-                )
-            )
-            prior = echelon_basis(prior + tuple(rows[cursor:width]))
+            fail(at, f"pool order mismatch: expected {expected}, found {got}")
+            form = hnf_rows(_project(prior, rows[cursor:width]))
+            prior.extend(zip(form.pivots, form.h))
             cursor = width
             continue
         visible = cursor + len(step.a_extension)
-        extended, free = _extend(prior, rows[cursor:visible])
-        if not free:
-            failures.append(
-                CheckFailure(
-                    f"step:{step.label}",
-                    "extension is dependent modulo the previous steps",
-                )
-            )
+        q_rows = [
+            combine_rows(combo, rows, ncols)
+            for combo in step.quotient_basis
+            if len(combo) == step.quotient_over
+        ]
+        # one map for the step's own rows and its quotient rows: it sends
+        # the earlier steps to 0 and is one-to-one modulo their span
+        images = _project(prior, rows[cursor:width] + q_rows)
+        own, q_images = images[: width - cursor], images[width - cursor :]
+        if hnf_rows(own[: visible - cursor]).rank != visible - cursor:
+            fail(at, "extension is dependent modulo the previous steps")
         if step.torsion_bound < 1:
-            failures.append(
-                CheckFailure(f"step:{step.label}", "torsion bound below 1")
-            )
+            fail(at, "torsion bound below 1")
         witnessed = set()
         for w in step.torsion_witnesses:
             if w.over != visible or len(w.coeffs) != visible:
-                failures.append(
-                    CheckFailure(
-                        f"step:{step.label}",
-                        f"witness for {w.extra} uses the wrong pool prefix",
-                    )
-                )
+                fail(at, f"witness for {w.extra} uses the wrong pool prefix")
                 continue
             if w.bound != step.torsion_bound:
-                failures.append(
-                    CheckFailure(
-                        f"step:{step.label}",
-                        f"witness bound {w.bound} != step bound",
-                    )
-                )
+                fail(at, f"witness bound {w.bound} != step bound")
             try:
                 idx = names.index(w.extra)
             except ValueError:
-                failures.append(
-                    CheckFailure(
-                        f"step:{step.label}", f"unknown extra {w.extra}"
-                    )
-                )
+                fail(at, f"unknown extra {w.extra}")
                 continue
             # coeffs over the visible pool less bound * the extra
             residual = domain.combine(
                 (*w.coeffs, -w.bound), elements[:visible] + [elements[idx]]
             )
             if not residual.is_zero:
-                failures.append(
-                    CheckFailure(
-                        f"step:{step.label}",
-                        f"witness for {w.extra} does not re-sum",
-                    )
-                )
+                fail(at, f"witness for {w.extra} does not re-sum")
             witnessed.add(w.extra)
         missing = set(step.b_extras) - witnessed
         if missing:
-            failures.append(
-                CheckFailure(
-                    f"step:{step.label}",
-                    f"extras without witnesses: {sorted(missing)}",
-                )
-            )
+            fail(at, f"extras without witnesses: {sorted(missing)}")
         if step.quotient_over != width:
-            failures.append(
-                CheckFailure(
-                    f"step:{step.label}", "quotient combos use the wrong prefix"
-                )
-            )
-        q_rows = []
+            fail(at, "quotient combos use the wrong prefix")
         for combo in step.quotient_basis:
             if len(combo) != step.quotient_over:
-                failures.append(
-                    CheckFailure(
-                        f"step:{step.label}", "quotient combo length mismatch"
-                    )
-                )
-                continue
-            q_rows.append(combine_rows(combo, rows, ncols))
-        if q_rows and not _extend(prior, q_rows)[1]:
-            failures.append(
-                CheckFailure(
-                    f"step:{step.label}",
-                    "quotient basis is dependent modulo the previous steps",
-                )
-            )
+                fail(at, "quotient combo length mismatch")
+        quotient = hnf_rows(q_images)
+        if q_rows and quotient.rank != len(q_rows):
+            fail(at, "quotient basis is dependent modulo the previous steps")
         elif len(step.quotient_basis) != len(step.a_extension):
-            failures.append(
-                CheckFailure(
-                    f"step:{step.label}",
-                    "quotient basis needs one row per extension element",
-                )
+            fail(at, "quotient basis needs one row per extension element")
+        elif q_rows and any(quotient.solve(r) is None for r in own):
+            # the map is one-to-one on L / sat_L(P): the rows are its basis
+            # exactly when their images generate the step's own images
+            fail(
+                at,
+                "quotient basis does not generate the step modulo the "
+                "previous steps",
             )
-        # the extension's echelon basis already spans prior and a_ext
-        extras = rows[visible:width]
-        prior = echelon_basis(extended + tuple(extras)) if extras else extended
+        form = hnf_rows(own)
+        prior.extend(zip(form.pivots, form.h))
         cursor = width
     if cursor != len(pool):
-        failures.append(
-            CheckFailure("pool", "steps do not account for every pool entry")
-        )
+        fail("pool", "steps do not account for every pool entry")
 
     combos = []
     for i, combo in enumerate(cert.final_basis):
         if len(combo) != len(pool):
-            failures.append(
-                CheckFailure(f"basis:{i}", "combo length mismatch")
-            )
+            fail(f"basis:{i}", "combo length mismatch")
             continue
         combos.append(combo)
     # one Hermite form of the basis gives its rank and every pool solve
     basis = hnf_rows([combine_rows(c, rows, ncols) for c in combos])
     if basis.rank != len(combos):
-        failures.append(CheckFailure("basis", "final basis is dependent"))
+        fail("basis", "final basis is dependent")
     if cert.rank != len(cert.final_basis):
-        failures.append(
-            CheckFailure("basis", "declared rank differs from basis size")
-        )
-    for i, row in enumerate(rows):
+        fail("basis", "declared rank differs from basis size")
+    for entry, row in zip(pool, rows):
         if basis.solve(row) is None:
-            failures.append(
-                CheckFailure(
-                    f"pool:{pool[i].name}",
-                    "pool element escapes the final basis",
-                )
-            )
+            fail(f"pool:{entry.name}", "pool element escapes the final basis")
 
     for t in cert.targets:
         if len(t.coeffs) != len(combos):
-            failures.append(
-                CheckFailure(f"target:{t.name}", "coefficient length mismatch")
-            )
+            fail(f"target:{t.name}", "coefficient length mismatch")
             continue
         # one re-sum over the pool: the coefficients times the basis combos
         over_pool = combine_rows(t.coeffs, combos, len(pool))
         if domain.combine(over_pool, elements) != t.element:
-            failures.append(
-                CheckFailure(
-                    f"target:{t.name}", "coefficients do not re-sum to the target"
-                )
-            )
+            fail(f"target:{t.name}", "coefficients do not re-sum to the target")
 
     return CheckReport(ok=not failures, failures=tuple(failures))

@@ -4,8 +4,7 @@ Row-style Hermite normal form with full transformation tracking: every
 result row is an explicit integer combination of the input rows, which is
 what lets certificates carry provenance for the generators they introduce.
 A Hermite form is computed once per family of rows and then answers any
-number of membership queries by back-substitution (`HnfResult.solve`);
-ranks need no transform and use a plain echelon form (`echelon_basis`).
+number of membership queries by back-substitution (`HnfResult.solve`).
 """
 
 from __future__ import annotations
@@ -50,30 +49,21 @@ class HnfResult:
         return tuple(x)
 
 
-def _matrix(rows: Sequence[Sequence[int]]) -> List[List[int]]:
-    h = [list(map(int, r)) for r in rows]
-    if any(len(r) != len(h[0]) for r in h):
-        raise ValueError("ragged matrix")
-    return h
-
-
-def _reduce(h: List[List[int]], u: Optional[List[List[int]]]) -> List[int]:
-    """Row-reduce h in place and return its pivot columns.
+def _reduce(h: List[List[int]], u: List[List[int]]) -> List[int]:
+    """Row-reduce h to its Hermite form in place, with u following every
+    row operation, and return its pivot columns.
 
     Euclidean elimination column by column: the row with the least nonzero
     entry (first on ties) becomes the pivot, made positive, and reduces the
-    rows below it.  With a transform u, u follows every row operation and
-    the entries above each pivot are reduced into [0, pivot), which gives
-    the Hermite form; without one the result is an echelon form, which is
-    all a rank needs.
+    rows below it; the entries above each pivot are then reduced into
+    [0, pivot).
     """
     m = len(h)
     n = len(h[0]) if m else 0
 
     def addmul(dst: int, src: int, q: int) -> None:
         h[dst] = [a - q * b for a, b in zip(h[dst], h[src])]
-        if u is not None:
-            u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
+        u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
 
     r = 0
     pivots: List[int] = []
@@ -87,12 +77,10 @@ def _reduce(h: List[List[int]], u: Optional[List[List[int]]]) -> List[int]:
             i0 = min(nz, key=lambda i: (abs(h[i][c]), i))
             if i0 != r:
                 h[r], h[i0] = h[i0], h[r]
-                if u is not None:
-                    u[r], u[i0] = u[i0], u[r]
+                u[r], u[i0] = u[i0], u[r]
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
-                if u is not None:
-                    u[r] = [-x for x in u[r]]
+                u[r] = [-x for x in u[r]]
             piv = h[r][c]
             clean = True
             for i in range(r + 1, m):
@@ -103,11 +91,10 @@ def _reduce(h: List[List[int]], u: Optional[List[List[int]]]) -> List[int]:
             if clean:
                 break
         if h[r][c]:
-            if u is not None:
-                for i in range(r):
-                    q = h[i][c] // h[r][c]
-                    if q:
-                        addmul(i, r, q)
+            for i in range(r):
+                q = h[i][c] // h[r][c]
+                if q:
+                    addmul(i, r, q)
             pivots.append(c)
             r += 1
     return pivots
@@ -119,7 +106,9 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> HnfResult:
     Pivots are positive, entries above each pivot lie in [0, pivot), and
     rows below a pivot are zero in its column.
     """
-    h = _matrix(rows)
+    h = [list(map(int, r)) for r in rows]
+    if any(len(r) != len(h[0]) for r in h):
+        raise ValueError("ragged matrix")
     m = len(h)
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     pivots = _reduce(h, u)
@@ -128,13 +117,6 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> HnfResult:
         u=tuple(tuple(row) for row in u),
         pivots=tuple(pivots),
     )
-
-
-def echelon_basis(rows: Sequence[Sequence[int]]) -> Tuple[Row, ...]:
-    """The nonzero rows of an echelon form of rows: a basis of their
-    integer row span, computed without a transform."""
-    h = _matrix(rows)
-    return tuple(tuple(row) for row in h[: len(_reduce(h, None))])
 
 
 def combine_rows(
@@ -150,7 +132,7 @@ def combine_rows(
 
 
 def row_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(echelon_basis(rows))
+    return hnf_rows(rows).rank
 
 
 def solve_in_rowspace(

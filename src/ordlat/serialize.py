@@ -238,10 +238,13 @@ def certificate_from_json(
         )
         for s in data["steps"]
     )
+    # a target written as a pool element is that element, decoded once
+    decoded = {dumps(p["element"]): e.element for p, e in zip(data["pool"], pool)}
     targets = tuple(
         TargetEntry(
             name=_typed(str, t["name"]),
-            element=element_from_json(domain, t["element"]),
+            element=decoded.get(dumps(t["element"]))
+            or element_from_json(domain, t["element"]),
             coeffs=_ints(t["coeffs"]),
         )
         for t in data["certifiedTargets"]

@@ -310,6 +310,24 @@ def test_cert_verify_large_target_start_is_fast(capsys, tmp_path):
     assert "target:e_0" in out
 
 
+def test_cert_verify_malformed_target_like_a_pool_element_is_bad_input(
+    capsys, tmp_path
+):
+    # equal to the pool element e_0 as Python values, but true is no integer
+    cert = tmp_path / "cert.json"
+    rc, _, _ = run(capsys, "extract-basis", "--preset", "limitq", "--output", str(cert))
+    assert rc == 0
+    data = json.loads(cert.read_text())
+    target = next(t for t in data["certifiedTargets"] if t["name"] == "e_0")
+    assert target["element"] == {"prefix": [["0", 1]], "tails": []}
+    target["element"]["prefix"][0][1] = True
+    cert.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "cert-verify", "--preset", "limitq", "--cert", str(cert))
+    assert rc == 2
+    assert "error:" in err
+    assert "Traceback" not in out + err
+
+
 def test_decode_large_tail_start_is_fast(limitq):
     # integrality is tested modulo the denominator: 7 divides 160 000!
     # without computing it, and 6! mod 7 != 0 rejects a start of 6

@@ -68,6 +68,20 @@ def test_microbench_prints_one_json_object():
         "span_build",
         "span_decompose_spike",
         "hnf_rows_30x30",
-        "echelon_basis_30x30",
     }
     assert all(cost > 0 for cost in report["ops"].values())
+
+
+def test_scale_report_measures_a_tiny_chain():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "scale_report", ROOT / "scripts" / "scale_report.py"
+    )
+    scale_report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale_report)
+    assert scale_report.SIZES == (24, 48, 64, 80)
+    m = scale_report.measure(6, repeat=1)
+    assert set(m) == {"build_s", "check_s", "ok"}
+    assert m["ok"] is True
+    assert m["build_s"] > 0 and m["check_s"] > 0

@@ -5,7 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordlat import presets
-from ordlat.freeness import build_chain_successor, multi_prime_compose, smooth_chain_check
+from ordlat.element import Domain
+from ordlat.freeness import (
+    build_chain_successor,
+    certify,
+    multi_prime_compose,
+    smooth_chain_check,
+)
 from ordlat.serialize import (
     CERTIFICATE_FORMAT,
     PRESENTATION_FORMAT,
@@ -94,6 +100,36 @@ def test_certificate_keys_are_camel_case(limitq):
     step = blob["steps"][0]
     assert {"label", "aExtension", "bExtras", "torsionBound"} <= set(step)
     assert "finalBasis" in blob and "certifiedTargets" in blob
+
+
+def test_targets_written_as_pool_elements_are_decoded_once(limitq, monkeypatch):
+    cert = certify(limitq)
+    blob = json.loads(dumps(certificate_to_json(cert)))
+    pool_json = [dumps(p["element"]) for p in blob["pool"]]
+    # every target of the auto certificate is written as a pool element
+    assert all(dumps(t["element"]) in pool_json for t in blob["certifiedTargets"])
+    calls = []
+    literal = Domain.literal
+    monkeypatch.setattr(
+        Domain, "literal", lambda self, *a, **k: calls.append(1) or literal(self, *a, **k)
+    )
+    back = certificate_from_json(limitq.domain, blob)
+    assert len(calls) == len(blob["pool"])
+    assert back == cert
+
+
+def test_target_unlike_the_pool_is_decoded_and_checked(limitq):
+    blob = certificate_to_json(build_chain_successor(limitq, 2))
+    target = blob["certifiedTargets"][0]
+    target["element"] = {"prefix": [["0", 2]], "tails": []}
+    back = certificate_from_json(limitq.domain, blob)
+    assert back.targets[0].element == 2 * back.pool[0].element
+    report = smooth_chain_check(limitq, back)
+    assert [f.location for f in report.failures] == [f"target:{target['name']}"]
+    # equal to a pool element as Python values, but true is not an integer
+    target["element"] = {"prefix": [["0", True]], "tails": []}
+    with pytest.raises(ValueError):
+        certificate_from_json(limitq.domain, blob)
 
 
 # --- hostile documents ---------------------------------------------------------------
