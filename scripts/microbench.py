@@ -8,7 +8,9 @@ mean over one pass.  The element operations run on seeded combinations of
 one to three generators, rebuilt before every pass, so that no cached
 ladder window carries over from one pass to the next; value reads twelve
 ladder points per element.  The matrix operations factor a seeded 30 x 30
-matrix with entries in [-9, 9].
+matrix with entries in [-9, 9]; grown_extend widens the Hermite form of
+its first 28 rows by one column and extends it by two rows, as a chain
+step does, on a fresh form each pass.
 """
 
 import argparse
@@ -23,7 +25,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from ordlat.group import Span
-from ordlat.intlinalg import hnf_rows
+from ordlat.intlinalg import GrownForm, hnf_rows
 from ordlat.ordinal import OMEGA, compare, from_int
 from ordlat.presets import load
 
@@ -105,6 +107,18 @@ def main(argv=None):
 
     mrng = random.Random(f"matrix:{args.seed}")
     matrix = [[mrng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
+    column = [mrng.randint(-9, 9) for _ in range(28)]
+    new_rows = [[mrng.randint(-9, 9) for _ in range(31)] for _ in range(2)]
+
+    def grown_extend():
+        form = GrownForm(30)
+        form.extend(matrix[:28])
+
+        def timed():
+            form.widen([column])
+            form.extend(new_rows)
+
+        return timed
 
     ops = {
         "meet": per_call(meet, PAIRS, args.repeat),
@@ -114,6 +128,7 @@ def main(argv=None):
         "span_build": per_call(span_build, 1, args.repeat),
         "span_decompose_spike": per_call(span_decompose, len(spikes), args.repeat),
         "hnf_rows_30x30": per_call(lambda: lambda: hnf_rows(matrix), 1, args.repeat),
+        "grown_extend": per_call(grown_extend, 1, args.repeat),
     }
     print(
         json.dumps(

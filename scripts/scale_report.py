@@ -7,7 +7,10 @@ Usage: scale_report.py
 For each n in SIZES, certify(limitq(n), depth=n-2) builds a certificate
 and smooth_chain_check checks it.  Each time is the median of REPEAT
 runs, each on a freshly built preset; the exponent between successive
-sizes n1 < n2 is log(t2 / t1) / log(n2 / n1).
+sizes n1 < n2 is log(t2 / t1) / log(n2 / n1).  Each size also reports
+its certificate's JSON size in bytes and the bit length of its largest
+torsion witness coefficient, which would show coefficient growth from
+an unreduced transform.  ok is whether every check passed.
 """
 
 import json
@@ -22,13 +25,15 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from ordlat.freeness import certify, smooth_chain_check
 from ordlat.presets import limitq
+from ordlat.serialize import certificate_to_json, dumps
 
 SIZES = (24, 48, 64, 80)
 REPEAT = 5
 
 
 def measure(n, repeat=REPEAT):
-    """Median build and check seconds of limitq(n) at depth n - 2, and
+    """Median build and check seconds of limitq(n) at depth n - 2, the
+    certificate's bytes and largest witness coefficient in bits, and
     whether every check passed."""
     builds, checks, ok = [], [], True
     for _ in range(repeat):
@@ -39,9 +44,12 @@ def measure(n, repeat=REPEAT):
         t = time.perf_counter()
         ok = smooth_chain_check(pres, cert).ok and ok
         checks.append(time.perf_counter() - t)
+    coeffs = [c for s in cert.steps for w in s.torsion_witnesses for c in w.coeffs]
     return {
         "build_s": round(statistics.median(builds), 4),
         "check_s": round(statistics.median(checks), 4),
+        "cert_bytes": len(dumps(certificate_to_json(cert))),
+        "witness_bits": max((abs(c).bit_length() for c in coeffs), default=0),
         "ok": ok,
     }
 

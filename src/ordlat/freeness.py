@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ordlat.element import Element, WeightFn, _from_values
-from ordlat.group import CoordinateSystem, Presentation, Span
+from ordlat.group import CoordinateSystem, GrownSpan, Presentation, Span
 from ordlat.intlinalg import Row, combine_rows, hnf_rows
 from ordlat.ordinal import ZERO, Ordinal, format_ordinal, from_int
 from ordlat.space import ClopenBlock
@@ -294,8 +294,8 @@ class _Chain:
     An entry gets its provenance over the presentation's generators when it
     joins the pool.  A step sees the pool from `start` on, so composition
     builds each block's chain straight into the composite pool; witnesses
-    and quotient rows carry zeros before `start`.  rank: the rank of the
-    pool from `start` on.
+    and quotient rows carry zeros before `start`.  span: the pool from
+    `start` on, grown by each step's entries rather than factored again.
     """
 
     def __init__(self, pres: Presentation, kind: str) -> None:
@@ -304,18 +304,24 @@ class _Chain:
         self.pool: List[PoolEntry] = []
         self.steps: List[ChainStep] = []
         self.start = 0
-        self.rank = 0
+        self.span = GrownSpan(pres.domain)
+        # an independent family writes its i-th generator only as e_i
+        gens = pres.elements if pres.span.unique else ()
+        self._units = {g: i for i, g in enumerate(gens)}
 
     def restart(self) -> None:
         """Let later steps see only the entries that join from now on."""
         self.start = len(self.pool)
-        self.rank = 0
+        self.span = GrownSpan(self.pres.domain)
 
     def _join(self, name: str, el: Element) -> None:
-        dec = self.pres.span.decompose(el)
-        self.pool.append(
-            PoolEntry(name, el, dec.coeffs if dec is not None else None)
-        )
+        i = self._units.get(el) if self._units else None
+        if i is not None:
+            prov = tuple(int(j == i) for j in range(len(self._units)))
+        else:
+            dec = self.pres.span.decompose(el)
+            prov = dec.coeffs if dec is not None else None
+        self.pool.append(PoolEntry(name, el, prov))
 
     def step(
         self,
@@ -330,26 +336,31 @@ class _Chain:
         joins a_ext only if it raises the rank; otherwise it is torsion
         modulo the pool and is left out.
 
-        One factorization of the visible pool gives the rank, the
-        witnesses, and through their coefficients on a_ext the quotient
-        rows, the same rows free_from_bounded_torsion derives modulo the
-        earlier entries.  Raises ChainError when a_ext does not raise the
-        rank by its length, that is, when it is not free modulo the pool.
+        The chain's one grown form takes the entries that joined since
+        the last step and a_ext, and tries pad as a row it does not keep.
+        Its rank and its solves give the witnesses, and through their
+        coefficients on a_ext the quotient rows, the same rows
+        free_from_bounded_torsion derives modulo the earlier entries.
+        Raises ChainError when a_ext does not raise the rank by its length,
+        that is, when it is not free modulo the pool.
         """
         offset = len(self.pool)
-        seen = [p.element for p in self.pool[self.start :]]
-        seen += [el for _, el in a_ext]
-        visible = Span(seen + [pad[1]] if pad else seen)
-        if pad and visible.hnf.rank > self.rank + len(a_ext):
+        visible = self.span
+        before = visible.rank
+        unread = self.pool[self.start + len(visible.gens) :]
+        visible.extend([p.element for p in unread] + [el for _, el in a_ext])
+        if (
+            pad
+            and visible.rank == before + len(a_ext)
+            and visible.raises_rank(pad[1])
+        ):
+            visible.extend([pad[1]])
             a_ext = list(a_ext) + [pad]
-        elif pad:
-            visible = Span(seen)
-        if visible.hnf.rank != self.rank + len(a_ext):
+        if visible.rank != before + len(a_ext):
             raise ChainError(
                 f"{label}: the extension raises the rank by "
-                f"{visible.hnf.rank - self.rank}, not {len(a_ext)}"
+                f"{visible.rank - before}, not {len(a_ext)}"
             )
-        self.rank = visible.hnf.rank
         for name, el in a_ext:
             self._join(name, el)
         over = len(self.pool)
@@ -382,18 +393,38 @@ class _Chain:
         )
 
     def finish(self, targets: Sequence[Tuple[str, Element]]) -> FreenessCertificate:
-        """A lattice basis of the pool and each target's coefficients on it."""
+        """A lattice basis of the pool and each target's coefficients on it.
+
+        The basis is the pool's Hermite basis, u[:rank] of one Span of the
+        pool, so its coordinate rows are the nonzero rows of h.  They are
+        independent: back-substitution over them gives a target's only
+        possible coefficients, and a re-sum over the pool decides.  A
+        target that is a pool element needs no re-sum, and its row is
+        read already: coords is one-to-one on the pool's combinations
+        (see CoordinateSystem).
+        """
         domain = self.pres.domain
         elements = [p.element for p in self.pool]
-        form = Span(elements).hnf
+        at = {id(e): i for i, e in enumerate(elements)}  # the pool keeps them
+        span = Span(elements)
+        form = span.hnf
         combos = form.u[: form.rank]
-        basis = Span([domain.combine(c, elements) for c in combos])
         entries = []
         for name, t in targets:
-            dec = basis.decompose(t)
-            if dec is None:
+            i = at.get(id(t))
+            try:
+                row = span.cs.coords(t) if i is None else span.rows[i]
+                coeffs = form.back_substitute(row)
+            except ValueError:
+                coeffs = None
+            if coeffs is None or (
+                i is None
+                and domain.combine(
+                    combine_rows(coeffs, combos, len(elements)), elements
+                ) != t
+            ):
                 raise ChainError(f"target {name} escapes the final basis")
-            entries.append(TargetEntry(name=name, element=t, coeffs=dec.coeffs))
+            entries.append(TargetEntry(name=name, element=t, coeffs=coeffs))
         return FreenessCertificate(
             presentation=self.pres.name,
             kind=self.kind,

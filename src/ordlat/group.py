@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ordlat.element import Domain, Element, WeightFn, is_semibasic, isolates
-from ordlat.intlinalg import HnfResult, hnf_rows
+from ordlat.intlinalg import GrownForm, HnfResult, hnf_rows
 from ordlat.ordinal import Ordinal, format_ordinal, successor, floor_rank
 from ordlat.space import ClopenBlock
 
@@ -66,9 +66,12 @@ class CoordinateSystem:
     """Faithful finite coordinates for integer combinations of a family.
 
     points: evaluation window (every prefix point of the family plus every
-    ladder index below the largest canonical start); sites: each point's
-    (ladder id, index), or None off the ladders.  axes: one residue
-    coordinate per (ladder, weight) in use, scaled to clear denominators.
+    ladder index below the largest canonical start), in ordinal order;
+    sites: each point's (ladder id, index), or None off the ladders.  axes:
+    one residue coordinate per (ladder, weight) in use, by ladder and
+    dominance, scaled to clear denominators.  A GrownSpan reads the same
+    columns for its family, but in the order the family first needs
+    them, so the two Hermite forms of one family may differ.
 
     coords reads an element's values at the window points, then its
     scaled residues.  It is linear, and one-to-one on the family's
@@ -142,22 +145,23 @@ class Decomposition:
 class Span:
     """The subgroup generated by a family, factored once for membership.
 
-    Holds the family's own coordinate window and one Hermite form of its
-    coordinate rows; decompose answers each target by back-substitution.
-    unique: whether the family is independent, so that every member has
-    exactly one coefficient vector.
+    Holds the family's own coordinate window, its members' coordinate
+    rows and one Hermite form of them; decompose answers each target by
+    back-substitution.  unique: whether the family is independent, so that
+    every member has exactly one coefficient vector.
     """
 
-    __slots__ = ("gens", "cs", "hnf", "unique")
+    __slots__ = ("gens", "cs", "rows", "hnf", "unique")
 
     def __init__(self, gens: Sequence[Element]) -> None:
         self.gens: Tuple[Element, ...] = tuple(gens)
-        self.cs: Optional[CoordinateSystem] = (
+        self.cs = (
             CoordinateSystem.for_elements(self.gens[0].domain, self.gens)
             if self.gens
-            else None
+            else CoordinateSystem((), (), (), ())
         )
-        self.hnf: HnfResult = hnf_rows([self.cs.coords(g) for g in self.gens])
+        self.rows = [self.cs.coords(g) for g in self.gens]
+        self.hnf: HnfResult = hnf_rows(self.rows)
         self.unique = self.hnf.rank == len(self.gens)
 
     def decompose(self, target: Element) -> Optional[Decomposition]:
@@ -175,6 +179,116 @@ class Span:
         if sol is None or self.gens[0].domain.combine(sol, self.gens) != target:
             return None
         return Decomposition(coeffs=sol, unique=self.unique)
+
+
+class GrownSpan:
+    """The subgroup generated by a family that grows by appending members,
+    extended instead of refactored.
+
+    Its columns are those CoordinateSystem would take for the family, but
+    appended at the right in the order the family first needs them, so
+    that one GrownForm follows the family's rows and columns: a member
+    is read once at every column it finds and once at each column a
+    later member adds.  An axis whose scale grows is rescaled in place.
+    decompose answers as Span.decompose, though it may pick other
+    coefficients when the family is dependent.
+    """
+
+    __slots__ = ("domain", "gens", "form", "_cols", "_index", "_scales", "_ends")
+
+    def __init__(self, domain: Domain) -> None:
+        self.domain = domain
+        self.gens: List[Element] = []
+        self.form = GrownForm()
+        # per column: ("site", (ladder id, index)), ("point", off-ladder
+        # point) or ("axis", (ladder id, weight))
+        self._cols: List[Tuple[str, object]] = []
+        self._index: Dict[object, int] = {}
+        self._scales: Dict[Tuple[str, WeightFn], int] = {}
+        self._ends: Dict[str, int] = {}  # per ladder, the largest tail start
+
+    @property
+    def rank(self) -> int:
+        return self.form.rank
+
+    def extend(self, gens: Sequence[Element]) -> None:
+        gens = list(gens)
+        self._widen(gens)
+        self.form.extend([self._read(g, self._cols) for g in gens])
+        self.gens.extend(gens)
+
+    def raises_rank(self, el: Element) -> bool:
+        """Whether appending el would raise the rank: its columns join the
+        span, its row does not."""
+        self._widen([el])
+        return self.form.raises_rank(self._read(el, self._cols))
+
+    def decompose(self, target: Element) -> Optional[Decomposition]:
+        """Integer coefficients writing target over the family, or None;
+        the re-sum decides, as in Span.decompose."""
+        try:
+            sol = self.form.solve(self._read(target, self._cols))
+        except ValueError:
+            return None
+        if sol is None or self.domain.combine(sol, self.gens) != target:
+            return None
+        return Decomposition(coeffs=sol, unique=self.rank == len(self.gens))
+
+    def _read(self, f: Element, cols: Sequence[Tuple[str, object]]) -> List[int]:
+        """f at the given columns.  A residue on no axis is not read:
+        nothing in the family has it, so a re-sum rejects it."""
+        out = []
+        for kind, key in cols:
+            if kind == "site":
+                out.append(f._at(*key))
+            elif kind == "point":
+                out.append(f._offmap.get(key, 0))
+            else:
+                lid, w = key
+                t = next((t for t in f.tails_on(lid) if t.weight == w), None)
+                q, rem = divmod(t.num * self._scales[key], t.den) if t else (0, 0)
+                if rem:
+                    raise ValueError("residue outside the scaled lattice")
+                out.append(q)
+        return out
+
+    def _widen(self, elements: Sequence[Element]) -> None:
+        """Give the form every column the elements need, and rescale each
+        axis whose scale grows."""
+        new: List[Tuple[str, object]] = []
+
+        def add(kind: str, key: object) -> None:
+            if key not in self._index:
+                self._index[key] = len(self._cols) + len(new)
+                new.append((kind, key))
+
+        for f in elements:
+            for t in f.tails:
+                key = (t.ladder_id, t.weight)
+                old = self._scales.get(key)
+                scale = lcm(old or 1, t.den // gcd(t.num, t.den))
+                if old is None:
+                    add("axis", key)
+                elif scale != old and self._index[key] < len(self._cols):
+                    self.form.rescale(self._index[key], scale // old)
+                self._scales[key] = scale
+                end = self._ends.get(t.ladder_id, 0)
+                for k in range(end, t.start):
+                    add("site", (t.ladder_id, k))
+                self._ends[t.ladder_id] = max(end, t.start)
+            for x, _ in f.off:
+                add("point", x)
+            for lid, kv in f.on:
+                for k, _ in kv:
+                    add("site", (lid, k))
+        if new:
+            # an earlier member is zero at every new column unless a tail
+            # of it reaches a new ladder index: its prefix points are in
+            # already, and no earlier member has a new axis
+            zero = [0] * len(new)
+            rows = [self._read(g, new) if g.tails else zero for g in self.gens]
+            self.form.widen(list(zip(*rows)) if rows else [()] * len(new))
+            self._cols.extend(new)
 
 
 def member_decompose(

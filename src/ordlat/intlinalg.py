@@ -5,10 +5,13 @@ result row is an explicit integer combination of the input rows, which is
 what lets certificates carry provenance for the generators they introduce.
 A Hermite form is computed once per family of rows and then answers any
 number of membership queries by back-substitution (`HnfResult.solve`).
+A family that grows keeps one `GrownForm`, extended by its new rows and
+columns instead of recomputed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -33,20 +36,43 @@ class HnfResult:
         independent the solution is unique; otherwise this is the
         representative whose coordinates on the zero rows of h vanish.
         """
-        if self.h and len(target) != len(self.h[0]):
-            raise ValueError("dimension mismatch")
-        residual = list(map(int, target))
-        x = [0] * len(self.u)
-        for hr, ur, c in zip(self.h, self.u, self.pivots):
-            q, rem = divmod(residual[c], hr[c])
-            if rem:
-                return None
-            if q:
-                residual = [a - q * b for a, b in zip(residual, hr)]
-                x = [a + q * b for a, b in zip(x, ur)]
-        if any(residual):
+        return _solve(self.h, self.u, self.pivots, target)
+
+    def back_substitute(
+        self, target: Sequence[int]
+    ) -> Optional[Tuple[int, ...]]:
+        """Integer coefficients q with q @ h[:rank] == target, or None.
+        The nonzero rows of h are independent, so q is unique."""
+        return _back_substitute(self.h, self.pivots, target)
+
+
+def _back_substitute(
+    h: Sequence[Sequence[int]], pivots: Sequence[int], target: Sequence[int]
+) -> Optional[Tuple[int, ...]]:
+    if h and len(target) != len(h[0]):
+        raise ValueError("dimension mismatch")
+    residual = list(map(int, target))
+    q = []
+    for hr, c in zip(h, pivots):
+        qc, rem = divmod(residual[c], hr[c])
+        if rem:
             return None
-        return tuple(x)
+        if qc:
+            residual = [a - qc * b for a, b in zip(residual, hr)]
+        q.append(qc)
+    if any(residual):
+        return None
+    return tuple(q)
+
+
+def _solve(
+    h: Sequence[Sequence[int]],
+    u: Sequence[Sequence[int]],
+    pivots: Sequence[int],
+    target: Sequence[int],
+) -> Optional[Tuple[int, ...]]:
+    q = _back_substitute(h, pivots, target)
+    return None if q is None else combine_rows(q, u, len(u))
 
 
 def _reduce(h: List[List[int]], u: List[List[int]]) -> List[int]:
@@ -117,6 +143,162 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> HnfResult:
         u=tuple(tuple(row) for row in u),
         pivots=tuple(pivots),
     )
+
+
+class GrownForm:
+    """A Hermite form grown by input rows, and by input columns at the
+    right, instead of recomputed.
+
+    h, u and pivots as in HnfResult, held in lists: the first rank rows of
+    h are its echelon rows, with positive pivots and the entries above each
+    pivot in [0, pivot); the others are zero; u @ input == h.  The echelon
+    rows are the Hermite form of the input lattice, which is unique, so
+    they match hnf_rows of the whole input.  u does too when the form was
+    built by one extend: that runs the same reduction on the same rows.
+    A grown u may differ when the input rows are dependent.
+
+    - extend appends input rows.  Each is reduced against the stored
+      pivot rows only, and the rows its reduction changed are brought
+      back to Hermite form.
+    - widen appends input columns.  The new entries of h are u @ B, and
+      only the zero rows of h can gain a pivot there.
+    - rescale multiplies one input column by a positive integer, which
+      keeps h a Hermite form.
+
+    This is the row-append scheme of Micciancio and Warinschi (ISSAC
+    2001), with columns appended through the transform.
+    """
+
+    __slots__ = ("h", "u", "pivots", "width")
+
+    def __init__(self, width: int = 0) -> None:
+        self.h: List[List[int]] = []
+        self.u: List[List[int]] = []
+        self.pivots: List[int] = []
+        self.width = width
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def extend(self, rows: Sequence[Sequence[int]]) -> None:
+        """Append input rows."""
+        rows = [list(map(int, r)) for r in rows]
+        if any(len(r) != self.width for r in rows):
+            raise ValueError("ragged matrix")
+        m, k = len(self.u), len(rows)
+        if not m:
+            self.h = rows
+            self.u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+            self.pivots = _reduce(self.h, self.u)
+            return
+        for ur in self.u:
+            ur.extend([0] * k)
+        self._merge(
+            [(r, [0] * m + [1 if i == j else 0 for j in range(k)])
+             for i, r in enumerate(rows)]
+        )
+
+    def widen(self, columns: Sequence[Sequence[int]]) -> None:
+        """Append input columns, each given by its entry in every input
+        row."""
+        h, u = self.h, self.u
+        for col in columns:
+            if len(col) != len(u):
+                raise ValueError("column length differs from the row count")
+            nz = [(i, int(v)) for i, v in enumerate(col) if v]
+            for hr, ur in zip(h, u):
+                hr.append(sum(ur[i] * v for i, v in nz))
+        self.width += len(columns)
+        if not columns:
+            return
+        r = self.rank
+        moved = [i for i in range(r, len(h)) if any(h[i])]
+        fresh = [(h[i], u[i]) for i in moved]
+        for i in reversed(moved):
+            del h[i], u[i]
+        self._merge(fresh)
+
+    def rescale(self, c: int, factor: int) -> None:
+        """Multiply input column c by factor >= 1."""
+        if factor < 1:
+            raise ValueError("a column scale must be >= 1")
+        for hr in self.h:
+            hr[c] *= factor
+
+    def raises_rank(self, row: Sequence[int]) -> bool:
+        """Whether appending row would raise the rank; the form is left
+        as it is."""
+        r = list(map(int, row))
+        if len(r) != self.width:
+            raise ValueError("dimension mismatch")
+        for hr, c in zip(self.h, self.pivots):
+            if r[c]:
+                q, rem = divmod(r[c], hr[c])
+                if rem:  # fraction-free: only the rational span matters
+                    p, a = hr[c], r[c]
+                    r = [p * x - a * y for x, y in zip(r, hr)]
+                else:
+                    r = [x - q * y for x, y in zip(r, hr)]
+        return any(r)
+
+    def solve(self, target: Sequence[int]) -> Optional[Tuple[int, ...]]:
+        """As HnfResult.solve, over the rows given so far."""
+        if len(target) != self.width:
+            raise ValueError("dimension mismatch")
+        return _solve(self.h, self.u, self.pivots, target)
+
+    def _merge(self, fresh: List[Tuple[List[int], List[int]]]) -> None:
+        """Bring (h row, u row) pairs outside the echelon rows into it,
+        then restore the Hermite bounds above every pivot the merge made
+        or changed."""
+        h, u, pivots = self.h, self.u, self.pivots
+        r = len(pivots)
+        kept = h[:r]  # alive until the end, so their ids stay unique
+        untouched = {id(row) for row in kept}
+        zeros = list(zip(h[r:], u[r:]))
+        del h[r:], u[r:]
+        n = self.width
+        for hr, ur in fresh:
+            c = next((j for j, a in enumerate(hr) if a), None)
+            while c is not None:
+                j = bisect_left(pivots, c)
+                if j == len(pivots) or pivots[j] != c:
+                    if hr[c] < 0:
+                        hr = [-a for a in hr]
+                        ur = [-a for a in ur]
+                    h.insert(j, hr)
+                    u.insert(j, ur)
+                    pivots.insert(j, c)
+                    break
+                # Euclid on column c between the pivot row and hr
+                ph, pu = h[j], u[j]
+                while hr[c]:
+                    q = hr[c] // ph[c]
+                    if q:
+                        hr = [a - q * b for a, b in zip(hr, ph)]
+                        ur = [a - q * b for a, b in zip(ur, pu)]
+                    if hr[c]:
+                        ph, hr, pu, ur = hr, ph, ur, pu
+                h[j], u[j] = ph, pu
+                c = next((i for i in range(c + 1, n) if hr[i]), None)
+            else:
+                zeros.append((hr, ur))
+        # a new or changed pivot row may break the bounds of every row
+        # above its pivot; a changed row, those at every later pivot
+        changed = {i for i, row in enumerate(h) if id(row) not in untouched}
+        dirty = set(changed)
+        for j, c in enumerate(pivots):
+            p = h[j][c]
+            above = range(j) if j in changed else sorted(i for i in dirty if i < j)
+            for i in above:
+                q = h[i][c] // p
+                if q:
+                    h[i] = [a - q * b for a, b in zip(h[i], h[j])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+                    dirty.add(i)
+        h.extend(hr for hr, _ in zeros)
+        u.extend(ur for _, ur in zeros)
 
 
 def combine_rows(

@@ -5,7 +5,8 @@ algorithms than the package uses: the ordinal order by a term-by-term
 walk of the normal forms, ordinal addition by block rewriting,
 derived-set ranks by grid refinement, kernel decompositions by greedy
 forced-coefficient peeling, and membership in a window widened by the
-target with two separate Hermite forms, the lattice meet through the
+target with two separate Hermite forms, torsion witnesses by a point-by-
+point re-sum with Fraction residues, the lattice meet through the
 canonical difference of its arguments, and element literals by a
 character scanner that sums one canonical atom per term.
 """
@@ -274,6 +275,51 @@ def quotient_basis_ok(cert) -> bool:
             return False
         if not all(x.is_integer for x in coeffs):
             return False
+    return True
+
+
+# --- torsion witnesses, re-summed point by point -------------------------------
+
+
+def witnesses_resum(cert) -> bool:
+    """Whether every torsion witness writes bound * extra over the pool
+    prefix it names.
+
+    Each side is read point by point with `Element.value`: every off-ladder
+    prefix point of an element involved, and every ladder index below the
+    largest prefix index or tail start among them.  From there on each
+    element follows its tail formula, so the residues decide the rest:
+    per (ladder, weight), the sum of c * num / den must vanish.
+    """
+    pool = [p.element for p in cert.pool]
+    names = [p.name for p in cert.pool]
+    for step in cert.steps:
+        for w in step.torsion_witnesses:
+            if w.extra not in names or len(w.coeffs) > len(pool):
+                return False
+            terms = list(zip(w.coeffs, pool)) + [
+                (-w.bound, pool[names.index(w.extra)])
+            ]
+            residues: Dict[Tuple[str, object], Fraction] = {}
+            ends: Dict[str, int] = {}
+            points = set()
+            for c, g in terms:
+                for t in g.tails:
+                    key = (t.ladder_id, t.weight)
+                    residues[key] = residues.get(key, 0) + c * Fraction(t.num, t.den)
+                    ends[t.ladder_id] = max(ends.get(t.ladder_id, 0), t.start)
+                for lid, kv in g.on:
+                    ends[lid] = max(ends.get(lid, 0), kv[-1][0] + 1)
+                points.update(x for x, _ in g.off)
+            if any(residues.values()):
+                return False
+            domain = pool[0].domain
+            for lid, end in ends.items():
+                L = domain.ladder(lid)
+                points.update(L.point(k) for k in range(end))
+            for x in points:
+                if sum(c * g.value(x) for c, g in terms):
+                    return False
     return True
 
 

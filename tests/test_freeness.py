@@ -39,7 +39,7 @@ from ordlat.serialize import certificate_to_json, dumps
 from ordlat.space import ClopenBlock, ScatteredSpace
 
 from .checker_cases import GROUPS, checker_cases, checker_reports
-from .oracles import quotient_basis_ok
+from .oracles import quotient_basis_ok, witnesses_resum
 
 AXIOMS = ("positive", "ascending", "commensurable", "low-difference", "factorial-bound")
 
@@ -459,14 +459,16 @@ def test_composition_error_is_chain_error():
 # --- the certify entry point -----------------------------------------------------------
 
 # the builder call extract-basis made for each preset before certify existed,
-# and the first 16 hex digits of the SHA-256 of the certificate it wrote
+# and the first 16 hex digits of the SHA-256 of the certificate it wrote;
+# three were recorded again when the chain began to grow one Hermite form,
+# which picks other torsion witness coefficients there
 EXPLICIT_BUILDS = {
     "limit_power": (lambda p: build_chain_limit(p, 5), "9971a5b57e8d9e67"),
-    "limit_power_integer": (lambda p: build_chain_limit(p, 4), "b5a4dcb75dabc24d"),
-    "limit_power_jump": (lambda p: build_chain_limit(p, 3), "af3ceb393dc83b46"),
+    "limit_power_integer": (lambda p: build_chain_limit(p, 4), "d0e8acc356859dd0"),
+    "limit_power_jump": (lambda p: build_chain_limit(p, 3), "ec456dffc83402ab"),
     "limit_power_two_weights": (
         lambda p: build_chain_limit(p, 9),
-        "c2039ec7a54c42a8",
+        "b1e993ac834d9712",
     ),
     "limitq": (lambda p: build_chain_successor(p, 9), "116aed933d058d5f"),
     "two_prime": (multi_prime_compose, "654c3a651a87568a"),
@@ -532,6 +534,78 @@ def test_every_built_certificate_verifies(name):
                 continue
             report = smooth_chain_check(pres, cert)
             assert report.ok, f"{mode} depth {depth}: {report.explain()}"
+
+
+# the 256-case battery: every preset x mode x depth, default depth first
+BATTERY_MODES = ("auto", "successor", "limit", "compose")
+BATTERY_DEPTHS = (None, 0, 1, 2, 3, 5, 8, 12)
+
+
+def _blanked_digest(cert):
+    """The first 16 hex digits of the SHA-256 of the certificate's JSON
+    with every torsion witness coefficient set to 0."""
+    doc = certificate_to_json(cert)
+    for s in doc["steps"]:
+        for w in s["torsionWitnesses"]:
+            w["coeffs"] = [0] * len(w["coeffs"])
+    return hashlib.sha256(dumps(doc).encode()).hexdigest()[:16]
+
+
+def battery_digests(name):
+    """Per battery case of a preset, keyed preset:mode:depth: the blanked
+    digest of its certificate and whether it verifies, or the error."""
+    pres = presets.load(name)
+    out = {}
+    for mode in BATTERY_MODES:
+        for depth in BATTERY_DEPTHS:
+            key = f"{name}:{mode}:{depth}"
+            try:
+                cert = certify(pres, mode, depth)
+            except (ChainError, ValueError) as ex:
+                out[key] = {"error": f"{type(ex).__name__}: {ex}"}
+                continue
+            out[key] = {
+                "blanked": _blanked_digest(cert),
+                "verified": smooth_chain_check(pres, cert).ok
+                and witnesses_resum(cert),
+            }
+    return out
+
+
+# every error, and every certificate with its witness coefficients blanked,
+# must keep its bytes.  The chain's Hermite form may pick other witness
+# coefficients: two solutions differ by a kernel vector of the visible pool,
+# which vanishes on the step's extension, so only the coefficients over
+# earlier pool entries can move, and witnesses_resum re-sums them
+BATTERY_DIGESTS = json.loads(
+    (Path(__file__).parent / "certificate_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(presets.PRESETS))
+def test_battery_is_frozen_but_for_witness_coefficients(name):
+    got = battery_digests(name)
+    want = {k: v for k, v in BATTERY_DIGESTS.items() if k.split(":")[0] == name}
+    assert got == want
+    assert all(v.get("verified", True) for v in got.values())
+
+
+def test_battery_table_covers_every_case():
+    assert len(BATTERY_DIGESTS) == 256
+    built = [v for v in BATTERY_DIGESTS.values() if "blanked" in v]
+    assert len(built) == 184 and all(v["verified"] for v in built)
+
+
+def test_witness_oracle_rejects_a_bumped_coefficient(limitq):
+    cert = certify(limitq, depth=3)
+    assert witnesses_resum(cert)
+    steps = cert.steps
+    w = steps[2].torsion_witnesses[0]
+    bumped = replace(w, coeffs=(w.coeffs[0] + 1,) + w.coeffs[1:])
+    step = replace(steps[2], torsion_witnesses=(bumped,))
+    assert not witnesses_resum(
+        replace(cert, steps=steps[:2] + (step,) + steps[3:])
+    )
 
 
 @functools.cache

@@ -9,6 +9,7 @@ from ordlat import presets
 from ordlat.group import (
     CoordinateSystem,
     Decomposition,
+    GrownSpan,
     Presentation,
     SearchExhaustedError,
     Span,
@@ -150,6 +151,39 @@ def test_span_matches_full_window_oracle(name, data):
         gens,
         target,
     )
+
+
+@pytest.mark.parametrize("name", DIFF_PRESETS)
+@given(data=st.data())
+def test_grown_span_answers_as_span(name, data):
+    # a family grown in batches, with scaled members that rescale an axis
+    # and spikes that widen the window, answers every membership query as
+    # one Span of the whole family
+    pres, points = _diff_setup(name)
+    d = pres.domain
+    gens = pres.elements
+    pool = list(gens) + [d.e(x) for x in points] + [3 * g for g in gens]
+    family = data.draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+    )
+    grown = GrownSpan(d)
+    cut = 0
+    while cut < len(family):
+        step = data.draw(st.integers(1, len(family) - cut))
+        grown.extend(family[cut : cut + step])
+        cut += step
+        if data.draw(st.booleans()):
+            grown.raises_rank(d.e(data.draw(st.sampled_from(points))))
+    span = Span(family)
+    assert grown.rank == span.hnf.rank
+    coeffs = data.draw(
+        st.lists(st.integers(-3, 3), min_size=len(family), max_size=len(family))
+    )
+    member = d.combine(coeffs, family)
+    x = data.draw(st.sampled_from(points))
+    for target in (member, member + d.e(x), 2 * member):
+        _same_answer(grown.decompose(target), span.decompose(target), family, target)
+    assert grown.decompose(member) is not None
 
 
 def test_span_edge_families(limitq, twoblock):

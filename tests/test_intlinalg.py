@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordlat.intlinalg import (
+    GrownForm,
     hnf_rows,
     lattice_basis,
     row_rank,
@@ -182,3 +183,124 @@ def test_lattice_basis_mutual_membership(rows):
 def test_lattice_basis_empty_span():
     basis, combos = lattice_basis([[0, 0], [0, 0]])
     assert basis == () and combos == ()
+
+
+# --- a Hermite form grown by rows and columns --------------------------------------
+
+entries = st.integers(-9, 9)
+
+
+@st.composite
+def growths(draw):
+    """A random growth: the starting width, then a list of moves, each a
+    row batch, a column batch (one entry per row given so far) or an axis
+    rescale."""
+    width = draw(st.integers(1, 4))
+    moves, rows, cols = [], 0, width
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("rows", "rows", "cols", "scale")))
+        if kind == "rows":
+            k = draw(st.integers(0, 3))
+            batch = draw(
+                st.lists(
+                    st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=k,
+                    max_size=k,
+                )
+            )
+            moves.append(("rows", batch))
+            rows += k
+        elif kind == "cols":
+            k = draw(st.integers(0, 2))
+            batch = draw(
+                st.lists(
+                    st.lists(entries, min_size=rows, max_size=rows),
+                    min_size=k,
+                    max_size=k,
+                )
+            )
+            moves.append(("cols", batch))
+            cols += k
+        else:
+            moves.append(
+                ("scale", draw(st.integers(0, cols - 1)), draw(st.integers(1, 4)))
+            )
+    return width, moves
+
+
+def grow(width, moves):
+    """The grown form and the input matrix it was grown from."""
+    form, matrix = GrownForm(width), []
+    for move in moves:
+        if move[0] == "rows":
+            form.extend(move[1])
+            matrix += [list(r) for r in move[1]]
+        elif move[0] == "cols":
+            form.widen(move[1])
+            for i, r in enumerate(matrix):
+                r.extend(col[i] for col in move[1])
+        else:
+            _, c, f = move
+            form.rescale(c, f)
+            for r in matrix:
+                r[c] *= f
+    return form, matrix
+
+
+@given(growths())
+def test_grown_form_is_the_hermite_form_of_its_input(growth):
+    form, matrix = grow(*growth)
+    assert all(len(r) == form.width for r in matrix)
+    if not matrix:
+        assert form.rank == 0 and form.h == []
+        return
+    ref = hnf_rows(matrix)
+    assert form.rank == ref.rank
+    # u @ input == h, and h is in Hermite form
+    assert matmul(form.u, matrix) == form.h
+    assert form.pivots == sorted(set(form.pivots))
+    for i, c in enumerate(form.pivots):
+        assert form.h[i][c] > 0 and not any(form.h[i][:c])
+        assert all(0 <= form.h[j][c] < form.h[i][c] for j in range(i))
+    assert not any(any(r) for r in form.h[form.rank :])
+    # the same lattice: each side's rows solve over the other
+    for r in ref.h[: ref.rank]:
+        assert form.solve(r) is not None
+    for r in form.h[: form.rank]:
+        assert ref.solve(r) is not None
+    # the Hermite form of a lattice is unique
+    assert [tuple(r) for r in form.h[: form.rank]] == list(ref.h[: ref.rank])
+    assert tuple(form.pivots) == ref.pivots
+
+
+@given(matrices)
+def test_grown_form_of_one_extend_is_hnf_rows(rows):
+    form = GrownForm(len(rows[0]))
+    form.extend(rows)
+    ref = hnf_rows(rows)
+    assert [tuple(r) for r in form.h] == list(ref.h)
+    assert [tuple(r) for r in form.u] == list(ref.u)
+    assert tuple(form.pivots) == ref.pivots
+
+
+@given(growths(), st.lists(entries, min_size=10, max_size=10))
+def test_raises_rank_leaves_the_form_as_it_is(growth, probe):
+    form, matrix = grow(*growth)
+    row = probe[: form.width] + [0] * (form.width - len(probe))
+    before = ([list(r) for r in form.h], [list(r) for r in form.u])
+    raises = form.raises_rank(row)
+    assert (form.h, form.u) == before
+    assert raises == (hnf_rows(matrix + [row]).rank > form.rank)
+
+
+def test_grown_form_guards():
+    form = GrownForm(2)
+    with pytest.raises(ValueError):
+        form.extend([[1, 2, 3]])
+    form.extend([[1, 2]])
+    with pytest.raises(ValueError):
+        form.widen([[1, 2]])  # one entry per row given so far
+    with pytest.raises(ValueError):
+        form.rescale(0, 0)
+    with pytest.raises(ValueError):
+        form.solve([1, 2, 3])

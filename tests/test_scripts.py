@@ -68,6 +68,7 @@ def test_microbench_prints_one_json_object():
         "span_build",
         "span_decompose_spike",
         "hnf_rows_30x30",
+        "grown_extend",
     }
     assert all(cost > 0 for cost in report["ops"].values())
 
@@ -82,6 +83,7 @@ def test_scale_report_measures_a_tiny_chain():
     spec.loader.exec_module(scale_report)
     assert scale_report.SIZES == (24, 48, 64, 80)
     m = scale_report.measure(6, repeat=1)
-    assert set(m) == {"build_s", "check_s", "ok"}
+    assert set(m) == {"build_s", "check_s", "cert_bytes", "witness_bits", "ok"}
     assert m["ok"] is True
     assert m["build_s"] > 0 and m["check_s"] > 0
+    assert m["cert_bytes"] > 0 and m["witness_bits"] >= 1
