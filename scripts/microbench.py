@@ -7,7 +7,8 @@ Each cost is in microseconds per call: the median over N repeats of the
 mean over one pass.  The element operations run on seeded combinations of
 one to three generators, rebuilt before every pass, so that no cached
 ladder window carries over from one pass to the next; value reads twelve
-ladder points per element.  The matrix operations factor a seeded 30 x 30
+ladder points per element, and scale multiplies each combination by a
+seeded factor in {-3, -2, 2, 3}.  The matrix operations factor a seeded 30 x 30
 matrix with entries in [-9, 9]; grown_extend widens the Hermite form of
 its first 28 rows by one column and extends it by two rows, as a chain
 step does, on a fresh form each pass.
@@ -69,6 +70,7 @@ def main(argv=None):
     rng = random.Random(args.seed)
     left = combos(pres, rng, PAIRS)
     right = combos(pres, rng, PAIRS)
+    factors = [rng.choice((-3, -2, 2, 3)) for _ in left]
 
     def fresh(side):
         return [dom.combine(c, g) for c, g in side]
@@ -83,6 +85,10 @@ def main(argv=None):
     def add():
         ps = pairs()
         return lambda: [f + g for f, g in ps]
+
+    def scale():
+        fs = fresh(left)
+        return lambda: [c * f for c, f in zip(factors, fs)]
 
     points = [L.point(k) for k in range(POINTS)]
 
@@ -123,6 +129,7 @@ def main(argv=None):
     ops = {
         "meet": per_call(meet, PAIRS, args.repeat),
         "add": per_call(add, PAIRS, args.repeat),
+        "scale": per_call(scale, PAIRS, args.repeat),
         "value": per_call(value, PAIRS * POINTS, args.repeat),
         "ordinal_compare": per_call(compare_ordinals, len(pairs_o), args.repeat),
         "span_build": per_call(span_build, 1, args.repeat),

@@ -320,7 +320,7 @@ class Domain:
         return None
 
     def zero(self) -> "Element":
-        return self.literal((), ())
+        return Element(domain=self, off=(), on=(), tails=())
 
     def e(self, x: Ordinal) -> "Element":
         """Unit spike at a single point."""
@@ -396,34 +396,28 @@ class Domain:
     def combine(
         self, coeffs: Sequence[int], elements: Sequence["Element"]
     ) -> "Element":
-        """The sum of c * g over zip(coeffs, elements), canonicalized once.
+        """The sum of c * g over the (c, g) pairs of coeffs and elements.
 
         + and * are combinations too.  Raises TypeError on a coefficient
-        that is not an int, ValueError on an element of another domain.
+        that is not an int, ValueError on an element of another domain or
+        on coeffs and elements of different lengths.  A sum with one
+        nonzero c * g is that element scaled (Element._scaled); any other
+        is canonicalized once.
         """
-        off: Dict[Ordinal, int] = {}
-        on: Dict[str, Dict[int, int]] = {}
-        # numerators by (ladder, weight, start, denominator); _canonical
-        # brings each ladder to one denominator
-        tails: Dict[Tuple[str, WeightFn, int, int], int] = {}
-        for c, g in zip(coeffs, elements):
+        live: List[Tuple[int, "Element"]] = []
+        for c, g in zip(coeffs, elements, strict=True):
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r:.40} is not an int")
-            if g.domain != self:
+            if g.domain is not self and g.domain != self:
                 raise ValueError("elements live on different domains")
-            if not c:
-                continue
-            for x, v in g.off:
-                off[x] = off.get(x, 0) + c * v
-            for lid, kv in g.on:
-                vals = on.setdefault(lid, {})
-                for k, v in kv:
-                    vals[k] = vals.get(k, 0) + c * v
-            for t in g.tails:
-                key = (t.ladder_id, t.weight, t.start, t.den)
-                tails[key] = tails.get(key, 0) + c * t.num
-        terms = [TailTerm(lid, w, n, d, s) for (lid, w, s, d), n in tails.items() if n]
-        return _canonical(self, off, terms, on)
+            if c and not g.is_zero:
+                live.append((c, g))
+        if not live:
+            return self.zero()
+        if len(live) == 1:
+            c, g = live[0]
+            return g._scaled(c)
+        return _sum(self, live)
 
 
 # --- elements ---------------------------------------------------------------
@@ -737,8 +731,49 @@ class Element:
     # -- arithmetic --
 
     def _same_domain(self, other: "Element") -> None:
-        if self.domain != other.domain:
+        if self.domain is not other.domain and self.domain != other.domain:
             raise ValueError("elements live on different domains")
+
+    def _scaled(self, c: int) -> "Element":
+        """c * self, which for c != 0 is canonical as built.
+
+        c * f keeps f's tail starts, prefix indices and term order.  Below
+        a start s, f(s-1) differs from the tail formula at s-1: an integer
+        stands against a non-integer, or two integers differ, and c times
+        each keeps them apart.  On each ladder the numerators become
+        n*c/g over den/g, g = gcd(den, c), still the least denominator.
+        One stop of the walk down is not a difference: on a ladder with
+        several terms, one term may fail to be integral at s-1 while their
+        sum is integral and equal to f(s-1).  When g > 1 makes every
+        scaled term integral there, the start of c * f may fall, and then
+        c * f is canonicalized instead.
+        """
+        if not c:
+            return self.domain.zero()
+        if c == 1:
+            return self
+        tails: List[TailTerm] = []
+        for lid, terms in self._terms.items():
+            den = terms[0].den
+            g = math.gcd(den, c)
+            d, m = den // g, c // g
+            for t in terms:
+                tails.append(TailTerm(lid, t.weight, t.num * m, d, t.start))
+            k = terms[0].start - 1
+            if g > 1 and len(terms) > 1 and k >= 0:
+                for t in tails[-len(terms) :]:
+                    if t.num * t.weight.mod(k, d) % d:
+                        break
+                else:
+                    return _sum(self.domain, ((c, self),))
+        return Element(
+            domain=self.domain,
+            off=tuple((x, c * v) for x, v in self.off),
+            on=tuple(
+                (lid, tuple((k, c * v) for k, v in kv)) for lid, kv in self.on
+            ),
+            tails=tuple(tails),
+        )
 
     def __add__(self, other: "Element") -> "Element":
         return self.domain.combine((1, 1), (self, other))
@@ -747,27 +782,12 @@ class Element:
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        # -f is canonical as it stands: each canonical-form condition is
-        # unchanged by a sign flip.  -r * w(k) is integral exactly where
-        # r * w(k) is, and val(k) == formula(k) holds for -f exactly where
-        # it holds for f, so every tail start stays; nonzero values stay
-        # nonzero, and the order of points, indices and terms stays.
-        return Element(
-            domain=self.domain,
-            off=tuple((x, -v) for x, v in self.off),
-            on=tuple(
-                (lid, tuple((k, -v) for k, v in kv)) for lid, kv in self.on
-            ),
-            tails=tuple(
-                TailTerm(t.ladder_id, t.weight, -t.num, t.den, t.start)
-                for t in self.tails
-            ),
-        )
+        return self._scaled(-1)
 
     def __mul__(self, n: int) -> "Element":
         if not isinstance(n, int):
             return NotImplemented
-        return self.domain.combine((n,), (self,))
+        return self._scaled(n)
 
     __rmul__ = __mul__
 
@@ -795,6 +815,31 @@ def _residue_difference(
 # --- canonicalization -------------------------------------------------------
 
 
+def _sum(domain: Domain, pairs: Iterable[Tuple[int, Element]]) -> Element:
+    """The sum of c * g over the (c, g) pairs, canonicalized once."""
+    off: Dict[Ordinal, int] = {}
+    on: Dict[str, Dict[int, int]] = {}
+    # numerators by (ladder, weight, start, denominator); _canonical
+    # brings each ladder to one denominator
+    tails: Dict[Tuple[str, WeightFn, int, int], int] = {}
+    for c, g in pairs:
+        for x, v in g.off:
+            off[x] = off.get(x, 0) + c * v
+        for lid, kv in g.on:
+            vals = on.setdefault(lid, {})
+            for k, v in kv:
+                vals[k] = vals.get(k, 0) + c * v
+        for t in g.tails:
+            key = (t.ladder_id, t.weight, t.start, t.den)
+            tails[key] = tails.get(key, 0) + c * t.num
+    terms = [TailTerm(lid, w, n, d, s) for (lid, w, s, d), n in tails.items() if n]
+    return _canonical(domain, off, terms, on)
+
+
+# the window of a ladder without prefix values; never written to
+_NO_VALUES: Mapping[int, int] = {}
+
+
 def _canonical(
     domain: Domain,
     off: Mapping[Ordinal, int],
@@ -806,64 +851,82 @@ def _canonical(
     by index, and every tail term's weight lies on its ladder."""
     by_ladder: Dict[str, List[TailTerm]] = {}
     for t in raw_tails:
-        by_ladder.setdefault(t.ladder_id, []).append(t)
+        terms = by_ladder.get(t.ladder_id)
+        if terms is None:
+            by_ladder[t.ladder_id] = [t]
+        else:
+            terms.append(t)
+    lids = list(by_ladder)
+    for lid in on:
+        if lid not in by_ladder:
+            lids.append(lid)
+    if len(lids) > 1:
+        lids.sort()
 
     out_on: List[Tuple[str, Tuple[Tuple[int, int], ...]]] = []
     out_tails: List[TailTerm] = []
 
-    for lid in sorted(set(by_ladder) | set(on)):
+    for lid in lids:
         # What cancels goes before the walk down picks its first index: a
         # window value that summed to 0, and the terms of one start and
         # weight whose numerators over the ladder's denominator sum to 0
         # (different denominators keep them apart until here).
-        window = on.get(lid, {})
-        s = 1 + max(window, default=-1)
-        if s and not window[s - 1]:
-            s = 1 + max((k for k, v in window.items() if v), default=-1)
+        window = on.get(lid, _NO_VALUES)
+        s = 0
+        if window:
+            s = 1 + max(window)
+            if not window[s - 1]:
+                s = 1 + max((k for k, v in window.items() if v), default=-1)
         # (start, weight, numerator) over one denominator for the ladder
         raw: List[Tuple[int, WeightFn, int]] = []
         den = 1
         terms = by_ladder.get(lid)
         if terms:
-            den = math.lcm(*{t.den for t in terms})
-            raw = [(t.start, t.weight, t.num * (den // t.den)) for t in terms]
-            if len(terms) > 1 and len({t.start for t in terms}) < len(terms):
+            if len(terms) == 1:
+                t = terms[0]
+                den = t.den
+                raw.append((t.start, t.weight, t.num))
+            else:
+                den = math.lcm(*[t.den for t in terms])
                 merged: Dict[Tuple[int, WeightFn], int] = {}
-                for start, w, n in raw:
-                    merged[start, w] = merged.get((start, w), 0) + n
-                raw = [(start, w, n) for (start, w), n in merged.items() if n]
+                for t in terms:
+                    key = (t.start, t.weight)
+                    merged[key] = merged.get(key, 0) + t.num * (den // t.den)
+                for (start, w), n in merged.items():
+                    if n:
+                        raw.append((start, w, n))
             residue: Dict[WeightFn, int] = {}
             for start, w, n in raw:
                 residue[w] = residue.get(w, 0) + n
-                s = max(s, start)
-            weights = sorted(
-                (w for w, n in residue.items() if n), key=WeightFn.dominance_key
-            )
-            if weights:
-                g = math.gcd(den, *(residue[w] for w in weights))
+                if start > s:
+                    s = start
+            formula = [(w, n) for w, n in residue.items() if n]
+            if formula:
+                if len(formula) > 1:
+                    formula.sort(key=lambda wn: wn[0].dominance_key())
+                g = math.gcd(den, *[n for _, n in formula])
                 d = den // g
-                nums = [residue[w] // g for w in weights]
-                while s > 0:
-                    k = s - 1
-                    # the value at k equals the tail formula
-                    # sum(residue * w(k)) exactly when the window value at k
-                    # makes up for the terms that have not started by k
-                    if d > 1 and any(
-                        n * w.mod(k, d) % d for w, n in zip(weights, nums)
-                    ):
-                        break
-                    if not _makes_up(window.get(k, 0) * den, raw, k):
-                        break
-                    s = k
-                out_tails.extend(
-                    TailTerm(lid, w, n, d, s) for w, n in zip(weights, nums)
-                )
-        lo = min((start for start, _, _ in raw), default=s)  # no term before lo
-        vals = [(k, v) for k, v in sorted(window.items()) if k < min(lo, s) and v]
+                if g > 1:
+                    formula = [(w, n // g) for w, n in formula]
+                s = _walk_down(s, window, den, raw, d, formula)
+                for w, n in formula:
+                    out_tails.append(TailTerm(lid, w, n, d, s))
+        lo = s  # no term starts before lo
+        for start, _, _ in raw:
+            if start < lo:
+                lo = start
+        vals: List[Tuple[int, int]] = []
+        if window:
+            for k in sorted(window):
+                if k >= lo:
+                    break
+                if window[k]:
+                    vals.append((k, window[k]))
         for k in range(lo, s):
-            v = window.get(k, 0) * den + sum(
-                n * w.value(k) for start, w, n in raw if k >= start
-            )
+            v = window.get(k, 0) * den
+            for start, w, n in raw:
+                if k >= start:
+                    v += n * w.value(k)
             if v:
                 q, r = divmod(v, den)
                 if r:
@@ -872,17 +935,36 @@ def _canonical(
         if vals:
             out_on.append((lid, tuple(vals)))
 
+    out_off = [(x, v) for x, v in off.items() if v]
+    if len(out_off) > 1:
+        out_off.sort(key=lambda item: item[0].key())
     return Element(
-        domain=domain,
-        off=tuple(
-            sorted(
-                ((x, v) for x, v in off.items() if v),
-                key=lambda item: item[0].key(),
-            )
-        ),
-        on=tuple(out_on),
-        tails=tuple(out_tails),
+        domain=domain, off=tuple(out_off), on=tuple(out_on), tails=tuple(out_tails)
     )
+
+
+def _walk_down(
+    s: int,
+    window: Mapping[int, int],
+    den: int,
+    raw: Sequence[Tuple[int, WeightFn, int]],
+    d: int,
+    formula: Sequence[Tuple[WeightFn, int]],
+) -> int:
+    """The least start t <= s such that the tail formula, its (weight,
+    numerator) terms over d, is integral term by term at every index in
+    [t, s) and equals the value there: the window value, which must make
+    up for the raw terms (over den) not yet started."""
+    while s > 0:
+        k = s - 1
+        if d > 1:
+            for w, n in formula:
+                if n * w.mod(k, d) % d:
+                    return s
+        if not _makes_up(window.get(k, 0) * den, raw, k):
+            return s
+        s = k
+    return s
 
 
 def _makes_up(v: int, raw: Sequence[Tuple[int, WeightFn, int]], k: int) -> bool:
@@ -891,13 +973,20 @@ def _makes_up(v: int, raw: Sequence[Tuple[int, WeightFn, int]], k: int) -> bool:
     of one sign cannot sum to 0: a start far past k is never evaluated
     there.  Mixed signs are summed by weight first: the sum is 0 when they
     all cancel, and from `_settle` on it keeps its dominant term's sign."""
-    late = [(w, n) for start, w, n in raw if start > k]
     if not v:
-        if all(n > 0 for _, n in late) or all(n < 0 for _, n in late):
-            return not late
+        pos = neg = False
+        for start, _, n in raw:
+            if start > k:
+                if n > 0:
+                    pos = True
+                else:
+                    neg = True
+        if not (pos and neg):
+            return not pos and not neg
         residue: Dict[WeightFn, int] = {}
-        for w, n in late:
-            residue[w] = residue.get(w, 0) + n
+        for start, w, n in raw:
+            if start > k:
+                residue[w] = residue.get(w, 0) + n
         terms = sorted(
             ((w, n) for w, n in residue.items() if n),
             key=lambda wn: wn[0].dominance_key(),
@@ -906,7 +995,11 @@ def _makes_up(v: int, raw: Sequence[Tuple[int, WeightFn, int]], k: int) -> bool:
             return True
         if k >= _settle(terms, 0):
             return False
-    return v == sum(n * w.value(k) for w, n in late)
+    total = 0
+    for start, w, n in raw:
+        if start > k:
+            total += n * w.value(k)
+    return v == total
 
 
 def _from_values(
@@ -974,7 +1067,7 @@ def bounded_ratio_witness(f: Element, g: Element) -> Optional[int]:
             return None
 
     def ok(n: int) -> bool:
-        return (n * f - g).is_nonneg()
+        return f.domain.combine((n, -1), (f, g)).is_nonneg()
 
     hi = 1
     while not ok(hi):

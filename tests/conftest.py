@@ -11,6 +11,8 @@ settings.register_profile(
     "suite",
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    # a failing property prints a @reproduce_failure blob that replays it
+    print_blob=True,
 )
 settings.load_profile("suite")
 

@@ -7,20 +7,23 @@ derived-set ranks by grid refinement, kernel decompositions by greedy
 forced-coefficient peeling, and membership in a window widened by the
 target with two separate Hermite forms, torsion witnesses by a point-by-
 point re-sum with Fraction residues, the lattice meet through the
-canonical difference of its arguments, and element literals by a
-character scanner that sums one canonical atom per term.
+canonical difference of its arguments, element literals by a
+character scanner that sums one canonical atom per term, and the
+canonical form by the earlier canonicalizer, which re-sums every
+multiple and combination term by term.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ordlat.element import Domain, Element, _from_values
+from ordlat.element import Domain, Element, TailTerm, WeightFn, _from_values, _settle
 from ordlat.group import CoordinateSystem, Decomposition
 from ordlat.intlinalg import row_rank, solve_in_rowspace
 from ordlat.ordinal import Ordinal, compare, from_int, omega_power, parse_ordinal
@@ -450,3 +453,149 @@ def reference_parse_element(domain: Domain, text: str) -> Element:
         else:
             error("expected e(...) or tail(...)")
     return domain.combine(coeffs, atoms)
+
+
+# --- the canonical form, by the earlier canonicalizer ------------------------------
+#
+# reference_canonical and _reference_makes_up are the package's _canonical
+# and _makes_up as they were before scalar multiples kept their canonical
+# form and _canonical took one pass per ladder; only the names differ.
+
+
+def reference_canonical(
+    domain: Domain,
+    off: Mapping[Ordinal, int],
+    raw_tails: Sequence[TailTerm],
+    on: Mapping[str, Mapping[int, int]],
+) -> Element:
+    """The canonical element with the given prefix values and tail terms:
+    off holds values at points on no ladder, on holds each ladder's values
+    by index, and every tail term's weight lies on its ladder."""
+    by_ladder: Dict[str, List[TailTerm]] = {}
+    for t in raw_tails:
+        by_ladder.setdefault(t.ladder_id, []).append(t)
+
+    out_on: List[Tuple[str, Tuple[Tuple[int, int], ...]]] = []
+    out_tails: List[TailTerm] = []
+
+    for lid in sorted(set(by_ladder) | set(on)):
+        # What cancels goes before the walk down picks its first index: a
+        # window value that summed to 0, and the terms of one start and
+        # weight whose numerators over the ladder's denominator sum to 0
+        # (different denominators keep them apart until here).
+        window = on.get(lid, {})
+        s = 1 + max(window, default=-1)
+        if s and not window[s - 1]:
+            s = 1 + max((k for k, v in window.items() if v), default=-1)
+        # (start, weight, numerator) over one denominator for the ladder
+        raw: List[Tuple[int, WeightFn, int]] = []
+        den = 1
+        terms = by_ladder.get(lid)
+        if terms:
+            den = math.lcm(*{t.den for t in terms})
+            raw = [(t.start, t.weight, t.num * (den // t.den)) for t in terms]
+            if len(terms) > 1 and len({t.start for t in terms}) < len(terms):
+                merged: Dict[Tuple[int, WeightFn], int] = {}
+                for start, w, n in raw:
+                    merged[start, w] = merged.get((start, w), 0) + n
+                raw = [(start, w, n) for (start, w), n in merged.items() if n]
+            residue: Dict[WeightFn, int] = {}
+            for start, w, n in raw:
+                residue[w] = residue.get(w, 0) + n
+                s = max(s, start)
+            weights = sorted(
+                (w for w, n in residue.items() if n), key=WeightFn.dominance_key
+            )
+            if weights:
+                g = math.gcd(den, *(residue[w] for w in weights))
+                d = den // g
+                nums = [residue[w] // g for w in weights]
+                while s > 0:
+                    k = s - 1
+                    # the value at k equals the tail formula
+                    # sum(residue * w(k)) exactly when the window value at k
+                    # makes up for the terms that have not started by k
+                    if d > 1 and any(
+                        n * w.mod(k, d) % d for w, n in zip(weights, nums)
+                    ):
+                        break
+                    if not _reference_makes_up(window.get(k, 0) * den, raw, k):
+                        break
+                    s = k
+                out_tails.extend(
+                    TailTerm(lid, w, n, d, s) for w, n in zip(weights, nums)
+                )
+        lo = min((start for start, _, _ in raw), default=s)  # no term before lo
+        vals = [(k, v) for k, v in sorted(window.items()) if k < min(lo, s) and v]
+        for k in range(lo, s):
+            v = window.get(k, 0) * den + sum(
+                n * w.value(k) for start, w, n in raw if k >= start
+            )
+            if v:
+                q, r = divmod(v, den)
+                if r:
+                    raise AssertionError("non-integer ladder value")
+                vals.append((k, q))
+        if vals:
+            out_on.append((lid, tuple(vals)))
+
+    return Element(
+        domain=domain,
+        off=tuple(
+            sorted(
+                ((x, v) for x, v in off.items() if v),
+                key=lambda item: item[0].key(),
+            )
+        ),
+        on=tuple(out_on),
+        tails=tuple(out_tails),
+    )
+
+
+def _reference_makes_up(v: int, raw: Sequence[Tuple[int, WeightFn, int]], k: int) -> bool:
+    """Whether v equals the sum of num * weight(k) over the (start, weight,
+    num) terms not yet started at k.  Every weight is positive, so terms
+    of one sign cannot sum to 0: a start far past k is never evaluated
+    there.  Mixed signs are summed by weight first: the sum is 0 when they
+    all cancel, and from `_settle` on it keeps its dominant term's sign."""
+    late = [(w, n) for start, w, n in raw if start > k]
+    if not v:
+        if all(n > 0 for _, n in late) or all(n < 0 for _, n in late):
+            return not late
+        residue: Dict[WeightFn, int] = {}
+        for w, n in late:
+            residue[w] = residue.get(w, 0) + n
+        terms = sorted(
+            ((w, n) for w, n in residue.items() if n),
+            key=lambda wn: wn[0].dominance_key(),
+        )
+        if not terms:
+            return True
+        if k >= _settle(terms, 0):
+            return False
+    return v == sum(n * w.value(k) for w, n in late)
+
+
+def reference_combine(
+    domain: Domain, coeffs: Sequence[int], elements: Sequence[Element]
+) -> Element:
+    """The sum of c * g over the (c, g) pairs: every prefix value and tail
+    numerator scaled and summed by hand, then canonicalized once by
+    reference_canonical, so that neither Domain.combine nor + and * take
+    part."""
+    off: Dict = {}
+    on: Dict[str, Dict[int, int]] = {}
+    tails: List[TailTerm] = []
+    for c, g in zip(coeffs, elements):
+        for x, v in g.off:
+            off[x] = off.get(x, 0) + c * v
+        for lid, kv in g.on:
+            vals = on.setdefault(lid, {})
+            for k, v in kv:
+                vals[k] = vals.get(k, 0) + c * v
+        tails += [
+            TailTerm(t.ladder_id, t.weight, c * t.num, t.den, t.start)
+            for t in g.tails
+            if c
+        ]
+    return reference_canonical(domain, off, tails, on)

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from ordlat import presets
 from ordlat.element import (
     Domain,
     Ladder,
+    TailTerm,
     WeightFn,
+    _canonical,
     _makes_up,
     _settle,
     bounded_ratio_witness,
@@ -24,7 +27,12 @@ from ordlat.serialize import element_from_json, element_to_json
 from ordlat.space import ScatteredSpace
 
 from .conftest import combos
-from .oracles import reference_parse_element, subtract_meet
+from .oracles import (
+    reference_canonical,
+    reference_combine,
+    reference_parse_element,
+    subtract_meet,
+)
 
 
 @pytest.fixture(scope="module")
@@ -453,7 +461,7 @@ def test_indexed_results_match_ordinal_entry(name, data):
         n * f,
         f.meet(g),
         f.join(g),
-        d.combine(coeffs, [f, g, -f, g]),
+        d.combine(coeffs, [f, g, -f, g][: len(coeffs)]),
     ]
     for h in results:
         assert d.literal(h.prefix, literal_tails(1, h)) == h
@@ -685,9 +693,11 @@ def fold(domain, coeffs, elements):
 @given(data=st.data())
 def test_combine_equals_fold(name, data):
     pres = COMBINE_PRESETS[name]
-    # lengths may differ: both pair by zip
     picks = data.draw(st.lists(st.sampled_from(pres.elements), max_size=6))
     coeffs = data.draw(st.lists(st.integers(-6, 6), max_size=6))
+    # combine pairs strictly: the drawn lists pair up to the shorter one
+    n = min(len(picks), len(coeffs))
+    picks, coeffs = picks[:n], coeffs[:n]
     assert pres.domain.combine(coeffs, picks) == fold(pres.domain, coeffs, picks)
 
 
@@ -714,6 +724,156 @@ def test_combine_guards(limitq):
             d.combine([bad], [a0])
         with pytest.raises(TypeError):
             bad * a0
+
+
+@pytest.mark.parametrize(
+    "coeffs, count",
+    [([1, 0], 1), ([1], 2)],
+    ids=["more_coefficients", "more_elements"],
+)
+def test_combine_refuses_unequal_lengths(limitq, coeffs, count):
+    # an extra item, even a zero coefficient, is refused, not dropped
+    a0 = limitq.generator("a_0")
+    with pytest.raises(ValueError, match="zip"):
+        limitq.domain.combine(coeffs, [a0] * count)
+
+
+# --- the canonical form against the earlier canonicalizer ------------------------
+
+# two ladders: three weights on one, two on the other; points off both
+RAW_DOMAIN = Domain(
+    ScatteredSpace(parse_ordinal("w*2 + 2")),
+    (
+        Ladder(
+            "a",
+            "arith",
+            OMEGA,
+            (WeightFn("constant", 2), WeightFn("geometric", 2), WeightFn("factorial")),
+            first=ONE,
+            step=ONE,
+        ),
+        Ladder(
+            "b",
+            "arith",
+            parse_ordinal("w*2"),
+            (WeightFn("factorial"), WeightFn("factgeom", 2)),
+            first=parse_ordinal("w + 1"),
+            step=ONE,
+        ),
+    ),
+)
+RAW_OFF_POINTS = [parse_ordinal(x) for x in ("0", "w*2 + 1", "w*2 + 2")]
+
+
+@st.composite
+def raw_data(draw):
+    """_canonical input on RAW_DOMAIN: values off the ladders and by ladder
+    index (0 among them), and tail terms with starts up to 12, each
+    integral from its start, over mixed denominators, with repeated
+    (start, weight) pairs and partners that cancel a term exactly over a
+    larger denominator."""
+    off = {}
+    for x in draw(st.lists(st.sampled_from(RAW_OFF_POINTS), max_size=3)):
+        off[x] = off.get(x, 0) + draw(st.integers(-3, 3))
+    on = {
+        L.id: draw(st.dictionaries(st.integers(0, 12), st.integers(-4, 4), max_size=4))
+        for L in draw(st.lists(st.sampled_from(RAW_DOMAIN.ladders), unique=True))
+    }
+    tails = []
+    for _ in range(draw(st.integers(0, 5))):
+        L = draw(st.sampled_from(RAW_DOMAIN.ladders))
+        w = draw(st.sampled_from(L.weights))
+        start = draw(st.integers(0, 12))
+        den = math.gcd(w.value(start), draw(st.integers(1, 720)))
+        num = draw(st.integers(-6, 6).filter(bool))
+        tails.append(TailTerm(L.id, w, num, den, start))
+        if draw(st.booleans()):
+            m = draw(st.integers(1, 3))
+            tails.append(TailTerm(L.id, w, -num * m, den * m, start))
+    return off, on, tails
+
+
+@given(data=raw_data())
+@settings(max_examples=400)
+def test_canonical_matches_the_earlier_canonicalizer(data):
+    off, on, tails = data
+    assert _canonical(RAW_DOMAIN, off, tails, on) == reference_canonical(
+        RAW_DOMAIN, off, tails, on
+    )
+
+
+SCALE_PRESETS = ("limitq", "two_prime", "limit_power_two_weights")
+
+
+def _pinned(d, f):
+    """f with its value just below each tail start set to the tail formula
+    there, where that is an integer: such a start is then held only by a
+    term that is not integral below it, if by anything."""
+    spikes = []
+    for lid, terms in f._terms.items():
+        k = terms[0].start - 1
+        if k < 0:
+            continue
+        total = sum(t.num * t.weight.value(k) for t in terms)
+        if total % terms[0].den == 0:
+            spikes.append((d.ladder(lid).point(k), total // terms[0].den - f._at(lid, k)))
+    return reference_combine(d, [1, 1], [f, d.literal(spikes, ())])
+
+
+def _scale_operand(name, data):
+    """A canonical element with tail denominators above 1: a combination
+    of preset generators (a_n carries 1/n!), now and then met with
+    another, or one canonicalized from drawn raw data; now and then
+    pinned below its tail starts."""
+    if name == "raw":
+        d = RAW_DOMAIN
+        off, on, tails = data.draw(raw_data())
+        f = reference_canonical(d, off, tails, on)
+    else:
+        pres = presets.load(name)
+        d = pres.domain
+        f = data.draw(combos(pres))
+        if data.draw(st.booleans()):
+            f = f.meet(data.draw(combos(pres)))
+    if data.draw(st.booleans()):
+        f = _pinned(d, f)
+    return d, f
+
+
+@pytest.mark.parametrize("name", [*SCALE_PRESETS, "raw"])
+@given(data=st.data(), c=st.integers(-12, 12))
+@settings(max_examples=150)
+def test_multiples_match_the_earlier_canonicalizer(name, data, c):
+    d, f = _scale_operand(name, data)
+    _, g = _scale_operand(name, data)
+    zero = d.zero()
+    assert c * f == reference_combine(d, [c], [f])
+    assert -f == reference_combine(d, [-1], [f])
+    # one nonzero term among zero coefficients and zero elements
+    coeffs, elements = [0, c, 5, 0], [g, f, zero, f]
+    assert d.combine(coeffs, elements) == reference_combine(d, coeffs, elements)
+    # every term zero
+    coeffs, elements = [0, 0, 3], [f, g, zero]
+    assert d.combine(coeffs, elements) == reference_combine(d, coeffs, elements)
+    assert d.combine([], []) == zero
+
+
+def test_a_multiple_whose_denominator_shrinks_can_lower_the_start():
+    # f = f_3 + 2*h_3 + 3*e(pw point 2): at index 2 neither 2!/6 nor
+    # 2*(2!*2^2)/6 is an integer, but their sum 3 is f's value there, so
+    # f's tails start at 3.  Times 3 or 6 both terms are integral at 2 and
+    # the start falls to 2; times 2 the first term is still not.
+    pres = presets.load("limit_power_two_weights")
+    d = pres.domain
+    f = (
+        pres.generator("f_3")
+        + 2 * pres.generator("h_3")
+        + 3 * d.e(d.ladder("pw").point(2))
+    )
+    assert f.tail_start("pw") == 3
+    for c, start in ((2, 3), (3, 2), (6, 2), (-3, 2)):
+        assert (c * f).tail_start("pw") == start
+        assert c * f == reference_combine(d, [c], [f]) == f + (c - 1) * f
 
 
 # --- literals --------------------------------------------------------------------

@@ -63,6 +63,7 @@ def test_microbench_prints_one_json_object():
     assert set(report["ops"]) == {
         "meet",
         "add",
+        "scale",
         "value",
         "ordinal_compare",
         "span_build",
