@@ -103,7 +103,7 @@ def main(argv=None):
         return lambda: [compare(a, b) for a, b in pairs_o]
 
     def span_build():
-        return lambda: Span(pres.elements)
+        return lambda: Span(pres.domain, pres.elements)
 
     spikes = [dom.e(from_int(k)) for k in range(10)]
 

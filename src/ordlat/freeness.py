@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ordlat.element import Element, WeightFn, _from_values
-from ordlat.group import CoordinateSystem, GrownSpan, Presentation, Span
-from ordlat.intlinalg import Row, combine_rows, hnf_rows
+from ordlat.group import CoordinateSystem, Presentation, Span
+from ordlat.intlinalg import Row, combine_rows, hnf_rows, project
 from ordlat.ordinal import ZERO, Ordinal, format_ordinal, from_int
 from ordlat.space import ClopenBlock
 
@@ -270,7 +270,7 @@ def free_from_bounded_torsion(
         return ()
     domain = origins[0].domain
     m = len(a_basis)
-    reducer = Span(list(a_basis) + list(modulo))
+    reducer = Span(domain, list(a_basis) + list(modulo))
     b_rows = []
     for b in b_gens:
         dec = reducer.decompose(n * b)
@@ -295,7 +295,8 @@ class _Chain:
     joins the pool.  A step sees the pool from `start` on, so composition
     builds each block's chain straight into the composite pool; witnesses
     and quotient rows carry zeros before `start`.  span: the pool from
-    `start` on, grown by each step's entries rather than factored again.
+    `start` on, one Span that starts empty and is extended by each step's
+    entries rather than factored again.
     """
 
     def __init__(self, pres: Presentation, kind: str) -> None:
@@ -304,7 +305,7 @@ class _Chain:
         self.pool: List[PoolEntry] = []
         self.steps: List[ChainStep] = []
         self.start = 0
-        self.span = GrownSpan(pres.domain)
+        self.span = Span(pres.domain)
         # an independent family writes its i-th generator only as e_i
         gens = pres.elements if pres.span.unique else ()
         self._units = {g: i for i, g in enumerate(gens)}
@@ -312,7 +313,7 @@ class _Chain:
     def restart(self) -> None:
         """Let later steps see only the entries that join from now on."""
         self.start = len(self.pool)
-        self.span = GrownSpan(self.pres.domain)
+        self.span = Span(self.pres.domain)
 
     def _join(self, name: str, el: Element) -> None:
         i = self._units.get(el) if self._units else None
@@ -395,20 +396,21 @@ class _Chain:
     def finish(self, targets: Sequence[Tuple[str, Element]]) -> FreenessCertificate:
         """A lattice basis of the pool and each target's coefficients on it.
 
-        The basis is the pool's Hermite basis, u[:rank] of one Span of the
-        pool, so its coordinate rows are the nonzero rows of h.  They are
+        The basis is the pool's Hermite basis, u[:rank] of the form of one
+        Span of the whole pool given at once, whose columns are sorted, so
+        its coordinate rows are the nonzero rows of h.  They are
         independent: back-substitution over them gives a target's only
         possible coefficients, and a re-sum over the pool decides.  A
         target that is a pool element needs no re-sum, and its row is
-        read already: coords is one-to-one on the pool's combinations
-        (see CoordinateSystem).
+        one of the span's rows: coords is one-to-one on the pool's
+        combinations (see CoordinateSystem).
         """
         domain = self.pres.domain
         elements = [p.element for p in self.pool]
         at = {id(e): i for i, e in enumerate(elements)}  # the pool keeps them
-        span = Span(elements)
-        form = span.hnf
-        combos = form.u[: form.rank]
+        span = Span(domain, elements)
+        form = span.form
+        combos = tuple(tuple(r) for r in form.u[: form.rank])
         entries = []
         for name, t in targets:
             i = at.get(id(t))
@@ -651,7 +653,7 @@ def multi_prime_compose(pres: Presentation) -> FreenessCertificate:
     chain = _Chain(pres, "composite")
     nonzero = [r for r in residues if not r.is_zero]
     if nonzero:
-        form = Span(nonzero).hnf
+        form = Span(domain, nonzero).form
         a_ext = [
             (f"res_{i}", domain.combine(combo, nonzero))
             for i, combo in enumerate(form.u[: form.rank])
@@ -727,29 +729,6 @@ class CheckReport:
         return "\n".join(f"{f.location}: {f.message}" for f in self.failures)
 
 
-def _project(
-    prior: Sequence[Tuple[int, Row]], rows: Sequence[Sequence[int]]
-) -> List[List[int]]:
-    """Images of rows under one linear map whose kernel is the rational
-    span of prior, a list of (pivot column, row) pairs, each row zero at
-    every earlier pair's pivot.
-
-    Fraction-free elimination by each pair in list order, r <- b[c]*r -
-    r[c]*b, then division by the rows' joint gcd.  All rows share every
-    scale, so images of one call may be compared with each other.
-    """
-    out = [list(r) for r in rows]
-    for c, b in prior:
-        if not any(r[c] for r in out):
-            continue
-        s = b[c]
-        out = [[s * x - r[c] * y for x, y in zip(r, b)] for r in out]
-        g = math.gcd(*(x for r in out for x in r))
-        if g > 1:
-            out = [[x // g for x in r] for r in out]
-    return out
-
-
 def smooth_chain_check(
     pres: Presentation, cert: FreenessCertificate
 ) -> CheckReport:
@@ -809,7 +788,7 @@ def smooth_chain_check(
     # checked by re-summing alone.
     cs = CoordinateSystem.for_elements(domain, elements)
     rows = [cs.coords(g) for g in elements]
-    ncols = len(cs.points) + len(cs.axes)
+    ncols = len(cs.columns)
     # (pivot column, row) pairs whose rows span the pool entries before
     # the step rationally, each row zero at every earlier pivot
     prior: List[Tuple[int, Row]] = []
@@ -822,7 +801,7 @@ def smooth_chain_check(
         got = names[cursor:width]
         if got != expected:
             fail(at, f"pool order mismatch: expected {expected}, found {got}")
-            form = hnf_rows(_project(prior, rows[cursor:width]))
+            form = hnf_rows(project(prior, rows[cursor:width]))
             prior.extend(zip(form.pivots, form.h))
             cursor = width
             continue
@@ -834,7 +813,7 @@ def smooth_chain_check(
         ]
         # one map for the step's own rows and its quotient rows: it sends
         # the earlier steps to 0 and is one-to-one modulo their span
-        images = _project(prior, rows[cursor:width] + q_rows)
+        images = project(prior, rows[cursor:width] + q_rows)
         own, q_images = images[: width - cursor], images[width - cursor :]
         if hnf_rows(own[: visible - cursor]).rank != visible - cursor:
             fail(at, "extension is dependent modulo the previous steps")

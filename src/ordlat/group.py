@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ordlat.element import Domain, Element, WeightFn, is_semibasic, isolates
-from ordlat.intlinalg import GrownForm, HnfResult, hnf_rows
+from ordlat.intlinalg import GrownForm
 from ordlat.ordinal import Ordinal, format_ordinal, successor, floor_rank
 from ordlat.space import ClopenBlock
 
@@ -57,83 +57,119 @@ class Presentation:
 
     @cached_property
     def span(self) -> "Span":
-        """The generators factored once; a presentation never changes."""
-        return Span(self.elements)
+        """The generators factored once; a presentation never changes.
+        Every caller shares this Span, so none may extend it."""
+        return Span(self.domain, self.elements)
 
 
-@dataclass(frozen=True)
+Column = Tuple[str, object]
+
+
 class CoordinateSystem:
     """Faithful finite coordinates for integer combinations of a family.
 
-    points: evaluation window (every prefix point of the family plus every
-    ladder index below the largest canonical start), in ordinal order;
-    sites: each point's (ladder id, index), or None off the ladders.  axes:
-    one residue coordinate per (ladder, weight) in use, by ladder and
-    dominance, scaled to clear denominators.  A GrownSpan reads the same
-    columns for its family, but in the order the family first needs
-    them, so the two Hermite forms of one family may differ.
+    columns: ("point", x) for a prefix point x off the ladders, ("site",
+    (ladder id, index)) for a ladder index and ("axis", (ladder id,
+    weight)) for a residue coordinate, scaled by scales[(ladder id,
+    weight)] to clear denominators.  The window holds every prefix point
+    of the family and every ladder index below the ladder's largest tail
+    start.  widen grows the columns for new members at the right;
+    for_elements sorts them once: points in ordinal order, then axes by
+    ladder and dominance.
 
-    coords reads an element's values at the window points, then its
-    scaled residues.  It is linear, and one-to-one on the family's
-    combinations: past the largest start on a ladder every combination
-    follows its tail formula except at the window's own points, so the
-    residues fix the values there.  It reads any other element the same
-    way and decides nothing about membership.
+    coords reads an element's values at the window columns and its scaled
+    residues.  It is linear, and one-to-one on the family's combinations:
+    past the largest start on a ladder every combination follows its tail
+    formula except at the window's own points, so the residues fix the
+    values there.  It reads any other element the same way, skipping a
+    residue on no axis, and decides nothing about membership.
     """
 
-    points: Tuple[Ordinal, ...]
-    sites: Tuple[Optional[Tuple[str, int]], ...]
-    axes: Tuple[Tuple[str, WeightFn], ...]
-    scales: Tuple[int, ...]
+    __slots__ = ("columns", "scales", "_index", "_ends")
+
+    def __init__(self) -> None:
+        self.columns: List[Column] = []
+        self.scales: Dict[Tuple[str, WeightFn], int] = {}
+        self._index: Dict[Column, int] = {}
+        self._ends: Dict[str, int] = {}  # per ladder, the largest tail start
 
     @classmethod
     def for_elements(
         cls, domain: Domain, elements: Sequence[Element]
     ) -> "CoordinateSystem":
-        axes: Dict[Tuple[str, WeightFn], int] = {}
-        max_start: Dict[str, int] = {}
-        on: Dict[str, set] = {}
-        window: Dict[Ordinal, Optional[Tuple[str, int]]] = {}
+        cs = cls()
+        cs.widen(elements)
+
+        def order(col: Column) -> tuple:
+            kind, key = col
+            if kind == "axis":
+                return (1, key[0], key[1].dominance_key())
+            x = domain.ladder(key[0]).point(key[1]) if kind == "site" else key
+            return (0, x.key())
+
+        cs.columns.sort(key=order)
+        cs._index = {col: i for i, col in enumerate(cs.columns)}
+        return cs
+
+    def widen(
+        self, elements: Sequence[Element]
+    ) -> Tuple[List[Column], List[Tuple[int, int]]]:
+        """Append at the right every column the elements need.  Returns
+        the new columns and (column, factor) for every earlier axis whose
+        scale grows."""
+        width = len(self.columns)
+        grown: Dict[Tuple[str, WeightFn], int] = {}
+
+        def add(col: Column) -> None:
+            if col not in self._index:
+                self._index[col] = len(self.columns)
+                self.columns.append(col)
+
         for f in elements:
             for t in f.tails:
                 key = (t.ladder_id, t.weight)
-                axes[key] = lcm(axes.get(key, 1), t.den // gcd(t.num, t.den))
-                max_start[t.ladder_id] = max(
-                    max_start.get(t.ladder_id, 0), t.start
-                )
-            window.update((x, None) for x, _ in f.off)
+                old = self.scales.get(key)
+                scale = lcm(old or 1, t.den // gcd(t.num, t.den))
+                if old is None:
+                    add(("axis", key))
+                elif scale != old and self._index[("axis", key)] < width:
+                    grown.setdefault(key, old)  # the scale before this call
+                self.scales[key] = scale
+                # the window: every ladder index below the largest start
+                end = self._ends.get(t.ladder_id, 0)
+                for k in range(end, t.start):
+                    add(("site", (t.ladder_id, k)))
+                self._ends[t.ladder_id] = max(end, t.start)
+            for x, _ in f.off:
+                add(("point", x))
             for lid, kv in f.on:
-                on.setdefault(lid, set()).update(k for k, _ in kv)
-        for lid, s in max_start.items():
-            on.setdefault(lid, set()).update(range(s))
-        for lid, ks in on.items():
-            L = domain.ladder(lid)
-            window.update((L.point(k), (lid, k)) for k in ks)
-        points = tuple(sorted(window, key=Ordinal.key))
-        axis_keys = sorted(axes, key=lambda a: (a[0], a[1].dominance_key()))
-        return cls(
-            points=points,
-            sites=tuple(window[x] for x in points),
-            axes=tuple(axis_keys),
-            scales=tuple(axes[a] for a in axis_keys),
-        )
-
-    def coords(self, f: Element) -> Tuple[int, ...]:
-        offmap = f._offmap
-        out = [
-            offmap.get(x, 0) if site is None else f._at(*site)
-            for x, site in zip(self.points, self.sites)
+                for k, _ in kv:
+                    add(("site", (lid, k)))
+        rescaled = [
+            (self._index[("axis", key)], self.scales[key] // old)
+            for key, old in grown.items()
         ]
+        return self.columns[width:], rescaled
+
+    def coords(
+        self, f: Element, columns: Optional[Sequence[Column]] = None
+    ) -> List[int]:
+        """f at every column, or at the given ones."""
+        offmap = f._offmap
         residues = {(t.ladder_id, t.weight): t for t in f.tails}
-        for (lid, w), scale in zip(self.axes, self.scales):
-            t = residues.pop((lid, w), None)
-            q, rem = divmod(t.num * scale, t.den) if t else (0, 0)
-            if rem:
-                raise ValueError("residue outside the scaled lattice")
-            out.append(q)
-        if residues:
-            raise ValueError("element uses a (ladder, weight) outside the axes")
-        return tuple(out)
+        out = []
+        for kind, key in self.columns if columns is None else columns:
+            if kind == "site":
+                out.append(f._at(*key))
+            elif kind == "point":
+                out.append(offmap.get(key, 0))
+            else:
+                t = residues.get(key)
+                q, rem = divmod(t.num * self.scales[key], t.den) if t else (0, 0)
+                if rem:
+                    raise ValueError("residue outside the scaled lattice")
+                out.append(q)
+        return out
 
 
 @dataclass(frozen=True)
@@ -143,152 +179,82 @@ class Decomposition:
 
 
 class Span:
-    """The subgroup generated by a family, factored once for membership.
+    """The subgroup generated by a family, factored for membership and
+    grown instead of refactored.
 
-    Holds the family's own coordinate window, its members' coordinate
-    rows and one Hermite form of them; decompose answers each target by
-    back-substitution.  unique: whether the family is independent, so that
-    every member has exactly one coefficient vector.
+    Holds the family, its coordinate system, its members' coordinate rows
+    and one GrownForm of them; decompose answers each target by
+    back-substitution, and the re-sum decides.  A family given at once
+    gets the sorted columns of CoordinateSystem.for_elements and the
+    Hermite form hnf_rows gives its rows.  extend appends members: it
+    widens the columns at the right, reads the earlier members at the new
+    columns only, and rescales in place each axis whose scale grows.  A
+    grown Span of a dependent family may pick other coefficients than one
+    built at once.  unique: whether the family is independent, so that every member has
+    exactly one coefficient vector.
     """
 
-    __slots__ = ("gens", "cs", "rows", "hnf", "unique")
+    __slots__ = ("domain", "gens", "cs", "rows", "form")
 
-    def __init__(self, gens: Sequence[Element]) -> None:
-        self.gens: Tuple[Element, ...] = tuple(gens)
-        self.cs = (
-            CoordinateSystem.for_elements(self.gens[0].domain, self.gens)
-            if self.gens
-            else CoordinateSystem((), (), (), ())
-        )
-        self.rows = [self.cs.coords(g) for g in self.gens]
-        self.hnf: HnfResult = hnf_rows(self.rows)
-        self.unique = self.hnf.rank == len(self.gens)
-
-    def decompose(self, target: Element) -> Optional[Decomposition]:
-        """Integer coefficients writing target over the family, or None."""
-        if not self.gens:
-            return Decomposition((), True) if target.is_zero else None
-        # coords is one-to-one on the family's combinations (see
-        # CoordinateSystem), so a member's coordinates always solve and
-        # re-sum to it.  The re-sum alone decides membership: anything else
-        # has no coordinates, no solution, or re-sums to something else.
-        try:
-            sol = self.hnf.solve(self.cs.coords(target))
-        except ValueError:
-            return None
-        if sol is None or self.gens[0].domain.combine(sol, self.gens) != target:
-            return None
-        return Decomposition(coeffs=sol, unique=self.unique)
-
-
-class GrownSpan:
-    """The subgroup generated by a family that grows by appending members,
-    extended instead of refactored.
-
-    Its columns are those CoordinateSystem would take for the family, but
-    appended at the right in the order the family first needs them, so
-    that one GrownForm follows the family's rows and columns: a member
-    is read once at every column it finds and once at each column a
-    later member adds.  An axis whose scale grows is rescaled in place.
-    decompose answers as Span.decompose, though it may pick other
-    coefficients when the family is dependent.
-    """
-
-    __slots__ = ("domain", "gens", "form", "_cols", "_index", "_scales", "_ends")
-
-    def __init__(self, domain: Domain) -> None:
+    def __init__(self, domain: Domain, gens: Sequence[Element] = ()) -> None:
         self.domain = domain
-        self.gens: List[Element] = []
-        self.form = GrownForm()
-        # per column: ("site", (ladder id, index)), ("point", off-ladder
-        # point) or ("axis", (ladder id, weight))
-        self._cols: List[Tuple[str, object]] = []
-        self._index: Dict[object, int] = {}
-        self._scales: Dict[Tuple[str, WeightFn], int] = {}
-        self._ends: Dict[str, int] = {}  # per ladder, the largest tail start
+        self.gens: Tuple[Element, ...] = tuple(gens)
+        self.cs = CoordinateSystem.for_elements(domain, self.gens)
+        self.rows = [self.cs.coords(g) for g in self.gens]
+        self.form = GrownForm(len(self.cs.columns))
+        self.form.extend(self.rows)
 
     @property
     def rank(self) -> int:
         return self.form.rank
 
+    @property
+    def unique(self) -> bool:
+        return self.form.rank == len(self.gens)
+
     def extend(self, gens: Sequence[Element]) -> None:
         gens = list(gens)
         self._widen(gens)
-        self.form.extend([self._read(g, self._cols) for g in gens])
-        self.gens.extend(gens)
+        rows = [self.cs.coords(g) for g in gens]
+        self.form.extend(rows)
+        self.rows.extend(rows)
+        self.gens += tuple(gens)
 
     def raises_rank(self, el: Element) -> bool:
         """Whether appending el would raise the rank: its columns join the
         span, its row does not."""
         self._widen([el])
-        return self.form.raises_rank(self._read(el, self._cols))
+        return self.form.raises_rank(self.cs.coords(el))
 
     def decompose(self, target: Element) -> Optional[Decomposition]:
-        """Integer coefficients writing target over the family, or None;
-        the re-sum decides, as in Span.decompose."""
+        """Integer coefficients writing target over the family, or None."""
+        # coords is one-to-one on the family's combinations (see
+        # CoordinateSystem), so a member's coordinates always solve and
+        # re-sum to it.  The re-sum alone decides membership: anything else
+        # has no coordinates, no solution, or re-sums to something else.
         try:
-            sol = self.form.solve(self._read(target, self._cols))
+            sol = self.form.solve(self.cs.coords(target))
         except ValueError:
             return None
         if sol is None or self.domain.combine(sol, self.gens) != target:
             return None
-        return Decomposition(coeffs=sol, unique=self.rank == len(self.gens))
-
-    def _read(self, f: Element, cols: Sequence[Tuple[str, object]]) -> List[int]:
-        """f at the given columns.  A residue on no axis is not read:
-        nothing in the family has it, so a re-sum rejects it."""
-        out = []
-        for kind, key in cols:
-            if kind == "site":
-                out.append(f._at(*key))
-            elif kind == "point":
-                out.append(f._offmap.get(key, 0))
-            else:
-                lid, w = key
-                t = next((t for t in f.tails_on(lid) if t.weight == w), None)
-                q, rem = divmod(t.num * self._scales[key], t.den) if t else (0, 0)
-                if rem:
-                    raise ValueError("residue outside the scaled lattice")
-                out.append(q)
-        return out
+        return Decomposition(coeffs=sol, unique=self.unique)
 
     def _widen(self, elements: Sequence[Element]) -> None:
-        """Give the form every column the elements need, and rescale each
-        axis whose scale grows."""
-        new: List[Tuple[str, object]] = []
-
-        def add(kind: str, key: object) -> None:
-            if key not in self._index:
-                self._index[key] = len(self._cols) + len(new)
-                new.append((kind, key))
-
-        for f in elements:
-            for t in f.tails:
-                key = (t.ladder_id, t.weight)
-                old = self._scales.get(key)
-                scale = lcm(old or 1, t.den // gcd(t.num, t.den))
-                if old is None:
-                    add("axis", key)
-                elif scale != old and self._index[key] < len(self._cols):
-                    self.form.rescale(self._index[key], scale // old)
-                self._scales[key] = scale
-                end = self._ends.get(t.ladder_id, 0)
-                for k in range(end, t.start):
-                    add("site", (t.ladder_id, k))
-                self._ends[t.ladder_id] = max(end, t.start)
-            for x, _ in f.off:
-                add("point", x)
-            for lid, kv in f.on:
-                for k, _ in kv:
-                    add("site", (lid, k))
+        new, rescaled = self.cs.widen(elements)
+        for c, factor in rescaled:
+            self.form.rescale(c, factor)
+            for r in self.rows:
+                r[c] *= factor
         if new:
             # an earlier member is zero at every new column unless a tail
             # of it reaches a new ladder index: its prefix points are in
             # already, and no earlier member has a new axis
             zero = [0] * len(new)
-            rows = [self._read(g, new) if g.tails else zero for g in self.gens]
-            self.form.widen(list(zip(*rows)) if rows else [()] * len(new))
-            self._cols.extend(new)
+            reads = [self.cs.coords(g, new) if g.tails else zero for g in self.gens]
+            self.form.widen(list(zip(*reads)) if reads else [()] * len(new))
+            for r, extra in zip(self.rows, reads):
+                r.extend(extra)
 
 
 def member_decompose(
@@ -296,7 +262,7 @@ def member_decompose(
 ) -> Optional[Decomposition]:
     """Integer coefficients writing target over gens, or None.  To test
     many targets against one family, build its Span once."""
-    return Span(gens).decompose(target)
+    return Span(target.domain, gens).decompose(target)
 
 
 def finite_prime_test(domain: Domain, x: Ordinal) -> bool:

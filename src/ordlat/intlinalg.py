@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Row = Tuple[int, ...]
 
@@ -37,13 +38,6 @@ class HnfResult:
         representative whose coordinates on the zero rows of h vanish.
         """
         return _solve(self.h, self.u, self.pivots, target)
-
-    def back_substitute(
-        self, target: Sequence[int]
-    ) -> Optional[Tuple[int, ...]]:
-        """Integer coefficients q with q @ h[:rank] == target, or None.
-        The nonzero rows of h are independent, so q is unique."""
-        return _back_substitute(self.h, self.pivots, target)
 
 
 def _back_substitute(
@@ -154,8 +148,8 @@ class GrownForm:
     pivot in [0, pivot); the others are zero; u @ input == h.  The echelon
     rows are the Hermite form of the input lattice, which is unique, so
     they match hnf_rows of the whole input.  u does too when the form was
-    built by one extend: that runs the same reduction on the same rows.
-    A grown u may differ when the input rows are dependent.
+    built by one extend, which takes hnf_rows's result.  A grown u may
+    differ when the input rows are dependent.
 
     - extend appends input rows.  Each is reduced against the stored
       pivot rows only, and the rows its reduction changed are brought
@@ -183,15 +177,16 @@ class GrownForm:
 
     def extend(self, rows: Sequence[Sequence[int]]) -> None:
         """Append input rows."""
-        rows = [list(map(int, r)) for r in rows]
         if any(len(r) != self.width for r in rows):
             raise ValueError("ragged matrix")
         m, k = len(self.u), len(rows)
         if not m:
-            self.h = rows
-            self.u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-            self.pivots = _reduce(self.h, self.u)
+            res = hnf_rows(rows)
+            self.h = list(map(list, res.h))
+            self.u = list(map(list, res.u))
+            self.pivots = list(res.pivots)
             return
+        rows = [list(map(int, r)) for r in rows]
         for ur in self.u:
             ur.extend([0] * k)
         self._merge(
@@ -229,24 +224,23 @@ class GrownForm:
     def raises_rank(self, row: Sequence[int]) -> bool:
         """Whether appending row would raise the rank; the form is left
         as it is."""
-        r = list(map(int, row))
-        if len(r) != self.width:
+        if len(row) != self.width:
             raise ValueError("dimension mismatch")
-        for hr, c in zip(self.h, self.pivots):
-            if r[c]:
-                q, rem = divmod(r[c], hr[c])
-                if rem:  # fraction-free: only the rational span matters
-                    p, a = hr[c], r[c]
-                    r = [p * x - a * y for x, y in zip(r, hr)]
-                else:
-                    r = [x - q * y for x, y in zip(r, hr)]
-        return any(r)
+        # echelon rows are zero at every earlier pivot
+        return any(project(zip(self.pivots, self.h), [row])[0])
 
     def solve(self, target: Sequence[int]) -> Optional[Tuple[int, ...]]:
         """As HnfResult.solve, over the rows given so far."""
         if len(target) != self.width:
             raise ValueError("dimension mismatch")
         return _solve(self.h, self.u, self.pivots, target)
+
+    def back_substitute(
+        self, target: Sequence[int]
+    ) -> Optional[Tuple[int, ...]]:
+        """Integer coefficients q with q @ h[:rank] == target, or None.
+        The nonzero rows of h are independent, so q is unique."""
+        return _back_substitute(self.h, self.pivots, target)
 
     def _merge(self, fresh: List[Tuple[List[int], List[int]]]) -> None:
         """Bring (h row, u row) pairs outside the echelon rows into it,
@@ -299,6 +293,29 @@ class GrownForm:
                     dirty.add(i)
         h.extend(hr for hr, _ in zeros)
         u.extend(ur for _, ur in zeros)
+
+
+def project(
+    prior: Iterable[Tuple[int, Sequence[int]]], rows: Sequence[Sequence[int]]
+) -> List[List[int]]:
+    """Images of rows under one linear map whose kernel is the rational
+    span of prior, (pivot column, row) pairs, each row zero at every
+    earlier pair's pivot.
+
+    Fraction-free elimination by each pair in turn, r <- b[c]*r -
+    r[c]*b, then division by the rows' joint gcd.  All rows share every
+    scale, so images of one call may be compared with each other.
+    """
+    out = [list(r) for r in rows]
+    for c, b in prior:
+        if not any(r[c] for r in out):
+            continue
+        s = b[c]
+        out = [[s * x - r[c] * y for x, y in zip(r, b)] for r in out]
+        g = gcd(*(x for r in out for x in r))
+        if g > 1:
+            out = [[x // g for x in r] for r in out]
+    return out
 
 
 def combine_rows(

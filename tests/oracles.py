@@ -4,9 +4,11 @@ Everything here recomputes answers from first principles with different
 algorithms than the package uses: the ordinal order by a term-by-term
 walk of the normal forms, ordinal addition by block rewriting,
 derived-set ranks by grid refinement, kernel decompositions by greedy
-forced-coefficient peeling, and membership in a window widened by the
-target with two separate Hermite forms, torsion witnesses by a point-by-
-point re-sum with Fraction residues, the lattice meet through the
+forced-coefficient peeling, a family's coordinates by the window and
+reader built at once for the whole family, membership in a window
+widened by the target with two separate Hermite forms, torsion
+witnesses by a point-by-point re-sum with Fraction residues, the
+lattice meet through the
 canonical difference of its arguments, element literals by a
 character scanner that sums one canonical atom per term, and the
 canonical form by the earlier canonicalizer, which re-sums every
@@ -21,7 +23,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ordlat.element import Domain, Element, TailTerm, WeightFn, _from_values, _settle
 from ordlat.group import CoordinateSystem, Decomposition
@@ -200,6 +202,60 @@ def greedy_peel(
         if out[x] == 0:
             del out[x]
     raise RuntimeError("peel oracle runaway")
+
+
+# --- coordinates of a family given at once ----------------------------------------
+
+
+def reference_coordinates(
+    domain: Domain, elements: Sequence[Element]
+) -> Callable[[Element], Tuple[int, ...]]:
+    """The reader of a family's coordinates as it was built before its
+    columns could grow: the window is every prefix point of the family
+    and every ladder index below the ladder's largest start, in ordinal
+    order, then one axis per (ladder, weight) by ladder and dominance,
+    scaled by the lcm of the reduced denominators.  The reader raises
+    on a residue outside the scaled lattice or on no axis."""
+    axes: Dict[Tuple[str, WeightFn], int] = {}
+    max_start: Dict[str, int] = {}
+    on: Dict[str, set] = {}
+    window: Dict[Ordinal, Optional[Tuple[str, int]]] = {}
+    for f in elements:
+        for t in f.tails:
+            key = (t.ladder_id, t.weight)
+            axes[key] = math.lcm(axes.get(key, 1), t.den // math.gcd(t.num, t.den))
+            max_start[t.ladder_id] = max(max_start.get(t.ladder_id, 0), t.start)
+        window.update((x, None) for x, _ in f.off)
+        for lid, kv in f.on:
+            on.setdefault(lid, set()).update(k for k, _ in kv)
+    for lid, s in max_start.items():
+        on.setdefault(lid, set()).update(range(s))
+    for lid, ks in on.items():
+        L = domain.ladder(lid)
+        window.update((L.point(k), (lid, k)) for k in ks)
+    points = tuple(sorted(window, key=Ordinal.key))
+    sites = tuple(window[x] for x in points)
+    axis_keys = sorted(axes, key=lambda a: (a[0], a[1].dominance_key()))
+    scales = tuple(axes[a] for a in axis_keys)
+
+    def coords(f: Element) -> Tuple[int, ...]:
+        offmap = f._offmap
+        out = [
+            offmap.get(x, 0) if site is None else f._at(*site)
+            for x, site in zip(points, sites)
+        ]
+        residues = {(t.ladder_id, t.weight): t for t in f.tails}
+        for (lid, w), scale in zip(axis_keys, scales):
+            t = residues.pop((lid, w), None)
+            q, rem = divmod(t.num * scale, t.den) if t else (0, 0)
+            if rem:
+                raise ValueError("residue outside the scaled lattice")
+            out.append(q)
+        if residues:
+            raise ValueError("element uses a (ladder, weight) outside the axes")
+        return tuple(out)
+
+    return coords
 
 
 # --- membership in a target-widened window ----------------------------------------

@@ -20,7 +20,6 @@ from ordlat.freeness import (
     PoolEntry,
     TargetEntry,
     _Chain,
-    _project,
     build_chain_limit,
     build_chain_successor,
     certify,
@@ -33,7 +32,7 @@ from ordlat.freeness import (
     verify_staircase,
 )
 from ordlat.group import CoordinateSystem, Presentation, Span, member_decompose
-from ordlat.intlinalg import combine_rows, hnf_rows, row_rank
+from ordlat.intlinalg import combine_rows, hnf_rows, project, row_rank
 from ordlat.ordinal import OMEGA, ZERO, from_int, parse_ordinal
 from ordlat.serialize import certificate_to_json, dumps
 from ordlat.space import ClopenBlock, ScatteredSpace
@@ -515,7 +514,7 @@ def test_default_depth_reaches_the_shaved_staircase(limitq):
     noisy = Presentation("noisy", d, tuple(gens))
     cert = certify(noisy)
     assert smooth_chain_check(noisy, cert).ok
-    span = Span(cert.basis_elements())
+    span = Span(d, cert.basis_elements())
     for name, g in noisy.generators:
         assert span.decompose(g) is not None, name
 
@@ -625,8 +624,8 @@ def test_pool_rows_combine_as_the_pool_does(name, data):
     domain, elements, cs, rows = _auto_pool(name)
     n = data.draw(st.integers(0, len(elements)))
     c = data.draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
-    ncols = len(cs.points) + len(cs.axes)
-    assert combine_rows(c, rows, ncols) == cs.coords(domain.combine(c, elements[:n]))
+    got = combine_rows(c, rows, len(cs.columns))
+    assert list(got) == cs.coords(domain.combine(c, elements[:n]))
 
 
 # (ok, first 16 hex digits of the SHA-256 of explain()) per checker case,
@@ -764,19 +763,19 @@ def test_projection_kernel_is_the_span_of_the_earlier_rows(data):
     batches = [data.draw(rows), data.draw(rows)]
     prior = []
     for batch in batches:
-        form = hnf_rows(_project(prior, batch))
+        form = hnf_rows(project(prior, batch))
         prior.extend(zip(form.pivots, form.h))
     earlier = batches[0] + batches[1]
     assert len(prior) == row_rank(earlier)
     for i, (_, b) in enumerate(prior):
         assert all(b[c] == 0 for c, _ in prior[:i])
     probe = data.draw(rows)
-    for row, image in zip(probe, _project(prior, probe)):
+    for row, image in zip(probe, project(prior, probe)):
         in_span = row_rank(earlier + [row]) == row_rank(earlier)
         assert (not any(image)) == in_span, (earlier, row, image)
     # the rows of one call share one linear map
     x, y = data.draw(vec), data.draw(vec)
-    ix, iy, isum = _project(prior, [x, y, [a + b for a, b in zip(x, y)]])
+    ix, iy, isum = project(prior, [x, y, [a + b for a, b in zip(x, y)]])
     assert isum == [a + b for a, b in zip(ix, iy)]
 
 

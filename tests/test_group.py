@@ -1,5 +1,6 @@
 import functools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,6 @@ from ordlat import presets
 from ordlat.group import (
     CoordinateSystem,
     Decomposition,
-    GrownSpan,
     Presentation,
     SearchExhaustedError,
     Span,
@@ -23,7 +23,7 @@ from ordlat.group import (
 from ordlat.ordinal import OMEGA, Ordinal, from_int, parse_ordinal
 
 from .conftest import combos
-from .oracles import full_window_decompose, greedy_peel
+from .oracles import full_window_decompose, greedy_peel, reference_coordinates
 
 
 # --- presentations ------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_span_matches_full_window_oracle(name, data):
         target = member - member.value(x) * d.e(x)
     else:
         target = member + data.draw(st.sampled_from((-1, 1, 2))) * d.e(x)
-    got = Span(family).decompose(target)
+    got = Span(d, family).decompose(target)
     _same_answer(got, full_window_decompose(family, target), family, target)
     if kind == "combination":
         assert got is not None
@@ -166,7 +166,7 @@ def test_grown_span_answers_as_span(name, data):
     family = data.draw(
         st.lists(st.sampled_from(pool), min_size=1, max_size=6)
     )
-    grown = GrownSpan(d)
+    grown = Span(d)
     cut = 0
     while cut < len(family):
         step = data.draw(st.integers(1, len(family) - cut))
@@ -174,8 +174,8 @@ def test_grown_span_answers_as_span(name, data):
         cut += step
         if data.draw(st.booleans()):
             grown.raises_rank(d.e(data.draw(st.sampled_from(points))))
-    span = Span(family)
-    assert grown.rank == span.hnf.rank
+    span = Span(d, family)
+    assert grown.rank == span.rank
     coeffs = data.draw(
         st.lists(st.integers(-3, 3), min_size=len(family), max_size=len(family))
     )
@@ -184,6 +184,60 @@ def test_grown_span_answers_as_span(name, data):
     for target in (member, member + d.e(x), 2 * member):
         _same_answer(grown.decompose(target), span.decompose(target), family, target)
     assert grown.decompose(member) is not None
+
+
+@pytest.mark.parametrize("name", DIFF_PRESETS)
+@given(data=st.data())
+def test_coordinates_match_the_reference_reader(name, data):
+    # a family's sorted window reads every combination and spike as the
+    # reader built at once did; a grown Span's rows stay its members'
+    # coordinates through batched extends, the second of which rescales
+    # the axis of gens[3]
+    pres, points = _diff_setup(name)
+    d = pres.domain
+    gens = pres.elements
+    pool = list(gens) + [d.e(x) for x in points] + [3 * g for g in gens]
+    family = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    coeffs = data.draw(
+        st.lists(st.integers(-3, 3), min_size=len(family), max_size=len(family))
+    )
+    member = d.combine(coeffs, family)
+    spike = d.e(data.draw(st.sampled_from(points)))
+    want = reference_coordinates(d, family)
+    cs = CoordinateSystem.for_elements(d, family)
+    for f in family + [member, spike, member - 2 * spike]:
+        assert tuple(cs.coords(f)) == want(f)
+
+    (t,) = gens[3].tails
+    axis, den = (t.ladder_id, t.weight), t.den // gcd(t.num, t.den)
+    grown = Span(d)
+    grown.extend([den * gens[3]])
+    assert grown.cs.scales[axis] == 1 < den
+    batches = [[gens[3]]]
+    cut = 0
+    while cut < len(family):
+        step = data.draw(st.integers(1, len(family) - cut))
+        batches.append(family[cut : cut + step])
+        cut += step
+    for batch in batches:
+        grown.extend(batch)
+    assert grown.rows == [grown.cs.coords(g) for g in grown.gens]
+
+
+def test_a_residue_on_no_axis_is_no_member():
+    # h_0's (ladder, weight) is on none of the f-family, whose readers
+    # skip that residue; the re-sum rejects it, from either Span
+    pres = presets.load("limit_power_two_weights")
+    d = pres.domain
+    fs = [g for n, g in pres.generators if n.startswith("f_")]
+    h0 = pres.generator("h_0")
+    grown = Span(d)
+    grown.extend(fs[:2])
+    grown.extend(fs[2:])
+    for span in (Span(d, fs), grown):
+        assert span.decompose(h0) is None
+        assert span.decompose(fs[1] + h0) is None
+        assert span.decompose(fs[1]) is not None
 
 
 def test_span_edge_families(limitq, twoblock):
@@ -208,7 +262,7 @@ def test_span_edge_families(limitq, twoblock):
         ([a0, a1, e(0)], a0, Decomposition((1, 0, 0), False)),
     ]
     for family, target, want in cases:
-        got = Span(family).decompose(target)
+        got = Span(target.domain, family).decompose(target)
         assert got == want, (family, target)
         _same_answer(got, full_window_decompose(family, target), family, target)
 
@@ -227,7 +281,7 @@ def test_coordinates_are_linear(any_pres, data):
     f = data.draw(combos(any_pres))
     g = data.draw(combos(any_pres))
     cf, cg, cfg = cs.coords(f), cs.coords(g), cs.coords(f + g)
-    assert cfg == tuple(a + b for a, b in zip(cf, cg))
+    assert cfg == [a + b for a, b in zip(cf, cg)]
 
 
 # --- integer-valued evaluation ------------------------------------------------------
