@@ -8,7 +8,11 @@ mean over one pass.  The element operations run on seeded combinations of
 one to three generators, rebuilt before every pass, so that no cached
 ladder window carries over from one pass to the next; value reads twelve
 ladder points per element, and scale multiplies each combination by a
-seeded factor in {-3, -2, 2, 3}.  The matrix operations factor a seeded 30 x 30
+seeded factor in {-3, -2, 2, 3}.  quark_decompose writes seeded sums of one
+to six spikes at ladder points 0-11, with coefficients in [-9, 9], over
+their quarks; member_decompose factors the generators for every one of
+seeded combinations of one to three of them, as a one-shot call does.
+The matrix operations factor a seeded 30 x 30
 matrix with entries in [-9, 9]; grown_extend widens the Hermite form of
 its first 28 rows by one column and extends it by two rows, as a chain
 step does, on a fresh form each pass.
@@ -25,7 +29,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from ordlat.group import Span
+from ordlat.group import Span, member_decompose, span_qx_decompose
 from ordlat.intlinalg import GrownForm, hnf_rows
 from ordlat.ordinal import OMEGA, compare, from_int
 from ordlat.presets import load
@@ -111,6 +115,21 @@ def main(argv=None):
         span = pres.span
         return lambda: [span.decompose(e) for e in spikes]
 
+    qrng = random.Random(f"quarks:{args.seed}")
+    spike_sums = []
+    for _ in range(PAIRS):
+        ks = qrng.sample(range(POINTS), qrng.randint(1, 6))
+        cs = [qrng.choice([c for c in range(-9, 10) if c]) for _ in ks]
+        spike_sums.append(list(zip(ks, cs)))
+
+    def quark_decompose():
+        fs = [dom.literal([(points[k], c) for k, c in s], ()) for s in spike_sums]
+        return lambda: [span_qx_decompose(f) for f in fs]
+
+    def one_shot_member():
+        ts = fresh(left)
+        return lambda: [member_decompose(pres.elements, t) for t in ts]
+
     mrng = random.Random(f"matrix:{args.seed}")
     matrix = [[mrng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
     column = [mrng.randint(-9, 9) for _ in range(28)]
@@ -134,6 +153,8 @@ def main(argv=None):
         "ordinal_compare": per_call(compare_ordinals, len(pairs_o), args.repeat),
         "span_build": per_call(span_build, 1, args.repeat),
         "span_decompose_spike": per_call(span_decompose, len(spikes), args.repeat),
+        "quark_decompose": per_call(quark_decompose, PAIRS, args.repeat),
+        "member_decompose": per_call(one_shot_member, PAIRS, args.repeat),
         "hnf_rows_30x30": per_call(lambda: lambda: hnf_rows(matrix), 1, args.repeat),
         "grown_extend": per_call(grown_extend, 1, args.repeat),
     }

@@ -166,6 +166,12 @@ class Ladder:
     kind "arith": point(k) = first + step * k with step a single-term
     ordinal (a positive integer or w^e * c).  kind "power":
     point(k) = w^(offset + k), converging to w^w.
+
+    table holds point(0..n-1) and index its inverse.  As WeightFn.table,
+    it grows by one point when the index just past its end is asked for,
+    and a lone far index is computed and not stored.  The points of a
+    ladder increase, so every ladder point up to the last tabled one is
+    in the table.
     """
 
     id: str
@@ -175,6 +181,8 @@ class Ladder:
     first: Ordinal = ZERO
     step: Ordinal = ONE
     offset: int = 0
+    table: List[Ordinal] = field(init=False, repr=False, compare=False)
+    index: Dict[Ordinal, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.id or not self.id.isidentifier():
@@ -202,17 +210,33 @@ class Ladder:
                 raise ValueError("power ladder converges to w^w")
         else:
             raise ValueError(f"unknown ladder kind {self.kind!r}")
+        p = self._direct(0)
+        object.__setattr__(self, "table", [p])
+        object.__setattr__(self, "index", {p: 0})
 
-    def point(self, k: int) -> Ordinal:
-        if k < 0:
-            raise ValueError("ladder index must be >= 0")
+    def _direct(self, k: int) -> Ordinal:
         if self.kind == "power":
             return omega_power(from_int(self.offset + k))
         exp, coeff = self.step.terms[0]
         return add(self.first, omega_power(exp, coeff * k) if k else ZERO)
 
+    def point(self, k: int) -> Ordinal:
+        table = self.table
+        if 0 <= k < len(table):
+            return table[k]
+        if k < 0:
+            raise ValueError("ladder index must be >= 0")
+        x = self._direct(k)
+        if k == len(table):
+            table.append(x)
+            self.index[x] = k
+        return x
+
     def index_of(self, x: Ordinal) -> Optional[int]:
         """Inverse of point(), or None when x is not on the ladder."""
+        k = self.index.get(x)
+        if k is not None or x <= self.table[-1]:
+            return k
         if self.kind == "power":
             if len(x.terms) != 1 or x.terms[0][1] != 1:
                 return None

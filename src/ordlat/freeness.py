@@ -851,7 +851,7 @@ def smooth_chain_check(
             fail(at, "quotient basis is dependent modulo the previous steps")
         elif len(step.quotient_basis) != len(step.a_extension):
             fail(at, "quotient basis needs one row per extension element")
-        elif q_rows and any(quotient.solve(r) is None for r in own):
+        elif q_rows and any(quotient.back_substitute(r) is None for r in own):
             # the map is one-to-one on L / sat_L(P): the rows are its basis
             # exactly when their images generate the step's own images
             fail(
@@ -871,14 +871,16 @@ def smooth_chain_check(
             fail(f"basis:{i}", "combo length mismatch")
             continue
         combos.append(combo)
-    # one Hermite form of the basis gives its rank and every pool solve
+    # one Hermite form of the basis gives its rank and every pool solve;
+    # the membership checks below need no coefficients over the input,
+    # so they back-substitute over h alone
     basis = hnf_rows([combine_rows(c, rows, ncols) for c in combos])
     if basis.rank != len(combos):
         fail("basis", "final basis is dependent")
     if cert.rank != len(cert.final_basis):
         fail("basis", "declared rank differs from basis size")
     for entry, row in zip(pool, rows):
-        if basis.solve(row) is None:
+        if basis.back_substitute(row) is None:
             fail(f"pool:{entry.name}", "pool element escapes the final basis")
 
     for t in cert.targets:

@@ -16,8 +16,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ordlat.element import Domain, Element, WeightFn, is_semibasic, isolates
 from ordlat.intlinalg import GrownForm
-from ordlat.ordinal import Ordinal, format_ordinal, successor, floor_rank
-from ordlat.space import ClopenBlock
+from ordlat.ordinal import Ordinal, format_ordinal
 
 
 class SearchExhaustedError(RuntimeError):
@@ -342,43 +341,50 @@ def span_qx_decompose(
     decreasing rank and, within a rank, increasing ordinal.  That order makes
     the quark-value matrix unitriangular, which is what the kernel basis
     certificate exploits.
+
+    work is f less the supplied quarks taken so far.  A quark at x is 1 at
+    x and 0 at every other point of rank >= rank(x), so one pass per rank
+    reads each coefficient off work, and a point once taken keeps its
+    value.  The spike e(x) changes no value but its own, so work never
+    subtracts it: each pass takes the support points below the last
+    pass's rank.  Only a supplied quark can cancel another's tail; a tail
+    left at the end means f is no finite combination of the quarks.
     """
     if f.tails:
         raise ValueError("decomposition over quarks needs a finite support")
     quarks = quarks or {}
-    domain = f.domain
-    space = domain.space
+    space = f.domain.space
     result: Dict[Ordinal, int] = {}
     work = f
-    while not work.is_zero:
-        gamma = work.cb()
-        pts = [
-            p
-            for p in work.support().points
-            if space.cb_rank(p) == gamma
-        ]
-        clusters: Dict[Ordinal, List[Ordinal]] = {}
-        for p in pts:
-            clusters.setdefault(floor_rank(p, successor(gamma)), []).append(p)
-        for base in sorted(clusters, key=Ordinal.key):
-            members = clusters[base]
-            hi = max(members, key=Ordinal.key)
-            block = ClopenBlock(
-                low=None if base.is_zero else base, high=hi
-            )
-            for x in space.rank_slice(block, gamma):
-                c = work.value(x)
-                if c == 0:
-                    continue
-                q = quarks.get(x, domain.e(x))
+    ranks: Optional[Dict[Ordinal, Ordinal]] = None  # of work's support
+    tailed: Dict[str, Ordinal] = {}  # per ladder, the first quark with a tail on it
+    floor: Optional[Ordinal] = None  # the rank of the last pass
+    while True:
+        if ranks is None:
+            ranks = {x: space.cb_rank(x) for x in work.support().points}
+        below = [r for r in ranks.values() if floor is None or r < floor]
+        if not below:
+            break
+        floor = max(below)
+        for x in sorted((x for x, r in ranks.items() if r == floor), key=Ordinal.key):
+            c = work.value(x)
+            q = quarks.get(x)
+            if q is not None:
                 if not is_semibasic(q, x):
                     raise ValueError(
                         f"supplied quark at {format_ordinal(x)} is not semibasic"
                     )
                 work = work - c * q
-                result[x] = c
-        if not work.is_zero and work.cb() >= gamma:
-            raise AssertionError("rank failed to descend")
+                ranks = None
+                for t in q.tails:
+                    tailed.setdefault(t.ladder_id, x)
+            result[x] = c
+    if work.tails:
+        lid = work.tails[0].ladder_id
+        raise ValueError(
+            f"the quark at {format_ordinal(tailed[lid])} leaves a tail on "
+            f"ladder {lid}: no finite combination of the quarks"
+        )
     return result
 
 
@@ -423,7 +429,8 @@ def kernel_basis_certificate(
     for d in decomps:
         for x in d:
             if x not in seen:
-                seen[x] = quarks.get(x, domain.e(x))
+                q = quarks.get(x)
+                seen[x] = domain.e(x) if q is None else q
     # by decreasing rank, then increasing ordinal: sorts are stable
     ordered = sorted(seen, key=Ordinal.key)
     ordered.sort(key=lambda x: space.cb_rank(x).key(), reverse=True)

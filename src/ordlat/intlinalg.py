@@ -39,6 +39,14 @@ class HnfResult:
         """
         return _solve(self.h, self.u, self.pivots, target)
 
+    def back_substitute(
+        self, target: Sequence[int]
+    ) -> Optional[Tuple[int, ...]]:
+        """Integer coefficients q with q @ h[:rank] == target, or None:
+        solve without the map through u, for when only whether a solution
+        exists matters."""
+        return _back_substitute(self.h, self.pivots, target)
+
 
 def _back_substitute(
     h: Sequence[Sequence[int]], pivots: Sequence[int], target: Sequence[int]

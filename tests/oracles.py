@@ -4,12 +4,12 @@ Everything here recomputes answers from first principles with different
 algorithms than the package uses: the ordinal order by a term-by-term
 walk of the normal forms, ordinal addition by block rewriting,
 derived-set ranks by grid refinement, kernel decompositions by greedy
-forced-coefficient peeling, a family's coordinates by the window and
-reader built at once for the whole family, membership in a window
-widened by the target with two separate Hermite forms, torsion
-witnesses by a point-by-point re-sum with Fraction residues, the
-lattice meet through the
-canonical difference of its arguments, element literals by a
+forced-coefficient peeling and by the earlier block-slicing loop, a
+family's coordinates by the window and reader built at once for the
+whole family, membership in a window widened by the target with two
+separate Hermite forms, torsion witnesses by a point-by-point re-sum
+with Fraction residues, the lattice meet through the canonical
+difference of its arguments, element literals by a
 character scanner that sums one canonical atom per term, and the
 canonical form by the earlier canonicalizer, which re-sums every
 multiple and combination term by term.
@@ -25,11 +25,28 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ordlat.element import Domain, Element, TailTerm, WeightFn, _from_values, _settle
+from ordlat.element import (
+    Domain,
+    Element,
+    TailTerm,
+    WeightFn,
+    _from_values,
+    _settle,
+    is_semibasic,
+)
 from ordlat.group import CoordinateSystem, Decomposition
 from ordlat.intlinalg import row_rank, solve_in_rowspace
-from ordlat.ordinal import Ordinal, compare, from_int, omega_power, parse_ordinal
-from ordlat.space import ScatteredSpace
+from ordlat.ordinal import (
+    Ordinal,
+    compare,
+    floor_rank,
+    format_ordinal,
+    from_int,
+    omega_power,
+    parse_ordinal,
+    successor,
+)
+from ordlat.space import ClopenBlock, ScatteredSpace
 
 # --- the ordinal order, read off the normal forms ------------------------------
 
@@ -202,6 +219,45 @@ def greedy_peel(
         if out[x] == 0:
             del out[x]
     raise RuntimeError("peel oracle runaway")
+
+
+def reference_span_qx_decompose(
+    f: Element, quarks: Optional[Mapping[Ordinal, Element]] = None
+) -> Dict[Ordinal, int]:
+    """The quark decomposition as it was written before spikes were taken
+    without arithmetic: each round recomputes the rank of what is left,
+    clusters its top-rank support points into blocks, walks each block's
+    rank slice, and subtracts every quark, spikes included."""
+    if f.tails:
+        raise ValueError("decomposition over quarks needs a finite support")
+    quarks = quarks or {}
+    domain = f.domain
+    space = domain.space
+    result: Dict[Ordinal, int] = {}
+    work = f
+    while not work.is_zero:
+        gamma = work.cb()
+        pts = [p for p in work.support().points if space.cb_rank(p) == gamma]
+        clusters: Dict[Ordinal, List[Ordinal]] = {}
+        for p in pts:
+            clusters.setdefault(floor_rank(p, successor(gamma)), []).append(p)
+        for base in sorted(clusters, key=Ordinal.key):
+            hi = max(clusters[base], key=Ordinal.key)
+            block = ClopenBlock(low=None if base.is_zero else base, high=hi)
+            for x in space.rank_slice(block, gamma):
+                c = work.value(x)
+                if c == 0:
+                    continue
+                q = quarks.get(x, domain.e(x))
+                if not is_semibasic(q, x):
+                    raise ValueError(
+                        f"supplied quark at {format_ordinal(x)} is not semibasic"
+                    )
+                work = work - c * q
+                result[x] = c
+        if not work.is_zero and work.cb() >= gamma:
+            raise AssertionError("rank failed to descend")
+    return result
 
 
 # --- coordinates of a family given at once ----------------------------------------

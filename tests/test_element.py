@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from ordlat.element import (
     parse_element,
     parse_weight,
 )
-from ordlat.ordinal import OMEGA, ONE, ZERO, from_int, parse_ordinal
+from ordlat.ordinal import OMEGA, ONE, ZERO, from_int, omega_power, parse_ordinal
 from ordlat.serialize import element_from_json, element_to_json
 from ordlat.space import ScatteredSpace
 
@@ -150,6 +151,96 @@ _POWER = Ladder(
 def test_domain_rejects_clashing_ladders(top, ladders, message):
     with pytest.raises(ValueError, match=message):
         Domain(space=ScatteredSpace(parse_ordinal(top)), ladders=tuple(ladders))
+
+
+# --- the ladder point table ----------------------------------------------------
+
+
+def _table_ladders():
+    return [
+        _arith("a", "0", "1", "w"),
+        _arith("b", "2", "w^2", "w^3"),
+        _arith("c", "w^2", "1", "w^2 + w"),
+        Ladder(
+            id="pw",
+            kind="power",
+            target=parse_ordinal("w^w"),
+            weights=(WeightFn("factorial"),),
+            offset=2,
+        ),
+    ]
+
+
+def _arithmetic_point(L, k):
+    """point(k) from the ladder's definition."""
+    if L.kind == "power":
+        return omega_power(from_int(L.offset + k))
+    exp, coeff = L.step.terms[0]
+    return L.first + omega_power(exp, coeff * k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ladder_table_matches_the_arithmetic(seed):
+    rng = random.Random(seed)
+    for L in _table_ladders():
+        ks = list(range(16)) + [40, 41, 200]
+        rng.shuffle(ks)
+        for k in ks:
+            assert L.point(k) == _arithmetic_point(L, k), (L.id, k)
+            assert L.index_of(L.point(k)) == k
+        # whatever the order, the table is a prefix of the ladder
+        assert L.table == [_arithmetic_point(L, k) for k in range(len(L.table))]
+        assert L.index == {x: k for k, x in enumerate(L.table)}
+
+
+def test_a_lone_far_index_is_not_tabled():
+    for L in _table_ladders():
+        assert len(L.table) == 1
+        far = L.point(500)
+        assert len(L.table) == 1
+        assert L.index_of(far) == 500
+        assert len(L.table) == 1
+        L.point(1)
+        assert len(L.table) == 2
+
+
+def test_index_of_is_none_off_the_ladder_inside_and_past_the_table():
+    L = _arith("b", "2", "w^2", "w^3")  # 2, w^2, w^2*2, ...
+    for k in range(6):
+        L.point(k)
+    assert len(L.table) == 6
+    for text in ("0", "1", "3", "w", "w^2 + 1", "w^2*3 + 2"):  # below first, between
+        assert L.index_of(parse_ordinal(text)) is None, text
+    for text in ("w^2*9 + 1", "w^3", "w^3 + 1"):  # past the table
+        assert L.index_of(parse_ordinal(text)) is None, text
+    assert L.index_of(parse_ordinal("w^2*9")) == 9
+    assert len(L.table) == 6
+    P = _table_ladders()[-1]  # w^2, w^3, ...
+    P.point(1)
+    for text in ("w", "w^2 + 1", "w^4 + w", "w^w"):
+        assert P.index_of(parse_ordinal(text)) is None, text
+
+
+def test_negative_ladder_index_is_rejected():
+    for L in _table_ladders():
+        for k in range(3):
+            L.point(k)
+        with pytest.raises(ValueError):
+            L.point(-1)
+
+
+def test_ladders_with_different_tables_are_equal():
+    L, M = _arith("a", "0", "1", "w"), _arith("a", "0", "1", "w")
+    for k in range(9):
+        L.point(k)
+    assert len(L.table) != len(M.table)
+    assert L == M and hash(L) == hash(M)
+    space = ScatteredSpace(OMEGA)
+    d, e = Domain(space, (L,)), Domain(space, (M,))
+    assert d == e and hash(d) == hash(e)
+    # _same_domain accepts elements of the two domains
+    f = d.e(from_int(3)) + e.e(from_int(3))
+    assert f == d.literal(((from_int(3), 2),), ())
 
 
 def test_weight_lookup_by_label(limitq):

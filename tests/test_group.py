@@ -20,10 +20,17 @@ from ordlat.group import (
     semibasic_construct,
     span_qx_decompose,
 )
+from ordlat.element import Domain, Ladder, WeightFn, is_semibasic
 from ordlat.ordinal import OMEGA, Ordinal, from_int, parse_ordinal
+from ordlat.space import ScatteredSpace
 
 from .conftest import combos
-from .oracles import full_window_decompose, greedy_peel, reference_coordinates
+from .oracles import (
+    full_window_decompose,
+    greedy_peel,
+    reference_coordinates,
+    reference_span_qx_decompose,
+)
 
 
 # --- presentations ------------------------------------------------------------
@@ -403,6 +410,109 @@ def test_span_with_supplied_quarks(twoblock):
     assert span_qx_decompose(
         2 * qw, quarks={OMEGA: qw}
     ) == {OMEGA: 2}
+
+
+def _quark_pool(pres):
+    """Points off the ladder targets: ladder indices 0-3 and a few points
+    of low rank, so that most presets offer several ranks."""
+    d = pres.domain
+    pts = [L.point(k) for L in d.ladders for k in range(4)]
+    pts += [from_int(k) for k in range(3)]
+    pts += [parse_ordinal(t) for t in ("w", "w + 3", "w^2", "w^2 + w")]
+    return sorted(
+        {p for p in pts if d.space.contains(p) and d.target_ladder(p) is None},
+        key=Ordinal.key,
+    )
+
+
+@st.composite
+def quark_cases(draw, pres):
+    """A finite element and a quark mapping: none, semibasic quarks (a
+    spike plus nonnegative padding of lower rank) at some points, or
+    those with one quark that is not semibasic at a support point."""
+    d = pres.domain
+    rank = d.space.cb_rank
+    pts = _quark_pool(pres)
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(pts), max_size=len(pts)))
+    f = d.literal([(p, c) for p, c in zip(pts, coeffs) if c], ())
+    mode = draw(st.sampled_from(["none", "semibasic", "one_bad"]))
+    quarks = {}
+    if mode != "none":
+        for x in pts:
+            if not draw(st.booleans()):
+                continue
+            lower = [p for p in pts if rank(p) < rank(x)]
+            pad = []
+            if lower:
+                pair = st.tuples(st.sampled_from(lower), st.integers(1, 3))
+                pad = draw(st.lists(pair, max_size=3))
+            quarks[x] = d.literal([(x, 1)] + pad, ())
+            assert is_semibasic(quarks[x], x)
+    if mode == "one_bad":
+        x = draw(st.sampled_from(sorted(f.support().points, key=Ordinal.key) or pts))
+        y = draw(st.sampled_from([p for p in pts if p != x]))
+        kind = draw(st.sampled_from(["double", "negative", "rival"]))
+        if kind == "double":
+            bad = 2 * d.e(x)
+        elif kind == "negative" or rank(y) < rank(x):
+            bad = d.e(x) - d.e(y)
+        else:  # a second point of rank >= rank(x)
+            bad = d.e(x) + d.e(y)
+        assert not is_semibasic(bad, x)
+        quarks[x] = bad
+    return f, quarks
+
+
+def _outcome(decompose, f, quarks):
+    try:
+        return list(decompose(f, quarks).items())
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "name", ["twoblock", "gridrows", "limit_power_two_weights", "two_prime"]
+)
+@given(st.data())
+def test_span_matches_the_earlier_loop(name, data):
+    pres = presets.load(name)
+    f, quarks = data.draw(quark_cases(pres))
+    want = _outcome(reference_span_qx_decompose, f, quarks)
+    assert _outcome(span_qx_decompose, f, quarks) == want
+
+
+def _tailed_domain(top):
+    """[0, top] with the factorial ladder q -> w on the natural numbers."""
+    ladder = Ladder(
+        id="q", kind="arith", target=OMEGA, weights=(WeightFn("factorial"),)
+    )
+    return Domain(ScatteredSpace(parse_ordinal(top)), (ladder,))
+
+
+def test_a_quark_whose_tail_is_left_is_a_value_error():
+    d = _tailed_domain("w^2")
+    w2 = parse_ordinal("w^2")
+    q = d.e(w2) + d.tail("q", 1, 0)
+    assert is_semibasic(q, w2)
+    with pytest.raises(ValueError, match=r"quark at w\^2 leaves a tail"):
+        span_qx_decompose(d.e(w2), {w2: q})
+    with pytest.raises(ValueError, match=r"quark at w\^2 leaves a tail"):
+        kernel_basis_certificate([d.e(w2)], {w2: q})
+    # the earlier loop stopped on an internal assertion instead
+    with pytest.raises(AssertionError):
+        reference_span_qx_decompose(d.e(w2), {w2: q})
+
+
+def test_quark_tails_that_cancel_are_finite_combinations():
+    d = _tailed_domain("w^3")
+    w2, w3 = parse_ordinal("w^2"), parse_ordinal("w^3")
+    quarks = {x: d.e(x) + d.tail("q", 1, 0) for x in (w2, w3)}
+    f = d.e(w3) - d.e(w2)
+    got = span_qx_decompose(f, quarks)
+    assert list(got.items()) == [(w3, 1), (w2, -1)]
+    assert got == reference_span_qx_decompose(f, quarks)
+    cert = kernel_basis_certificate([f], quarks)
+    assert cert.verify() and cert.rows == ((1, -1),)
 
 
 # --- kernel basis certificates --------------------------------------------------------

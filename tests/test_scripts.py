@@ -68,6 +68,8 @@ def test_microbench_prints_one_json_object():
         "ordinal_compare",
         "span_build",
         "span_decompose_spike",
+        "quark_decompose",
+        "member_decompose",
         "hnf_rows_30x30",
         "grown_extend",
     }
