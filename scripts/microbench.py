@@ -6,7 +6,8 @@ Usage: microbench.py [--repeat N] [--seed S]
 Each cost is in microseconds per call: the median over N repeats of the
 mean over one pass.  The element operations run on seeded combinations of
 one to three generators, rebuilt before every pass, so that no cached
-ladder window carries over from one pass to the next; value reads twelve
+ladder window carries over from one pass to the next; meet and join take
+the same pairs; value reads twelve
 ladder points per element, and scale multiplies each combination by a
 seeded factor in {-3, -2, 2, 3}.  quark_decompose writes seeded sums of one
 to six spikes at ladder points 0-11, with coefficients in [-9, 9], over
@@ -86,6 +87,10 @@ def main(argv=None):
         ps = pairs()
         return lambda: [f.meet(g) for f, g in ps]
 
+    def join():
+        ps = pairs()
+        return lambda: [f.join(g) for f, g in ps]
+
     def add():
         ps = pairs()
         return lambda: [f + g for f, g in ps]
@@ -147,6 +152,7 @@ def main(argv=None):
 
     ops = {
         "meet": per_call(meet, PAIRS, args.repeat),
+        "join": per_call(join, PAIRS, args.repeat),
         "add": per_call(add, PAIRS, args.repeat),
         "scale": per_call(scale, PAIRS, args.repeat),
         "value": per_call(value, PAIRS * POINTS, args.repeat),

@@ -706,51 +706,101 @@ class Element:
         )
 
     def meet(self, other: "Element") -> "Element":
-        """Pointwise minimum.
+        """Pointwise minimum, built in canonical form (`_pick`).
 
-        Past both settle indices each side is its tail formula, so the
-        difference is the formula of the residue difference: the most
-        dominant weight on which the residues differ picks the eventually
-        smaller side, whose tails the minimum keeps, and `_settle` from
-        there gives the index past which that choice holds pointwise.
-        Below the smaller start neither side has a tail, so only the prefix
-        indices of the two sides can be nonzero there.
+        Direct-build lemma, per ladder.  Past both settle indices each side
+        is its tail formula, so the difference is the formula of the
+        residue difference: the most dominant weight on which the residues
+        differ picks the side that is eventually smaller (for a join,
+        larger), and `_settle` from there gives the index n past which that
+        choice holds pointwise.  The survivor's terms are canonical for the
+        result as they stand: same residue, denominator and order; only
+        the start s can move.  It rises to one past the last index at or
+        above the survivor's start where the picked value departs from the
+        survivor's formula, since up to there the survivor's terms are
+        integral.  Where nothing departs, it walks down from the survivor's
+        start while every term is integral and the formula equals the
+        picked value.  Below s the picked values are the prefix: below the
+        smaller start neither side has a tail, so only the prefix indices
+        of the two sides can be nonzero there.
         """
-        self._same_domain(other)
-        on: Dict[str, Dict[int, int]] = {}
-        tails: List[TailTerm] = []
-        for L in self.domain.ladders:
-            lid = L.id
-            fs, gs = self._terms.get(lid, ()), other._terms.get(lid, ())
-            lo = n = max(self.settle_index(lid), other.settle_index(lid))
-            if fs or gs:
-                diff = _residue_difference(fs, gs)
-                survivor = other if (diff and diff[-1][1] > 0) else self
-                tails.extend(survivor.tails_on(lid))
-                lo = min(terms[0].start for terms in (fs, gs) if terms)
-                n = _settle(diff, n)
-            vals = on[lid] = {}
-            for k in self._onmap.get(lid, {}).keys() | other._onmap.get(lid, {}).keys():
-                if k < lo:  # a zero off the tails adds nothing
-                    v = min(self._at(lid, k), other._at(lid, k))
-                    if v:
-                        vals[k] = v
-            for k in range(lo, n):
-                vals[k] = min(self._at(lid, k), other._at(lid, k))
-        off: Dict[Ordinal, int] = {}
-        for x, _ in self.off + other.off:
-            if x not in off:
-                off[x] = min(self._offmap.get(x, 0), other._offmap.get(x, 0))
-        return _from_values(self.domain, off, on, tails)
+        return self._pick(other, True)
 
     def join(self, other: "Element") -> "Element":
-        return -((-self).meet(-other))
+        """Pointwise maximum, built in canonical form as meet is."""
+        return self._pick(other, False)
 
     def plus_part(self) -> "Element":
         return self.join(self.domain.zero())
 
     def minus_part(self) -> "Element":
         return self.meet(self.domain.zero())
+
+    def _pick(self, other: "Element", low: bool) -> "Element":
+        """The pointwise minimum (low) or maximum of self and other in
+        canonical form, by the direct-build lemma in `meet`."""
+        self._same_domain(other)
+        pick = min if low else max
+        on: List[Tuple[str, Tuple[Tuple[int, int], ...]]] = []
+        tails: List[TailTerm] = []
+        lids = sorted(
+            self._terms.keys() | self._onmap.keys()
+            | other._terms.keys() | other._onmap.keys()
+        )
+        for lid in lids:
+            fs, gs = self._terms.get(lid, ()), other._terms.get(lid, ())
+            lo = n = max(self.settle_index(lid), other.settle_index(lid))
+            keep: Tuple[TailTerm, ...] = ()  # the survivor's terms
+            keep_self = True
+            if fs or gs:
+                diff = _residue_difference(fs, gs)
+                above = bool(diff) and diff[-1][1] > 0  # self eventually larger
+                keep_self = above != low
+                keep = fs if keep_self else gs
+                lo = min(terms[0].start for terms in (fs, gs) if terms)
+                n = _settle(diff, n)
+            start = s = keep[0].start if keep else n  # s: the result's start
+            vals: Dict[int, int] = {}
+            for k in self._onmap.get(lid, {}).keys() | other._onmap.get(lid, {}).keys():
+                if k < lo:  # a zero off the tails adds nothing
+                    v = pick(self._at(lid, k), other._at(lid, k))
+                    if v:
+                        vals[k] = v
+            below = sorted(vals)
+            for k in range(lo, n):
+                a, b = self._at(lid, k), other._at(lid, k)
+                v = vals[k] = pick(a, b)
+                # from its start on, the survivor's value is its formula
+                if k >= start and v != (a if keep_self else b):
+                    s = k + 1
+            if keep and s == start:
+                # _canonical's walk down, with the picked values for the
+                # window and the survivor's terms, none started below start
+                d = keep[0].den
+                formula = [(t.weight, t.num) for t in keep]
+                raw = [(start, w, c) for w, c in formula]
+                s = _walk_down(start, vals, d, raw, d, formula)
+            if s == start:
+                tails.extend(keep)
+            else:
+                tails.extend(TailTerm(lid, t.weight, t.num, t.den, s) for t in keep)
+            prefix = [(k, vals[k]) for k in below if k < s]
+            prefix += [(k, vals[k]) for k in range(lo, s) if vals[k]]
+            if prefix:
+                on.append((lid, tuple(prefix)))
+        if self.off and other.off:
+            fo, go = self._offmap, other._offmap
+            off = [
+                (x, v)
+                for x in fo.keys() | go.keys()
+                if (v := pick(fo.get(x, 0), go.get(x, 0)))
+            ]
+            off.sort(key=lambda item: item[0].key())
+        else:  # one side's points, in ordinal order already
+            off = [(x, v) for x, u in self.off or other.off if (v := pick(u, 0))]
+        return Element(
+            domain=self.domain, off=tuple(off), on=tuple(on), tails=tuple(tails)
+        )
 
     # -- arithmetic --
 

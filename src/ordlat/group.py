@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ordlat.element import Domain, Element, WeightFn, is_semibasic, isolates
 from ordlat.intlinalg import GrownForm
@@ -350,9 +350,16 @@ def span_qx_decompose(
     pass's rank.  Only a supplied quark can cancel another's tail; a tail
     left at the end means f is no finite combination of the quarks.
     """
+    return _peel_quarks(f, quarks or {}, set())
+
+
+def _peel_quarks(
+    f: Element, quarks: Mapping[Ordinal, Element], tested: Set[Ordinal]
+) -> Dict[Ordinal, int]:
+    """span_qx_decompose, testing a supplied quark for semibasicness only
+    at a point not yet in tested, which then takes that point."""
     if f.tails:
         raise ValueError("decomposition over quarks needs a finite support")
-    quarks = quarks or {}
     space = f.domain.space
     result: Dict[Ordinal, int] = {}
     work = f
@@ -370,10 +377,11 @@ def span_qx_decompose(
             c = work.value(x)
             q = quarks.get(x)
             if q is not None:
-                if not is_semibasic(q, x):
+                if x not in tested and not is_semibasic(q, x):
                     raise ValueError(
                         f"supplied quark at {format_ordinal(x)} is not semibasic"
                     )
+                tested.add(x)
                 work = work - c * q
                 ranks = None
                 for t in q.tails:
@@ -424,7 +432,8 @@ def kernel_basis_certificate(
     quarks = quarks or {}
     domain = gens[0].domain
     space = domain.space
-    decomps = [span_qx_decompose(g, quarks) for g in gens]
+    tested: Set[Ordinal] = set()  # each supplied quark is tested once
+    decomps = [_peel_quarks(g, quarks, tested) for g in gens]
     seen: Dict[Ordinal, Element] = {}
     for d in decomps:
         for x in d:

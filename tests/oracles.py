@@ -9,7 +9,8 @@ family's coordinates by the window and reader built at once for the
 whole family, membership in a window widened by the target with two
 separate Hermite forms, torsion witnesses by a point-by-point re-sum
 with Fraction residues, the lattice meet through the canonical
-difference of its arguments, element literals by a
+difference of its arguments and by the earlier meet, which hands the
+values it read to _from_values, element literals by a
 character scanner that sums one canonical atom per term, and the
 canonical form by the earlier canonicalizer, which re-sums every
 multiple and combination term by term.
@@ -31,6 +32,7 @@ from ordlat.element import (
     TailTerm,
     WeightFn,
     _from_values,
+    _residue_difference,
     _settle,
     is_semibasic,
 )
@@ -469,6 +471,58 @@ def subtract_meet(f: Element, g: Element) -> Element:
     for x, _ in f.off + g.off:
         off[x] = min(f._offmap.get(x, 0), g._offmap.get(x, 0))
     return _from_values(f.domain, off, on, tails)
+
+
+# --- meet through the values, by the earlier meet -------------------------------
+#
+# reference_meet is the package's Element.meet as it was before meet and
+# join built their canonical form directly: it collects the values and
+# the surviving tails and hands them to _from_values.  Only the names
+# differ.
+
+
+def reference_meet(f: Element, g: Element) -> Element:
+    """Pointwise minimum.
+
+    Past both settle indices each side is its tail formula, so the
+    difference is the formula of the residue difference: the most
+    dominant weight on which the residues differ picks the eventually
+    smaller side, whose tails the minimum keeps, and `_settle` from
+    there gives the index past which that choice holds pointwise.
+    Below the smaller start neither side has a tail, so only the prefix
+    indices of the two sides can be nonzero there.
+    """
+    f._same_domain(g)
+    on: Dict[str, Dict[int, int]] = {}
+    tails: List[TailTerm] = []
+    for L in f.domain.ladders:
+        lid = L.id
+        fs, gs = f._terms.get(lid, ()), g._terms.get(lid, ())
+        lo = n = max(f.settle_index(lid), g.settle_index(lid))
+        if fs or gs:
+            diff = _residue_difference(fs, gs)
+            survivor = g if (diff and diff[-1][1] > 0) else f
+            tails.extend(survivor.tails_on(lid))
+            lo = min(terms[0].start for terms in (fs, gs) if terms)
+            n = _settle(diff, n)
+        vals = on[lid] = {}
+        for k in f._onmap.get(lid, {}).keys() | g._onmap.get(lid, {}).keys():
+            if k < lo:  # a zero off the tails adds nothing
+                v = min(f._at(lid, k), g._at(lid, k))
+                if v:
+                    vals[k] = v
+        for k in range(lo, n):
+            vals[k] = min(f._at(lid, k), g._at(lid, k))
+    off: Dict[Ordinal, int] = {}
+    for x, _ in f.off + g.off:
+        if x not in off:
+            off[x] = min(f._offmap.get(x, 0), g._offmap.get(x, 0))
+    return _from_values(f.domain, off, on, tails)
+
+
+def reference_join(f: Element, g: Element) -> Element:
+    """Pointwise maximum, as the negated minimum of the negations."""
+    return -reference_meet(-f, -g)
 
 
 # --- element literals, one atom per term ----------------------------------------

@@ -31,6 +31,8 @@ from .conftest import combos
 from .oracles import (
     reference_canonical,
     reference_combine,
+    reference_join,
+    reference_meet,
     reference_parse_element,
     subtract_meet,
 )
@@ -660,6 +662,66 @@ def test_meet_matches_subtract_meet(name, data):
         assert m.residue_at(L.id) == eventual_min(f, g, L.id)
     for x, _ in f.off + g.off:
         assert m.value(x) == min(f.value(x), g.value(x))
+
+
+@st.composite
+def lattice_pairs(draw, pres):
+    """(f, g) for the direct-build meet and join: near ties (equal
+    residues, or residues that differ only on a low weight); one side
+    shifted by a tail that starts at one index and is taken back from
+    another, which keeps the residue and moves the start below or above
+    the other side's; zero on either side; f against f; f against -f."""
+    d = pres.domain
+    kind = draw(st.sampled_from(("near", "shifted", "zero", "self", "negated")))
+    if kind == "near":
+        f, g = draw(near_ties(pres))
+    else:
+        f = draw(combos(pres))
+        g = {"zero": d.zero(), "self": f, "negated": -f}.get(kind)
+        if g is None:
+            L = draw(st.sampled_from(d.ladders))
+            w = draw(st.sampled_from(L.weights)).label()
+            c = draw(st.sampled_from((-2, -1, 1, 2)))
+            k1, k2 = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+            g = f + d.tail(L.id, c, k1, weight=w) - d.tail(L.id, c, k2, weight=w)
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PRESETS))
+@given(data=st.data())
+@settings(max_examples=150)
+def test_lattice_operations_match_the_earlier_meet(name, data):
+    pres = ORACLE_PRESETS[name]
+    f, g = data.draw(lattice_pairs(pres))
+    zero = pres.domain.zero()
+    assert f.meet(g) == reference_meet(f, g)
+    assert f.join(g) == reference_join(f, g)
+    assert f.plus_part() == reference_join(f, zero)
+    assert f.minus_part() == reference_meet(f, zero)
+
+
+def test_meet_start_rises_above_the_survivors():
+    # f survives (3 against 73/24 on the factorial weight) from its start
+    # 0, but at index 0 g is 0 < 3 = f: the meet's start rises to 1, one
+    # past the last index where the minimum departs from f's formula.  A
+    # walk down from f's start alone would keep 0.
+    d = ORACLE_PRESETS["twoblock"].domain
+    f = parse_element(
+        d, "e(0) + e(2) + tail(ladder=main, weight=factorial, r=3, start=0)"
+    )
+    g = parse_element(
+        d,
+        "2*e(0) + 3*e(w+2) + 6*e(w+3) + 18*e(w+4)"
+        " + tail(ladder=main, weight=factorial, r=73/24, start=4)",
+    )
+    m = f.meet(g)
+    assert m == reference_meet(f, g)
+    assert m.tail_start("main") == 1
+    assert format_element(m) == (
+        "e(0) + tail(ladder=main, weight=factorial, r=3, start=1)"
+    )
+    assert f.join(g) == reference_join(f, g)
+    assert f.join(g).tail_start("main") == 4
 
 
 @given(st.data())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordlat import presets
+from ordlat import group, presets
 from ordlat.group import (
     CoordinateSystem,
     Decomposition,
@@ -538,6 +538,30 @@ def test_kernel_certificate_rank_order(twoblock):
     ranks = [space.cb_rank(x).key() for x in cert.points]
     assert ranks == sorted(ranks, reverse=True)
     assert cert.verify()
+
+
+def test_kernel_certificate_tests_each_supplied_quark_once(twoblock, monkeypatch):
+    d = twoblock.domain
+    q = d.e(OMEGA) + d.e(from_int(3))
+    gens = [k * d.e(OMEGA) + d.e(from_int(k % 4)) for k in range(1, 21)]
+    calls = []
+
+    def counting(f, x):
+        calls.append(x)
+        return is_semibasic(f, x)
+
+    monkeypatch.setattr(group, "is_semibasic", counting)
+    cert = kernel_basis_certificate(gens, {OMEGA: q})
+    assert calls == [OMEGA]
+    assert cert.verify()
+    # the rows are the decompositions one generator at a time
+    assert cert.rows == tuple(
+        tuple(span_qx_decompose(g, {OMEGA: q}).get(x, 0) for x in cert.points)
+        for g in gens
+    )
+    # a quark that is not semibasic is still refused, with the same message
+    with pytest.raises(ValueError, match=r"^supplied quark at w is not semibasic$"):
+        kernel_basis_certificate(gens, {OMEGA: 2 * q})
 
 
 def test_tampered_certificate_fails(limitq):

@@ -62,6 +62,7 @@ def test_microbench_prints_one_json_object():
     assert report["preset"] == "limitq" and report["repeat"] == 1
     assert set(report["ops"]) == {
         "meet",
+        "join",
         "add",
         "scale",
         "value",
