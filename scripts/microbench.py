@@ -12,7 +12,9 @@ ladder points per element, and scale multiplies each combination by a
 seeded factor in {-3, -2, 2, 3}.  quark_decompose writes seeded sums of one
 to six spikes at ladder points 0-11, with coefficients in [-9, 9], over
 their quarks; member_decompose factors the generators for every one of
-seeded combinations of one to three of them, as a one-shot call does.
+seeded combinations of one to three of them, as a one-shot call does;
+coords reads each generator and the spike at 3 at every column of the
+generators' coordinate system, as a Span build and a membership solve do.
 The matrix operations factor a seeded 30 x 30
 matrix with entries in [-9, 9]; grown_extend widens the Hermite form of
 its first 28 rows by one column and extends it by two rows, as a chain
@@ -131,6 +133,11 @@ def main(argv=None):
         fs = [dom.literal([(points[k], c) for k, c in s], ()) for s in spike_sums]
         return lambda: [span_qx_decompose(f) for f in fs]
 
+    def coords():
+        cs = pres.span.cs
+        fs = list(pres.elements) + [dom.e(from_int(3))]
+        return lambda: [cs.coords(f) for f in fs]
+
     def one_shot_member():
         ts = fresh(left)
         return lambda: [member_decompose(pres.elements, t) for t in ts]
@@ -161,6 +168,7 @@ def main(argv=None):
         "span_decompose_spike": per_call(span_decompose, len(spikes), args.repeat),
         "quark_decompose": per_call(quark_decompose, PAIRS, args.repeat),
         "member_decompose": per_call(one_shot_member, PAIRS, args.repeat),
+        "coords": per_call(coords, len(pres.elements) + 1, args.repeat),
         "hnf_rows_30x30": per_call(lambda: lambda: hnf_rows(matrix), 1, args.repeat),
         "grown_extend": per_call(grown_extend, 1, args.repeat),
     }

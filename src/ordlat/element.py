@@ -19,7 +19,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -346,9 +345,27 @@ class Domain:
     def zero(self) -> "Element":
         return Element(domain=self, off=(), on=(), tails=())
 
+    def _place(self, x: Ordinal) -> Optional[Tuple[Ladder, int]]:
+        """The ladder and index of a point where an element may hold a
+        value, or None off the ladders: x must lie in the space and off
+        every ladder target."""
+        if not self.space.contains(x):
+            raise ValueError(f"point {format_ordinal(x)} outside the space")
+        if self.target_ladder(x) is not None:
+            raise ValueError(
+                f"{format_ordinal(x)} is a ladder target; values there are "
+                "set by tails"
+            )
+        return self.locate(x)
+
     def e(self, x: Ordinal) -> "Element":
-        """Unit spike at a single point."""
-        return self.literal(((x, 1),), ())
+        """Unit spike at a single point, canonical as built: one prefix
+        value and no tails, as literal(((x, 1),), ()) would give."""
+        loc = self._place(x)
+        if loc is None:
+            return Element(domain=self, off=((x, 1),), on=(), tails=())
+        L, k = loc
+        return Element(domain=self, off=(), on=((L.id, ((k, 1),)),), tails=())
 
     def tail(
         self,
@@ -377,14 +394,7 @@ class Domain:
         off: Dict[Ordinal, int] = {}
         on: Dict[str, Dict[int, int]] = {}
         for x, v in points:
-            if not self.space.contains(x):
-                raise ValueError(f"point {format_ordinal(x)} outside the space")
-            if self.target_ladder(x) is not None:
-                raise ValueError(
-                    f"{format_ordinal(x)} is a ladder target; values there are "
-                    "set by tails"
-                )
-            loc = self.locate(x)
+            loc = self._place(x)
             if loc is None:
                 off[x] = off.get(x, 0) + v
             else:
@@ -515,6 +525,27 @@ def _settle(terms: Sequence[Tuple[WeightFn, int]], n: int) -> int:
     return max(n, k)
 
 
+class _lazy:
+    """functools.cached_property without its lock, which Python 3.10 and
+    3.11 take on every first read: the first read stores the value in the
+    instance __dict__, where every later read finds it before this
+    descriptor.  Two threads reading at once may both compute it; they
+    store equal values."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Element:
     """A canonical element, its prefix stored by where each point lies.
@@ -543,7 +574,7 @@ class Element:
     def is_zero(self) -> bool:
         return not self.off and not self.on and not self.tails
 
-    @cached_property
+    @_lazy
     def prefix(self) -> Tuple[Tuple[Ordinal, int], ...]:
         """Every prefix value keyed by its point, in ordinal order."""
         if not self.on:
@@ -554,15 +585,15 @@ class Element:
             items.extend((L.point(k), v) for k, v in kv)
         return tuple(sorted(items, key=lambda item: item[0].key()))
 
-    @cached_property
+    @_lazy
     def _offmap(self) -> Dict[Ordinal, int]:
         return dict(self.off)
 
-    @cached_property
+    @_lazy
     def _onmap(self) -> Dict[str, Dict[int, int]]:
         return {lid: dict(kv) for lid, kv in self.on}
 
-    @cached_property
+    @_lazy
     def _terms(self) -> Dict[str, Tuple[TailTerm, ...]]:
         """Per ladder with tails, its terms as they sit in tails: the
         element's behaviour at the ladder's target."""
@@ -646,7 +677,7 @@ class Element:
 
     # -- support & rank --
 
-    @cached_property
+    @_lazy
     def _support(self) -> SupportInfo:
         pts = {x for x, _ in self.off}
         regimes = []

@@ -9,12 +9,20 @@ plus one scaled axis per (ladder, weight) for behaviour at the limits.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ordlat.element import Domain, Element, WeightFn, is_semibasic, isolates
+from ordlat.element import (
+    Domain,
+    Element,
+    WeightFn,
+    _tail_sum,
+    is_semibasic,
+    isolates,
+)
 from ordlat.intlinalg import GrownForm
 from ordlat.ordinal import Ordinal, format_ordinal
 
@@ -82,15 +90,26 @@ class CoordinateSystem:
     formula except at the window's own points, so the residues fix the
     values there.  It reads any other element the same way, skipping a
     residue on no axis, and decides nothing about membership.
+
+    coords scatters: it starts from a zero row and writes only what the
+    element holds.  A canonical element holds prefix values only below
+    its tail start on each ladder, and no term has started there; from
+    the start on, its value is the tail formula.  So at a site its value
+    is the stored prefix value, or the formula from the start on, or 0,
+    and at a point off the ladders it is the stored value or 0: a column
+    that nothing writes reads 0.  _sites keeps each ladder's site
+    columns in index order, so the formula goes to the sites at or past
+    the start alone.
     """
 
-    __slots__ = ("columns", "scales", "_index", "_ends")
+    __slots__ = ("columns", "scales", "_index", "_ends", "_sites")
 
     def __init__(self) -> None:
         self.columns: List[Column] = []
         self.scales: Dict[Tuple[str, WeightFn], int] = {}
         self._index: Dict[Column, int] = {}
         self._ends: Dict[str, int] = {}  # per ladder, the largest tail start
+        self._sites: Dict[str, List[Tuple[int, int]]] = {}
 
     @classmethod
     def for_elements(
@@ -108,6 +127,7 @@ class CoordinateSystem:
 
         cs.columns.sort(key=order)
         cs._index = {col: i for i, col in enumerate(cs.columns)}
+        cs._sites = _ladder_sites(cs._index)
         return cs
 
     def widen(
@@ -144,6 +164,8 @@ class CoordinateSystem:
             for lid, kv in f.on:
                 for k, _ in kv:
                     add(("site", (lid, k)))
+        if len(self.columns) > width:
+            self._sites = _ladder_sites(self._index)
         rescaled = [
             (self._index[("axis", key)], self.scales[key] // old)
             for key, old in grown.items()
@@ -153,22 +175,49 @@ class CoordinateSystem:
     def coords(
         self, f: Element, columns: Optional[Sequence[Column]] = None
     ) -> List[int]:
-        """f at every column, or at the given ones."""
-        offmap = f._offmap
-        residues = {(t.ladder_id, t.weight): t for t in f.tails}
-        out = []
-        for kind, key in self.columns if columns is None else columns:
-            if kind == "site":
-                out.append(f._at(*key))
-            elif kind == "point":
-                out.append(offmap.get(key, 0))
-            else:
-                t = residues.get(key)
-                q, rem = divmod(t.num * self.scales[key], t.den) if t else (0, 0)
+        """f at every column, or at the given ones, by the scatter rule
+        above."""
+        if columns is None:
+            index, sites = self._index, self._sites
+        else:
+            index = {col: i for i, col in enumerate(columns)}
+            sites = _ladder_sites(index)
+        out = [0] * len(index)
+        for x, v in f.off:
+            i = index.get(("point", x))
+            if i is not None:
+                out[i] = v
+        for lid, kv in f.on:
+            for k, v in kv:
+                i = index.get(("site", (lid, k)))
+                if i is not None:
+                    out[i] = v
+        for lid, terms in f._terms.items():
+            row = sites.get(lid)
+            if row:
+                for k, i in row[bisect_left(row, (terms[0].start,)) :]:
+                    out[i] = _tail_sum(terms, k)
+        for t in f.tails:
+            key = (t.ladder_id, t.weight)
+            i = index.get(("axis", key))
+            if i is not None:
+                q, rem = divmod(t.num * self.scales[key], t.den)
                 if rem:
                     raise ValueError("residue outside the scaled lattice")
-                out.append(q)
+                out[i] = q
         return out
+
+
+def _ladder_sites(index: Mapping[Column, int]) -> Dict[str, List[Tuple[int, int]]]:
+    """Per ladder, the (ladder index, column) of its site columns in index
+    order."""
+    sites: Dict[str, List[Tuple[int, int]]] = {}
+    for (kind, key), i in index.items():
+        if kind == "site":
+            sites.setdefault(key[0], []).append((key[1], i))
+    for row in sites.values():
+        row.sort()
+    return sites
 
 
 @dataclass(frozen=True)
@@ -246,11 +295,7 @@ class Span:
             for r in self.rows:
                 r[c] *= factor
         if new:
-            # an earlier member is zero at every new column unless a tail
-            # of it reaches a new ladder index: its prefix points are in
-            # already, and no earlier member has a new axis
-            zero = [0] * len(new)
-            reads = [self.cs.coords(g, new) if g.tails else zero for g in self.gens]
+            reads = [self.cs.coords(g, new) for g in self.gens]
             self.form.widen(list(zip(*reads)) if reads else [()] * len(new))
             for r, extra in zip(self.rows, reads):
                 r.extend(extra)

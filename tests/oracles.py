@@ -6,7 +6,8 @@ walk of the normal forms, ordinal addition by block rewriting,
 derived-set ranks by grid refinement, kernel decompositions by greedy
 forced-coefficient peeling and by the earlier block-slicing loop, a
 family's coordinates by the window and reader built at once for the
-whole family, membership in a window widened by the target with two
+whole family and by the earlier reader, which probes every column of the
+element, membership in a window widened by the target with two
 separate Hermite forms, torsion witnesses by a point-by-point re-sum
 with Fraction residues, the lattice meet through the canonical
 difference of its arguments and by the earlier meet, which hands the
@@ -36,7 +37,7 @@ from ordlat.element import (
     _settle,
     is_semibasic,
 )
-from ordlat.group import CoordinateSystem, Decomposition
+from ordlat.group import Column, CoordinateSystem, Decomposition
 from ordlat.intlinalg import row_rank, solve_in_rowspace
 from ordlat.ordinal import (
     Ordinal,
@@ -314,6 +315,31 @@ def reference_coordinates(
         return tuple(out)
 
     return coords
+
+
+def reference_probe_coords(
+    cs: CoordinateSystem, f: Element, columns: Optional[Sequence[Column]] = None
+) -> List[int]:
+    """f at every column of cs, or at the given ones, probed one column at
+    a time: a site through Element._at, a point through the prefix map and
+    an axis through the scaled residue.  This is the reader before coords
+    scattered what the element holds; it raises the same ValueError on a
+    residue outside the scaled lattice and skips a residue on no axis."""
+    offmap = f._offmap
+    residues = {(t.ladder_id, t.weight): t for t in f.tails}
+    out = []
+    for kind, key in cs.columns if columns is None else columns:
+        if kind == "site":
+            out.append(f._at(*key))
+        elif kind == "point":
+            out.append(offmap.get(key, 0))
+        else:
+            t = residues.get(key)
+            q, rem = divmod(t.num * cs.scales[key], t.den) if t else (0, 0)
+            if rem:
+                raise ValueError("residue outside the scaled lattice")
+            out.append(q)
+    return out
 
 
 # --- membership in a target-widened window ----------------------------------------

@@ -23,7 +23,17 @@ from ordlat.element import (
     parse_element,
     parse_weight,
 )
-from ordlat.ordinal import OMEGA, ONE, ZERO, from_int, omega_power, parse_ordinal
+from ordlat.ordinal import (
+    OMEGA,
+    ONE,
+    ZERO,
+    Ordinal,
+    format_ordinal,
+    from_int,
+    omega_power,
+    parse_ordinal,
+    successor,
+)
 from ordlat.serialize import element_from_json, element_to_json
 from ordlat.space import ScatteredSpace
 
@@ -1085,6 +1095,27 @@ def test_literal_checks_every_listed_term(limitq):
         d.literal([], [(1, "q", "1/0", 1, None)])
     assert d.literal([(from_int(3), 2), (from_int(3), -2)], []).is_zero
     assert d.literal([], [(2, "q", "1/2", 2, None), (-1, "q", 1, 2, None)]).is_zero
+
+
+@pytest.mark.parametrize("name", sorted(presets.PRESETS))
+def test_spikes_are_built_as_literal_builds_them(name):
+    # e(x) is canonical as built: the one prefix value of the literal, at
+    # its ladder index or off the ladders
+    d = presets.load(name).domain
+    pts = {L.point(k) for L in d.ladders for k in range(12)}
+    pts |= {from_int(k) for k in range(6)}
+    for x in sorted(pts, key=Ordinal.key):
+        if d.space.contains(x) and d.target_ladder(x) is None:
+            assert d.e(x) == d.literal(((x, 1),), ()), format_ordinal(x)
+    on_target = "{} is a ladder target; values there are set by tails"
+    bad = [(L.target, on_target.format(format_ordinal(L.target))) for L in d.ladders]
+    far = successor(d.space.top)
+    bad.append((far, f"point {format_ordinal(far)} outside the space"))
+    for x, message in bad:
+        for build in (d.e, lambda x: d.literal(((x, 1),), ())):
+            with pytest.raises(ValueError) as err:
+                build(x)
+            assert str(err.value) == message
 
 
 def test_literal_cancellation_at_a_far_index_is_cheap(limitq):

@@ -29,6 +29,7 @@ from .oracles import (
     full_window_decompose,
     greedy_peel,
     reference_coordinates,
+    reference_probe_coords,
     reference_span_qx_decompose,
 )
 
@@ -229,6 +230,84 @@ def test_coordinates_match_the_reference_reader(name, data):
     for batch in batches:
         grown.extend(batch)
     assert grown.rows == [grown.cs.coords(g) for g in grown.gens]
+
+
+# the scatter reader against the probe; limitq24 is limitq(24), whose
+# residues reach 1/23!
+SCATTER_PRESETS = DIFF_PRESETS + ("limitq24",)
+
+
+@functools.lru_cache(maxsize=None)
+def _scatter_setup(name):
+    """A preset, the points a spike may sit on (ladder points up to three
+    past the largest start, small integers and the generators' prefix
+    points) and the family pool: the generators and those spikes."""
+    pres = presets.limitq(24) if name == "limitq24" else presets.load(name)
+    d = pres.domain
+    end = max(t.start for g in pres.elements for t in g.tails)
+    pts = {L.point(k) for L in d.ladders for k in range(end + 4)}
+    pts |= {from_int(k) for k in range(9)}
+    pts |= {x for g in pres.elements for x, _ in g.prefix}
+    points = sorted(
+        (x for x in pts if d.space.contains(x) and d.target_ladder(x) is None),
+        key=Ordinal.key,
+    )
+    return pres, points, list(pres.elements) + [d.e(x) for x in points]
+
+
+def _read(reader, cs, f, columns):
+    try:
+        return reader(cs, f, columns)
+    except ValueError as err:
+        return ("raises", type(err), str(err))
+
+
+@pytest.mark.parametrize("name", SCATTER_PRESETS)
+@given(data=st.data())
+def test_coords_scatter_reads_as_the_probe(name, data):
+    # members and non-members of a family, read at every column and at a
+    # drawn subset of them, by a coordinate system built at once or grown
+    # in batches.  The non-members: a spike outside the window, and a tail
+    # that starts inside the window or up to three past its end on the
+    # ladder, with an integer coefficient or 1/w(start).  Past the end,
+    # 1/w(start) lies off the scaled lattice where the axis exists; on a
+    # (ladder, weight) of no family member the residue has no axis.
+    pres, points, pool = _scatter_setup(name)
+    d = pres.domain
+    family = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        cs = CoordinateSystem.for_elements(d, family)
+    else:
+        span = Span(d)
+        cut = 0
+        while cut < len(family):
+            step = data.draw(st.integers(1, len(family) - cut))
+            span.extend(family[cut : cut + step])
+            cut += step
+        cs = span.cs
+    coeffs = data.draw(
+        st.lists(st.integers(-3, 3), min_size=len(family), max_size=len(family))
+    )
+    member = d.combine(coeffs, family)
+    L = data.draw(st.sampled_from(d.ladders))
+    w = data.draw(st.sampled_from(L.weights))
+    end = max((t.start for g in family for t in g.tails_on(L.id)), default=0)
+    s = data.draw(st.one_of(st.integers(0, end), st.integers(end + 1, end + 3)))
+    r = data.draw(st.sampled_from((Fraction(1), Fraction(-2), Fraction(1, w.value(s)))))
+    tail = d.tail(L.id, r, s, w.label())
+
+    def column(x):
+        loc = d.locate(x)
+        return ("point", x) if loc is None else ("site", (loc[0].id, loc[1]))
+
+    in_window = set(cs.columns)
+    outside = [x for x in points if column(x) not in in_window]
+    spike = d.e(data.draw(st.sampled_from(outside or points)))
+    columns = data.draw(st.lists(st.sampled_from(cs.columns), unique=True))
+    for f in (member, spike, tail, member + spike, member - 2 * tail):
+        for cols in (None, columns):
+            want = _read(reference_probe_coords, cs, f, cols)
+            assert _read(CoordinateSystem.coords, cs, f, cols) == want
 
 
 def test_a_residue_on_no_axis_is_no_member():

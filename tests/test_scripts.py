@@ -71,6 +71,7 @@ def test_microbench_prints_one_json_object():
         "span_decompose_spike",
         "quark_decompose",
         "member_decompose",
+        "coords",
         "hnf_rows_30x30",
         "grown_extend",
     }
