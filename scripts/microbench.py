@@ -11,8 +11,10 @@ the same pairs; value reads twelve
 ladder points per element, and scale multiplies each combination by a
 seeded factor in {-3, -2, 2, 3}.  quark_decompose writes seeded sums of one
 to six spikes at ladder points 0-11, with coefficients in [-9, 9], over
-their quarks; member_decompose factors the generators for every one of
-seeded combinations of one to three of them, as a one-shot call does;
+their quarks; spike_sum builds the same sums one spike at a time with +
+and *, as the decompose workload does.  member_decompose factors the
+generators for every one of seeded combinations of one to three of them,
+as a one-shot call does;
 coords reads each generator and the spike at 3 at every column of the
 generators' coordinate system, as a Span build and a membership solve do.
 The matrix operations factor a seeded 30 x 30
@@ -133,6 +135,17 @@ def main(argv=None):
         fs = [dom.literal([(points[k], c) for k, c in s], ()) for s in spike_sums]
         return lambda: [span_qx_decompose(f) for f in fs]
 
+    def spike_sum():
+        terms = [[(c, dom.e(points[k])) for k, c in s] for s in spike_sums]
+
+        def timed():
+            for ts in terms:
+                f = dom.zero()
+                for c, e in ts:
+                    f = f + c * e
+
+        return timed
+
     def coords():
         cs = pres.span.cs
         fs = list(pres.elements) + [dom.e(from_int(3))]
@@ -167,6 +180,7 @@ def main(argv=None):
         "span_build": per_call(span_build, 1, args.repeat),
         "span_decompose_spike": per_call(span_decompose, len(spikes), args.repeat),
         "quark_decompose": per_call(quark_decompose, PAIRS, args.repeat),
+        "spike_sum": per_call(spike_sum, PAIRS, args.repeat),
         "member_decompose": per_call(one_shot_member, PAIRS, args.repeat),
         "coords": per_call(coords, len(pres.elements) + 1, args.repeat),
         "hnf_rows_30x30": per_call(lambda: lambda: hnf_rows(matrix), 1, args.repeat),

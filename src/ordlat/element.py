@@ -289,11 +289,14 @@ class Domain:
 
     space: ScatteredSpace
     ladders: Tuple[Ladder, ...] = ()
+    # the ladder ids in sorted order: the order of an element's ladders
+    ids: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = [L.id for L in self.ladders]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate ladder ids")
+        object.__setattr__(self, "ids", tuple(sorted(ids)))
         for L in self.ladders:
             if not self.space.contains(L.target):
                 raise ValueError(f"ladder {L.id} targets a point outside the space")
@@ -435,8 +438,10 @@ class Domain:
         + and * are combinations too.  Raises TypeError on a coefficient
         that is not an int, ValueError on an element of another domain or
         on coeffs and elements of different lengths.  A sum with one
-        nonzero c * g is that element scaled (Element._scaled); any other
-        is canonicalized once.
+        nonzero c * g is that element scaled (Element._scaled); a sum of
+        two is built from the two multiples (`_add`); any other is
+        canonicalized once.  Three or more terms are not folded two at a
+        time: a partial sum may hold a far prefix that a later term cancels.
         """
         live: List[Tuple[int, "Element"]] = []
         for c, g in zip(coeffs, elements, strict=True):
@@ -451,6 +456,9 @@ class Domain:
         if len(live) == 1:
             c, g = live[0]
             return g._scaled(c)
+        if len(live) == 2:
+            (c, f), (d, g) = live
+            return _add(f._scaled(c), g._scaled(d))
         return _sum(self, live)
 
 
@@ -597,10 +605,15 @@ class Element:
     def _terms(self) -> Dict[str, Tuple[TailTerm, ...]]:
         """Per ladder with tails, its terms as they sit in tails: the
         element's behaviour at the ladder's target."""
-        return {
-            lid: tuple(terms)
-            for lid, terms in groupby(self.tails, key=attrgetter("ladder_id"))
-        }
+        return _by_ladder(self.tails)
+
+    @_lazy
+    def _settles(self) -> Dict[str, int]:
+        """settle_index of each ladder with tails or prefix values."""
+        out = {lid: kv[-1][0] + 1 for lid, kv in self.on}
+        for lid, terms in self._terms.items():
+            out[lid] = _settle([(t.weight, t.num) for t in terms], terms[0].start)
+        return out
 
     def tails_on(self, lid: str) -> Tuple[TailTerm, ...]:
         return self._terms.get(lid, ())
@@ -643,14 +656,14 @@ class Element:
 
         On a ladder with tails that is where, from the start on, the
         formula keeps its dominant (last) term's sign (`_settle`).  Without
-        tails it is one past the last prefix index.
+        tails it is one past the last prefix index.  Each ladder's is
+        computed once per element (`_settles`).
         """
-        terms = self._terms.get(lid)
-        if terms:
-            return _settle([(t.weight, t.num) for t in terms], terms[0].start)
-        if lid not in self._onmap:
+        n = self._settles.get(lid)
+        if n is None:
             self.domain.ladder(lid)  # raises KeyError for an unknown id
-        return max(self._onmap.get(lid, ()), default=-1) + 1
+            return 0
+        return n
 
     def residue_at(self, lid: str) -> Dict[WeightFn, Fraction]:
         """Tail coefficient per weight on one ladder (the behaviour at the
@@ -774,51 +787,62 @@ class Element:
         pick = min if low else max
         on: List[Tuple[str, Tuple[Tuple[int, int], ...]]] = []
         tails: List[TailTerm] = []
-        lids = sorted(
-            self._terms.keys() | self._onmap.keys()
-            | other._terms.keys() | other._onmap.keys()
-        )
-        for lid in lids:
-            fs, gs = self._terms.get(lid, ()), other._terms.get(lid, ())
-            lo = n = max(self.settle_index(lid), other.settle_index(lid))
+        terms: Dict[str, Tuple[TailTerm, ...]] = {}
+        fterms, gterms = self._terms, other._terms
+        fmap, gmap = self._onmap, other._onmap
+        fsettle, gsettle = self._settles, other._settles
+        for lid in self.domain.ids:
+            fs, gs = fterms.get(lid, ()), gterms.get(lid, ())
+            fp, gp = fmap.get(lid, _NO_VALUES), gmap.get(lid, _NO_VALUES)
+            if not (fs or gs or fp or gp):
+                continue
+            lo = n = max(fsettle.get(lid, 0), gsettle.get(lid, 0))
             keep: Tuple[TailTerm, ...] = ()  # the survivor's terms
             keep_self = True
             if fs or gs:
-                diff = _residue_difference(fs, gs)
+                df = fs[0].den if fs else 1
+                dg = gs[0].den if gs else 1
+                diff = _merge(fs, gs, dg, -df)  # self's residue less other's
                 above = bool(diff) and diff[-1][1] > 0  # self eventually larger
                 keep_self = above != low
                 keep = fs if keep_self else gs
-                lo = min(terms[0].start for terms in (fs, gs) if terms)
+                lo = fs[0].start if fs else gs[0].start
+                if fs and gs and gs[0].start < lo:
+                    lo = gs[0].start
                 n = _settle(diff, n)
             start = s = keep[0].start if keep else n  # s: the result's start
             vals: Dict[int, int] = {}
-            for k in self._onmap.get(lid, {}).keys() | other._onmap.get(lid, {}).keys():
-                if k < lo:  # a zero off the tails adds nothing
-                    v = pick(self._at(lid, k), other._at(lid, k))
-                    if v:
-                        vals[k] = v
-            below = sorted(vals)
-            for k in range(lo, n):
-                a, b = self._at(lid, k), other._at(lid, k)
+            if fp or gp:
+                for k in fp.keys() | gp.keys() if fp and gp else fp or gp:
+                    if k < lo:  # no tail below lo; a zero adds nothing
+                        v = pick(fp.get(k, 0), gp.get(k, 0))
+                        if v:
+                            vals[k] = v
+            below = sorted(vals) if vals else ()
+            for k in range(lo, n):  # _at on both sides
+                a = fp.get(k, 0) + _tail_sum(fs, k)
+                b = gp.get(k, 0) + _tail_sum(gs, k)
                 v = vals[k] = pick(a, b)
                 # from its start on, the survivor's value is its formula
                 if k >= start and v != (a if keep_self else b):
                     s = k + 1
-            if keep and s == start:
+            if keep and s == start > 0:
                 # _canonical's walk down, with the picked values for the
                 # window and the survivor's terms, none started below start
                 d = keep[0].den
                 formula = [(t.weight, t.num) for t in keep]
                 raw = [(start, w, c) for w, c in formula]
                 s = _walk_down(start, vals, d, raw, d, formula)
-            if s == start:
+            if s != start:
+                keep = tuple(TailTerm(lid, t.weight, t.num, t.den, s) for t in keep)
+            if keep:
                 tails.extend(keep)
-            else:
-                tails.extend(TailTerm(lid, t.weight, t.num, t.den, s) for t in keep)
-            prefix = [(k, vals[k]) for k in below if k < s]
-            prefix += [(k, vals[k]) for k in range(lo, s) if vals[k]]
-            if prefix:
-                on.append((lid, tuple(prefix)))
+                terms[lid] = keep
+            if vals:
+                prefix = [(k, vals[k]) for k in below if k < s]
+                prefix += [(k, vals[k]) for k in range(lo, s) if vals[k]]
+                if prefix:
+                    on.append((lid, tuple(prefix)))
         if self.off and other.off:
             fo, go = self._offmap, other._offmap
             off = [
@@ -829,9 +853,7 @@ class Element:
             off.sort(key=lambda item: item[0].key())
         else:  # one side's points, in ordinal order already
             off = [(x, v) for x, u in self.off or other.off if (v := pick(u, 0))]
-        return Element(
-            domain=self.domain, off=tuple(off), on=tuple(on), tails=tuple(tails)
-        )
+        return _built(self.domain, tuple(off), tuple(on), tuple(tails), terms)
 
     # -- arithmetic --
 
@@ -858,26 +880,28 @@ class Element:
         if c == 1:
             return self
         tails: List[TailTerm] = []
+        scaled: Dict[str, Tuple[TailTerm, ...]] = {}
         for lid, terms in self._terms.items():
             den = terms[0].den
             g = math.gcd(den, c)
             d, m = den // g, c // g
-            for t in terms:
-                tails.append(TailTerm(lid, t.weight, t.num * m, d, t.start))
+            ts = scaled[lid] = tuple(
+                [TailTerm(lid, t.weight, t.num * m, d, t.start) for t in terms]
+            )
+            tails += ts
             k = terms[0].start - 1
             if g > 1 and len(terms) > 1 and k >= 0:
-                for t in tails[-len(terms) :]:
+                for t in ts:
                     if t.num * t.weight.mod(k, d) % d:
                         break
                 else:
                     return _sum(self.domain, ((c, self),))
-        return Element(
-            domain=self.domain,
-            off=tuple((x, c * v) for x, v in self.off),
-            on=tuple(
-                (lid, tuple((k, c * v) for k, v in kv)) for lid, kv in self.on
-            ),
-            tails=tuple(tails),
+        return _built(
+            self.domain,
+            tuple([(x, c * v) for x, v in self.off]),
+            tuple([(lid, tuple([(k, c * v) for k, v in kv])) for lid, kv in self.on]),
+            tuple(tails),
+            scaled,
         )
 
     def __add__(self, other: "Element") -> "Element":
@@ -900,24 +924,157 @@ class Element:
         return format_element(self)
 
 
-def _residue_difference(
-    fs: Sequence[TailTerm], gs: Sequence[TailTerm]
-) -> List[Tuple[WeightFn, int]]:
-    """The nonzero (weight, c) of f's residue minus g's on one ladder, in
-    ascending dominance, scaled by both denominators: f and g's terms
-    there, each side over its one denominator."""
-    df = fs[0].den if fs else 1
-    dg = gs[0].den if gs else 1
-    diff: Dict[WeightFn, int] = {t.weight: t.num * dg for t in fs}
-    for t in gs:
-        diff[t.weight] = diff.get(t.weight, 0) - t.num * df
-    return sorted(
-        ((w, c) for w, c in diff.items() if c),
-        key=lambda wc: wc[0].dominance_key(),
-    )
-
-
 # --- canonicalization -------------------------------------------------------
+
+
+def _by_ladder(tails: Tuple[TailTerm, ...]) -> Dict[str, Tuple[TailTerm, ...]]:
+    """Canonical tails grouped by ladder, in the order they sit."""
+    if not tails:
+        return {}
+    if tails[0].ladder_id == tails[-1].ladder_id:  # in ladder order: one ladder
+        return {tails[0].ladder_id: tails}
+    return {
+        lid: tuple(terms) for lid, terms in groupby(tails, key=attrgetter("ladder_id"))
+    }
+
+
+def _built(
+    domain: Domain,
+    off: Tuple[Tuple[Ordinal, int], ...],
+    on: Tuple[Tuple[str, Tuple[Tuple[int, int], ...]], ...],
+    tails: Tuple[TailTerm, ...],
+    terms: Dict[str, Tuple[TailTerm, ...]],
+) -> Element:
+    """The canonical element of these fields, with the per-ladder terms
+    its builder already holds stored as its `_terms`.  Element has no
+    __post_init__, so its instance dict is filled in one step, not field
+    by field through the frozen dataclass __init__."""
+    f = object.__new__(Element)
+    f.__dict__.update(domain=domain, off=off, on=on, tails=tails, _terms=terms)
+    return f
+
+
+def _merge(
+    fs: Sequence[TailTerm], gs: Sequence[TailTerm], a: int, b: int
+) -> List[Tuple[WeightFn, int]]:
+    """The nonzero (weight, a*m + b*n) on one ladder, in ascending
+    dominance, where m and n are the numerators of the weight's term in fs
+    and in gs (0 where it has none).  Each side's terms are in that order
+    already, so they merge without a sort."""
+    out: List[Tuple[WeightFn, int]] = []
+    i = j = 0
+    nf, ng = len(fs), len(gs)
+    while i < nf or j < ng:
+        if j == ng:
+            t = fs[i]
+            w, n = t.weight, a * t.num
+            i += 1
+        elif i == nf:
+            u = gs[j]
+            w, n = u.weight, b * u.num
+            j += 1
+        else:
+            t, u = fs[i], gs[j]
+            if t.weight is u.weight or t.weight == u.weight:
+                w, n = t.weight, a * t.num + b * u.num
+                i += 1
+                j += 1
+            elif t.weight.dominance_key() < u.weight.dominance_key():
+                w, n = t.weight, a * t.num
+                i += 1
+            else:
+                w, n = u.weight, b * u.num
+                j += 1
+        if n:
+            out.append((w, n))
+    return out
+
+
+def _add(f: Element, g: Element) -> Element:
+    """f + g in canonical form, built without `_canonical`.
+
+    Direct-sum lemma, per ladder.  Where one side is 0, the ladder is the
+    other side's as it stands.  Else the terms are the merged residues over
+    lcm(df, dg), zeros dropped, divided by their gcd with that
+    denominator.  From the larger start on both sides are their formulas
+    with integral terms, so the start s of f + g is at most that start.
+    - Both sides have tails, starts sf < sg (or the mirror): s = sg.  At sg-1, g leaves its
+      formula, by value or by a term not integral there.  By value, f + g
+      leaves its own formula by the same amount, since f is its formula
+      there.  By a term, f's term of that weight is integral at sg-1, so
+      the summed term is not, whether or not other terms cancel.
+    - Equal starts: walk down from the start (`_walk_down`) with the
+      summed prefix values.
+    - Only f has tails (or the mirror): a prefix index m >= sf of g
+      departs from the formula, so s is one past the largest such index;
+      with none, walk down from sf.
+    - No term survives: no tail; the values below the larger start are
+      the prefix.
+    Below the smaller start the prefix is the summed prefix values, and
+    from there to s the values of f + g (`_finish_ladder`).  Prefix-only
+    ladders and the points off the ladders merge, zeros dropped.
+
+    Reads the prefix values from f's and g's `on` fields: their `_onmap`,
+    which an element read once, as a decoded one, needs for nothing else,
+    is not built.
+    """
+    fts, gts = f._terms, g._terms
+    fon = dict(f.on) if f.on else _NO_VALUES
+    gon = dict(g.on) if g.on else _NO_VALUES
+    on: List[Tuple[str, Tuple[Tuple[int, int], ...]]] = []
+    tails: List[TailTerm] = []
+    terms: Dict[str, Tuple[TailTerm, ...]] = {}
+    for lid in f.domain.ids:
+        fs, gs = fts.get(lid, ()), gts.get(lid, ())
+        fp, gp = fon.get(lid, ()), gon.get(lid, ())
+        if not (gs or gp):  # g is 0 on the ladder: f's ladder as it stands
+            ts, prefix = fs, fp
+        elif not (fs or fp):
+            ts, prefix = gs, gp
+        elif not (fs or gs):
+            ts = ()
+            prefix = tuple((k, v) for k, v in sorted(_summed(fp, gp).items()) if v)
+        else:
+            window = _summed(fp, gp) if fp or gp else _NO_VALUES
+            if fs and gs:
+                df, dg = fs[0].den, gs[0].den
+                den = math.lcm(df, dg)
+                a, b = den // df, den // dg
+                formula = _merge(fs, gs, a, b)
+                raw = [(t.start, t.weight, a * t.num) for t in fs]
+                raw += [(t.start, t.weight, b * t.num) for t in gs]
+                sf, sg = fs[0].start, gs[0].start
+                s, walk = max(sf, sg), sf == sg
+            else:
+                keep, other = (fs, gp) if fs else (gs, fp)
+                den = keep[0].den
+                formula = [(t.weight, t.num) for t in keep]
+                raw = [(t.start, t.weight, t.num) for t in keep]
+                s = keep[0].start
+                walk = other[-1][0] < s
+                if not walk:  # the other side's prefix reaches s: it rises
+                    s = other[-1][0] + 1
+            ts, prefix = _finish_ladder(lid, window, den, raw, formula, s, walk)
+        if ts:
+            tails.extend(ts)
+            terms[lid] = ts
+        if prefix:
+            on.append((lid, prefix))
+    if f.off and g.off:
+        off = [(x, v) for x, v in _summed(f.off, g.off).items() if v]
+        if len(off) > 1:
+            off.sort(key=lambda item: item[0].key())
+    else:
+        off = f.off or g.off
+    return _built(f.domain, tuple(off), tuple(on), tuple(tails), terms)
+
+
+def _summed(a: Iterable[Tuple[object, int]], b: Iterable[Tuple[object, int]]) -> dict:
+    """The (key, value) pairs of a and b summed by key, zeros kept."""
+    out = dict(a)
+    for k, v in b:
+        out[k] = out.get(k, 0) + v
+    return out
 
 
 def _sum(domain: Domain, pairs: Iterable[Tuple[int, Element]]) -> Element:
@@ -941,8 +1098,9 @@ def _sum(domain: Domain, pairs: Iterable[Tuple[int, Element]]) -> Element:
     return _canonical(domain, off, terms, on)
 
 
-# the window of a ladder without prefix values; never written to
-_NO_VALUES: Mapping[int, int] = {}
+# an empty map, never written to: the window of a ladder without prefix
+# values, or the ladders of an element without any
+_NO_VALUES: Mapping = {}
 
 
 def _canonical(
@@ -985,6 +1143,7 @@ def _canonical(
         # (start, weight, numerator) over one denominator for the ladder
         raw: List[Tuple[int, WeightFn, int]] = []
         den = 1
+        formula: List[Tuple[WeightFn, int]] = []
         terms = by_ladder.get(lid)
         if terms:
             if len(terms) == 1:
@@ -1006,39 +1165,12 @@ def _canonical(
                 if start > s:
                     s = start
             formula = [(w, n) for w, n in residue.items() if n]
-            if formula:
-                if len(formula) > 1:
-                    formula.sort(key=lambda wn: wn[0].dominance_key())
-                g = math.gcd(den, *[n for _, n in formula])
-                d = den // g
-                if g > 1:
-                    formula = [(w, n // g) for w, n in formula]
-                s = _walk_down(s, window, den, raw, d, formula)
-                for w, n in formula:
-                    out_tails.append(TailTerm(lid, w, n, d, s))
-        lo = s  # no term starts before lo
-        for start, _, _ in raw:
-            if start < lo:
-                lo = start
-        vals: List[Tuple[int, int]] = []
-        if window:
-            for k in sorted(window):
-                if k >= lo:
-                    break
-                if window[k]:
-                    vals.append((k, window[k]))
-        for k in range(lo, s):
-            v = window.get(k, 0) * den
-            for start, w, n in raw:
-                if k >= start:
-                    v += n * w.value(k)
-            if v:
-                q, r = divmod(v, den)
-                if r:
-                    raise AssertionError("non-integer ladder value")
-                vals.append((k, q))
+            if len(formula) > 1:
+                formula.sort(key=lambda wn: wn[0].dominance_key())
+        ts, vals = _finish_ladder(lid, window, den, raw, formula, s, True)
+        out_tails.extend(ts)
         if vals:
-            out_on.append((lid, tuple(vals)))
+            out_on.append((lid, vals))
 
     out_off = [(x, v) for x, v in off.items() if v]
     if len(out_off) > 1:
@@ -1046,6 +1178,58 @@ def _canonical(
     return Element(
         domain=domain, off=tuple(out_off), on=tuple(out_on), tails=tuple(out_tails)
     )
+
+
+def _finish_ladder(
+    lid: str,
+    window: Mapping[int, int],
+    den: int,
+    raw: Sequence[Tuple[int, WeightFn, int]],
+    formula: List[Tuple[WeightFn, int]],
+    s: int,
+    walk: bool,
+) -> Tuple[Tuple[TailTerm, ...], Tuple[Tuple[int, int], ...]]:
+    """One ladder of a canonical element: its tail terms and its prefix.
+
+    The window's values by index and the raw (start, weight, numerator)
+    terms over den are the function on the ladder; formula is the raw
+    terms' nonzero residue over den, in ascending dominance.  From s on
+    the function is the formula.  The gcd pass brings the formula to its
+    least denominator; the start is s, walked down first when walk
+    (`_walk_down`).  The prefix is every nonzero value below the start:
+    the window's below the first raw start, the function's from there.
+    """
+    terms: Tuple[TailTerm, ...] = ()
+    if formula:
+        g = math.gcd(den, *[n for _, n in formula])
+        d = den // g
+        if g > 1:
+            formula = [(w, n // g) for w, n in formula]
+        if walk:
+            s = _walk_down(s, window, den, raw, d, formula)
+        terms = tuple([TailTerm(lid, w, n, d, s) for w, n in formula])
+    lo = s  # no term starts before lo
+    for start, _, _ in raw:
+        if start < lo:
+            lo = start
+    vals: List[Tuple[int, int]] = []
+    if window:
+        for k in sorted(window):
+            if k >= lo:
+                break
+            if window[k]:
+                vals.append((k, window[k]))
+    for k in range(lo, s):
+        v = window.get(k, 0) * den
+        for start, w, n in raw:
+            if k >= start:
+                v += n * w.value(k)
+        if v:
+            q, r = divmod(v, den)
+            if r:
+                raise AssertionError("non-integer ladder value")
+            vals.append((k, q))
+    return terms, tuple(vals)
 
 
 def _walk_down(
@@ -1155,7 +1339,13 @@ def is_semibasic(f: Element, x: Ordinal) -> bool:
 
 def bounded_ratio_witness(f: Element, g: Element) -> Optional[int]:
     """Least n >= 1 with n*f >= g, or None when no multiple of f ever
-    dominates g.  Both elements must be nonnegative."""
+    dominates g.  Both elements must be nonnegative.
+
+    Past the support and dominance checks some multiple does dominate: g
+    is nonzero only where f is, at finitely many points and, on each
+    ladder, from a common index on, where g/f stays bounded because f's
+    dominant weight is at least g's.  So the doubling search ends,
+    however large n is."""
     f._same_domain(g)
     if not (f.is_nonneg() and g.is_nonneg()):
         raise ValueError("bounded ratio is defined for nonnegative elements")
@@ -1177,8 +1367,6 @@ def bounded_ratio_witness(f: Element, g: Element) -> Optional[int]:
     hi = 1
     while not ok(hi):
         hi *= 2
-        if hi > 2**63:
-            return None
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2

@@ -815,7 +815,10 @@ def smooth_chain_check(
         # the earlier steps to 0 and is one-to-one modulo their span
         images = project(prior, rows[cursor:width] + q_rows)
         own, q_images = images[: width - cursor], images[width - cursor :]
-        if hnf_rows(own[: visible - cursor]).rank != visible - cursor:
+        # a step without extras has only its extension's rows: one form
+        # serves the independence check and the prior rows below
+        head = hnf_rows(own[: visible - cursor])
+        if head.rank != visible - cursor:
             fail(at, "extension is dependent modulo the previous steps")
         if step.torsion_bound < 1:
             fail(at, "torsion bound below 1")
@@ -859,7 +862,7 @@ def smooth_chain_check(
                 "quotient basis does not generate the step modulo the "
                 "previous steps",
             )
-        form = hnf_rows(own)
+        form = head if visible == width else hnf_rows(own)
         prior.extend(zip(form.pivots, form.h))
         cursor = width
     if cursor != len(pool):

@@ -178,10 +178,23 @@ class CoordinateSystem:
         """f at every column, or at the given ones, by the scatter rule
         above."""
         if columns is None:
-            index, sites = self._index, self._sites
-        else:
-            index = {col: i for i, col in enumerate(columns)}
-            sites = _ladder_sites(index)
+            return self._scatter(f, self._index, self._sites)
+        return self.reads([f], columns)[0]
+
+    def reads(
+        self, elements: Sequence[Element], columns: Sequence[Column]
+    ) -> List[List[int]]:
+        """Each element at the given columns, whose index is built once."""
+        index = {col: i for i, col in enumerate(columns)}
+        sites = _ladder_sites(index)
+        return [self._scatter(f, index, sites) for f in elements]
+
+    def _scatter(
+        self,
+        f: Element,
+        index: Mapping[Column, int],
+        sites: Mapping[str, List[Tuple[int, int]]],
+    ) -> List[int]:
         out = [0] * len(index)
         for x, v in f.off:
             i = index.get(("point", x))
@@ -295,7 +308,7 @@ class Span:
             for r in self.rows:
                 r[c] *= factor
         if new:
-            reads = [self.cs.coords(g, new) for g in self.gens]
+            reads = self.cs.reads(self.gens, new)
             self.form.widen(list(zip(*reads)) if reads else [()] * len(new))
             for r, extra in zip(self.rows, reads):
                 r.extend(extra)

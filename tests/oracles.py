@@ -33,7 +33,6 @@ from ordlat.element import (
     TailTerm,
     WeightFn,
     _from_values,
-    _residue_difference,
     _settle,
     is_semibasic,
 )
@@ -504,7 +503,8 @@ def subtract_meet(f: Element, g: Element) -> Element:
 # reference_meet is the package's Element.meet as it was before meet and
 # join built their canonical form directly: it collects the values and
 # the surviving tails and hands them to _from_values.  Only the names
-# differ.
+# differ.  _reference_residue_difference is the package's residue
+# difference of that time, before one merge served meet and sum.
 
 
 def reference_meet(f: Element, g: Element) -> Element:
@@ -526,7 +526,7 @@ def reference_meet(f: Element, g: Element) -> Element:
         fs, gs = f._terms.get(lid, ()), g._terms.get(lid, ())
         lo = n = max(f.settle_index(lid), g.settle_index(lid))
         if fs or gs:
-            diff = _residue_difference(fs, gs)
+            diff = _reference_residue_difference(fs, gs)
             survivor = g if (diff and diff[-1][1] > 0) else f
             tails.extend(survivor.tails_on(lid))
             lo = min(terms[0].start for terms in (fs, gs) if terms)
@@ -544,6 +544,23 @@ def reference_meet(f: Element, g: Element) -> Element:
         if x not in off:
             off[x] = min(f._offmap.get(x, 0), g._offmap.get(x, 0))
     return _from_values(f.domain, off, on, tails)
+
+
+def _reference_residue_difference(
+    fs: Sequence[TailTerm], gs: Sequence[TailTerm]
+) -> List[Tuple[WeightFn, int]]:
+    """The nonzero (weight, c) of f's residue minus g's on one ladder, in
+    ascending dominance, scaled by both denominators: f and g's terms
+    there, each side over its one denominator."""
+    df = fs[0].den if fs else 1
+    dg = gs[0].den if gs else 1
+    diff: Dict[WeightFn, int] = {t.weight: t.num * dg for t in fs}
+    for t in gs:
+        diff[t.weight] = diff.get(t.weight, 0) - t.num * df
+    return sorted(
+        ((w, c) for w, c in diff.items() if c),
+        key=lambda wc: wc[0].dominance_key(),
+    )
 
 
 def reference_join(f: Element, g: Element) -> Element:

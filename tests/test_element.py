@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -796,6 +797,14 @@ def test_bounded_ratio_frozen(gens):
         bounded_ratio_witness(a0, -a0)
 
 
+def test_bounded_ratio_past_two_to_the_63(gens):
+    # the same support and dominant weight bound the ratio, however large
+    a0 = gens["a_0"]
+    assert bounded_ratio_witness(a0, 2**70 * a0) == 2**70
+    n = math.factorial(30)
+    assert bounded_ratio_witness(a0, n * a0 + a0) == n + 1
+
+
 def test_bounded_ratio_two_weights():
     # the dominant weight decides: no multiple of a factorial tail catches
     # a factgeom(2) one
@@ -1037,6 +1046,129 @@ def test_a_multiple_whose_denominator_shrinks_can_lower_the_start():
     for c, start in ((2, 3), (3, 2), (6, 2), (-3, 2)):
         assert (c * f).tail_start("pw") == start
         assert c * f == reference_combine(d, [c], [f]) == f + (c - 1) * f
+
+
+# --- the direct sum against the earlier canonicalizer ------------------------------
+
+SUM_PRESETS = {
+    n: presets.load(n)
+    for n in ("limitq", "twoblock", "gridrows", "two_prime", "limit_power_two_weights")
+}
+
+
+@st.composite
+def sum_operand(draw, name):
+    """A canonical element: a combination of preset generators, now and
+    then met with another, or one canonicalized from drawn raw data."""
+    if name == "raw":
+        off, on, tails = draw(raw_data())
+        return reference_canonical(RAW_DOMAIN, off, tails, on)
+    pres = SUM_PRESETS[name]
+    f = draw(combos(pres))
+    if draw(st.booleans()):
+        f = f.meet(draw(combos(pres)))
+    return f
+
+
+@st.composite
+def sum_pairs(draw, name):
+    """(domain, f, g) for the direct sum, in either order:
+    - free: two operands;
+    - equal: equal starts k+1 on a ladder, each side leaving its formula
+      at k by a spike that the other side's spike cancels;
+    - cancel: g = c*r - f, so the residues cancel fully (r a spike) or on
+      all but one weight (r a tail of that weight);
+    - one-sided: f has tails on a ladder from s, and g holds only spikes
+      there, the last at s-1, s or above s."""
+    d = RAW_DOMAIN if name == "raw" else SUM_PRESETS[name].domain
+    f = draw(sum_operand(name))
+    kind = draw(st.sampled_from(("free", "equal", "cancel", "one-sided")))
+    L = draw(st.sampled_from(d.ladders))
+    w = draw(st.sampled_from(L.weights)).label()
+    c = draw(st.sampled_from((-2, -1, 1, 2)))
+    k = draw(st.integers(0, 8))
+    if kind == "free":
+        g = draw(sum_operand(name))
+    elif kind == "cancel":
+        r = d.e(L.point(k)) if draw(st.booleans()) else d.tail(L.id, 1, k, weight=w)
+        g = c * r - f
+    else:
+        if not f.tails_on(L.id):
+            f = f + d.tail(L.id, c, k, weight=w)
+        s = f.tail_start(L.id)
+        if s is None:  # the tail cancelled f's own
+            g = draw(sum_operand(name))
+        elif kind == "equal":
+            m = draw(st.sampled_from((-2, -1, 1, 3)))
+            j = s + draw(st.integers(0, 2))
+            spike = d.e(L.point(j))
+            g = m * f + draw(st.integers(-2, 2)) * d.tail(L.id, 1, j, weight=w)
+            f, g = f + c * spike, g - c * spike
+        else:
+            top = max(0, s + draw(st.integers(-1, 2)))
+            ks = draw(st.lists(st.integers(0, top), max_size=2)) + [top]
+            g = d.literal([(L.point(i), draw(st.sampled_from((-2, -1, 1, 3)))) for i in ks], ())
+    return (d, g, f) if draw(st.booleans()) else (d, f, g)
+
+
+def _maps_are_fresh(h):
+    """Every map that h's builder stored, and every settle index h
+    memoized, equals one derived afresh from h's fields."""
+    assert h._terms == {
+        lid: tuple(ts) for lid, ts in groupby(h.tails, key=lambda t: t.ladder_id)
+    }
+    assert h._onmap == {lid: dict(kv) for lid, kv in h.on}
+    for L in h.domain.ladders:
+        terms = [(t.weight, t.num) for t in h.tails if t.ladder_id == L.id]
+        if terms:
+            want = settle_from(terms, h.tail_start(L.id))
+        else:
+            want = 1 + max((k for k, _ in dict(h.on).get(L.id, ())), default=-1)
+        assert h.settle_index(L.id) == want
+
+
+@pytest.mark.parametrize("name", [*SUM_PRESETS, "raw"])
+@given(data=st.data(), c=st.integers(-4, 4), e=st.integers(-4, 4))
+@settings(max_examples=150)
+def test_sums_match_the_earlier_canonicalizer(name, data, c, e):
+    d, f, g = data.draw(sum_pairs(name))
+    for coeffs, got in (
+        ([1, 1], f + g),
+        ([1, -1], f - g),
+        ([c, e], d.combine((c, e), (f, g))),
+    ):
+        assert got == reference_combine(d, coeffs, [f, g])
+        _maps_are_fresh(got)
+    for h in (f.meet(g), f.join(g), c * f):
+        _maps_are_fresh(h)
+
+
+def test_sum_start_rules(gens):
+    # one-sided tails: a prefix value at or past the start raises it
+    d = gens["a_0"].domain
+    p3 = d.e(d.ladder("q").point(3))
+    assert (gens["a_0"] + p3).tail_start("q") == 4
+    assert (gens["a_3"] + p3).tail_start("q") == 4
+    assert (gens["a_4"] + p3).tail_start("q") == 4  # walked down: 1/24*3! is not integral
+    # equal starts whose departures cancel walk down
+    f, g = gens["a_0"] + p3, gens["a_0"] - p3
+    assert f.tail_start("q") == g.tail_start("q") == 4
+    assert f + g == 2 * gens["a_0"]
+    assert (f + g).tail_start("q") == 0
+    # different starts: the later one; 1/2 + 1/120 is not integral at 4
+    assert (gens["a_2"] + gens["a_5"]).tail_start("q") == 5
+    # every term cancels: no tail, the values below the start remain
+    assert format_element(f - gens["a_0"]) == "e(3)"
+
+
+def test_three_terms_cancelling_a_far_spike_stay_cheap(limitq):
+    # e(p) + a_0 holds a value at each of the 400 001 indices up to p; the
+    # three-term sum is canonicalized once, where the spikes cancel first
+    d, a0 = limitq.domain, limitq.generator("a_0")
+    p = d.ladder("q").point(400_000)
+    t0 = time.perf_counter()
+    assert d.combine([1, 1, -1], [d.e(p), a0, d.e(p)]) == a0
+    assert time.perf_counter() - t0 < 0.1
 
 
 # --- literals --------------------------------------------------------------------

@@ -70,6 +70,7 @@ def test_microbench_prints_one_json_object():
         "span_build",
         "span_decompose_spike",
         "quark_decompose",
+        "spike_sum",
         "member_decompose",
         "coords",
         "hnf_rows_30x30",
