@@ -8,9 +8,10 @@ For each n in SIZES, certify(limitq(n), depth=n-2) builds a certificate
 and smooth_chain_check checks it.  Each time is the median of REPEAT
 runs, each on a freshly built preset; the exponent between successive
 sizes n1 < n2 is log(t2 / t1) / log(n2 / n1).  Each size also reports
-its certificate's JSON size in bytes and the bit length of its largest
-torsion witness coefficient, which would show coefficient growth from
-an unreduced transform.  ok is whether every check passed.
+its certificate's JSON size in bytes and the bit lengths of its largest
+torsion witness coefficient and of its largest final-basis coefficient,
+which would show coefficient growth from an unreduced transform.  ok is
+whether every check passed.
 """
 
 import json
@@ -33,8 +34,8 @@ REPEAT = 5
 
 def measure(n, repeat=REPEAT):
     """Median build and check seconds of limitq(n) at depth n - 2, the
-    certificate's bytes and largest witness coefficient in bits, and
-    whether every check passed."""
+    certificate's bytes, its largest witness and final-basis coefficients
+    in bits, and whether every check passed."""
     builds, checks, ok = [], [], True
     for _ in range(repeat):
         pres = limitq(n)
@@ -45,11 +46,13 @@ def measure(n, repeat=REPEAT):
         ok = smooth_chain_check(pres, cert).ok and ok
         checks.append(time.perf_counter() - t)
     coeffs = [c for s in cert.steps for w in s.torsion_witnesses for c in w.coeffs]
+    basis = [c for combo in cert.final_basis for c in combo]
     return {
         "build_s": round(statistics.median(builds), 4),
         "check_s": round(statistics.median(checks), 4),
         "cert_bytes": len(dumps(certificate_to_json(cert))),
         "witness_bits": max((abs(c).bit_length() for c in coeffs), default=0),
+        "basis_bits": max((abs(c).bit_length() for c in basis), default=0),
         "ok": ok,
     }
 

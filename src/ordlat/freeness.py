@@ -292,11 +292,11 @@ class _Chain:
     """A certificate under construction: its pool and its steps.
 
     An entry gets its provenance over the presentation's generators when it
-    joins the pool.  A step sees the pool from `start` on, so composition
-    builds each block's chain straight into the composite pool; witnesses
-    and quotient rows carry zeros before `start`.  span: the pool from
-    `start` on, one Span that starts empty and is extended by each step's
-    entries rather than factored again.
+    joins the pool.  span: the whole pool, one Span that starts empty and
+    is extended by each step's entries rather than factored again; finish
+    reads the final basis off its form.  Every step sees the whole pool,
+    so composition builds each block's chain straight into the composite
+    pool, and a block's extension must be free modulo every earlier entry.
     """
 
     def __init__(self, pres: Presentation, kind: str) -> None:
@@ -304,16 +304,10 @@ class _Chain:
         self.kind = kind
         self.pool: List[PoolEntry] = []
         self.steps: List[ChainStep] = []
-        self.start = 0
         self.span = Span(pres.domain)
         # an independent family writes its i-th generator only as e_i
         gens = pres.elements if pres.span.unique else ()
         self._units = {g: i for i, g in enumerate(gens)}
-
-    def restart(self) -> None:
-        """Let later steps see only the entries that join from now on."""
-        self.start = len(self.pool)
-        self.span = Span(self.pres.domain)
 
     def _join(self, name: str, el: Element) -> None:
         i = self._units.get(el) if self._units else None
@@ -348,7 +342,7 @@ class _Chain:
         offset = len(self.pool)
         visible = self.span
         before = visible.rank
-        unread = self.pool[self.start + len(visible.gens) :]
+        unread = self.pool[len(visible.gens) :]
         visible.extend([p.element for p in unread] + [el for _, el in a_ext])
         if (
             pad
@@ -374,11 +368,10 @@ class _Chain:
                     f"{label}: no witness that {bound} * {name} falls into the "
                     "current span"
                 )
-            coeffs = (0,) * self.start + dec.coeffs
             witnesses.append(
-                TorsionWitness(extra=name, bound=bound, over=over, coeffs=coeffs)
+                TorsionWitness(extra=name, bound=bound, over=over, coeffs=dec.coeffs)
             )
-            b_rows.append(coeffs[offset:])
+            b_rows.append(dec.coeffs[offset:])
             self._join(name, el)
         combos = _quotient_combos(bound, len(a_ext), b_rows)
         self.steps.append(
@@ -396,10 +389,10 @@ class _Chain:
     def finish(self, targets: Sequence[Tuple[str, Element]]) -> FreenessCertificate:
         """A lattice basis of the pool and each target's coefficients on it.
 
-        The basis is the pool's Hermite basis, u[:rank] of the form of one
-        Span of the whole pool given at once, whose columns are sorted, so
-        its coordinate rows are the nonzero rows of h.  They are
-        independent: back-substitution over them gives a target's only
+        The chain's span takes the entries that joined after the last
+        step, and then holds the whole pool.  The basis is u[:rank] of its
+        form: its coordinate rows are the nonzero rows of h, which are
+        independent, so back-substitution over them gives a target's only
         possible coefficients, and a re-sum over the pool decides.  A
         target that is a pool element needs no re-sum, and its row is
         one of the span's rows: coords is one-to-one on the pool's
@@ -408,7 +401,8 @@ class _Chain:
         domain = self.pres.domain
         elements = [p.element for p in self.pool]
         at = {id(e): i for i, e in enumerate(elements)}  # the pool keeps them
-        span = Span(domain, elements)
+        span = self.span
+        span.extend(elements[len(span.gens) :])
         form = span.form
         combos = tuple(tuple(r) for r in form.u[: form.rank])
         entries = []
@@ -471,7 +465,6 @@ def _successor_steps(
         depth = max(local_mu)
 
     L = chain.pres.domain.ladder(lid)
-    chain.restart()
     spikes = [
         (f"{prefix}e_{r}", chain.pres.domain.e(L.point(first + r)))
         for r in range(depth + 1)

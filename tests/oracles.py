@@ -8,13 +8,14 @@ forced-coefficient peeling and by the earlier block-slicing loop, a
 family's coordinates by the window and reader built at once for the
 whole family and by the earlier reader, which probes every column of the
 element, membership in a window widened by the target with two
-separate Hermite forms, torsion witnesses by a point-by-point re-sum
-with Fraction residues, the lattice meet through the canonical
-difference of its arguments and by the earlier meet, which hands the
-values it read to _from_values, element literals by a
-character scanner that sums one canonical atom per term, and the
-canonical form by the earlier canonicalizer, which re-sums every
-multiple and combination term by term.
+separate Hermite forms, quotient and final bases of a chain by rational
+solves, torsion witnesses by a point-by-point re-sum with Fraction
+residues, the lattice meet through the canonical difference of its
+arguments and by the earlier meet, which hands the values it read to
+_from_values, element literals by a character scanner that sums one
+canonical atom per term, and the canonical form by the earlier
+canonicalizer, which re-sums every multiple and combination term by
+term.
 """
 
 from __future__ import annotations
@@ -416,6 +417,58 @@ def quotient_basis_ok(cert) -> bool:
         except ValueError:  # an entry's image is not in their rational span
             return False
         if not all(x.is_integer for x in coeffs):
+            return False
+    return True
+
+
+# --- the final basis, by rational solves ---------------------------------------------
+
+
+def final_basis_ok(cert) -> bool:
+    """Whether the final basis is a lattice basis of the pool on which
+    each target has the coefficients it names.
+
+    The basis rows, the final-basis combinations times the pool rows, must
+    be independent, every pool row must be an integer combination of
+    them, and each target's row must be its coefficients times them.  The
+    coordinates cover the pool and the targets, so they are one-to-one on
+    every combination of both and a target's row decides the target.  The
+    lattice algebra is sympy's; only the coordinate rows come from the
+    package.
+    """
+    import sympy
+
+    pool = [p.element for p in cert.pool]
+    combos = cert.final_basis
+    if cert.rank != len(combos) or any(len(c) != len(pool) for c in combos):
+        return False
+    if not pool:
+        return not combos and not cert.targets
+    targets = [t.element for t in cert.targets]
+    cs = CoordinateSystem.for_elements(pool[0].domain, pool + targets)
+    ncols = len(cs.columns)
+
+    def matrix(rs, width=ncols):
+        return sympy.Matrix(len(rs), width, [x for r in rs for x in r])
+
+    rows = matrix([cs.coords(g) for g in pool])
+    basis = matrix(combos, len(pool)) * rows
+    if basis.rank() != len(combos):
+        return False
+    if combos:
+        try:
+            coeffs, _ = basis.T.gauss_jordan_solve(rows.T)
+        except ValueError:  # a pool row is not in their rational span
+            return False
+        if not all(x.is_integer for x in coeffs):
+            return False
+    elif not rows.is_zero_matrix:
+        return False
+    for t in cert.targets:
+        if len(t.coeffs) != len(combos):
+            return False
+        got = matrix([t.coeffs], len(combos)) * basis
+        if got != matrix([cs.coords(t.element)]):
             return False
     return True
 

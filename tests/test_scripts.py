@@ -89,7 +89,10 @@ def test_scale_report_measures_a_tiny_chain():
     spec.loader.exec_module(scale_report)
     assert scale_report.SIZES == (24, 48, 64, 80)
     m = scale_report.measure(6, repeat=1)
-    assert set(m) == {"build_s", "check_s", "cert_bytes", "witness_bits", "ok"}
+    assert set(m) == {
+        "build_s", "check_s", "cert_bytes", "witness_bits", "basis_bits", "ok"
+    }
     assert m["ok"] is True
     assert m["build_s"] > 0 and m["check_s"] > 0
     assert m["cert_bytes"] > 0 and m["witness_bits"] >= 1
+    assert 1 <= m["basis_bits"] <= 16
