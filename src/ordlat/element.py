@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ordlat.ordinal import (
     ONE,
@@ -406,6 +406,8 @@ class Domain:
         # numerators by (ladder, weight, start, denominator), as in combine
         sums: Dict[Tuple[str, WeightFn, int, int], int] = {}
         for m, lid, coeff, start, weight in tails:
+            if lid not in self.ids:
+                raise ValueError(f"no ladder {lid!r}")
             w = self.ladder(lid).weight(weight)
             try:
                 r = Fraction(coeff)  # den >= 1 from here on
@@ -465,14 +467,14 @@ class Domain:
 # --- elements ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class TailTerm:
+class TailTerm(NamedTuple):
     """The term (num / den) * weight(k) at every ladder index k >= start.
 
     Plain data: Domain.literal checks the terms written from outside, and
     arithmetic on canonical elements builds only valid ones.  The terms of
     a canonical element on one ladder share one denominator, the least
-    that clears all of their coefficients.
+    that clears all of their coefficients.  A named tuple: builders make
+    new terms all the time, and a frozen dataclass sets field by field.
     """
 
     ladder_id: str
@@ -757,16 +759,13 @@ class Element:
         residue difference: the most dominant weight on which the residues
         differ picks the side that is eventually smaller (for a join,
         larger), and `_settle` from there gives the index n past which that
-        choice holds pointwise.  The survivor's terms are canonical for the
-        result as they stand: same residue, denominator and order; only
-        the start s can move.  It rises to one past the last index at or
-        above the survivor's start where the picked value departs from the
-        survivor's formula, since up to there the survivor's terms are
-        integral.  Where nothing departs, it walks down from the survivor's
-        start while every term is integral and the formula equals the
-        picked value.  Below s the picked values are the prefix: below the
-        smaller start neither side has a tail, so only the prefix indices
-        of the two sides can be nonzero there.
+        choice holds pointwise.  From n on the result is the survivor's
+        formula, which is canonical as it stands: same residue,
+        denominator and order.  So the survivor's formula started at n and
+        the picked values below n go to the shared finish
+        (`_finish_ladder`), whose walk down from n finds the result's
+        start.  Below the smaller start neither side has a tail, so only
+        the prefix indices of the two sides can be nonzero there.
         """
         return self._pick(other, True)
 
@@ -797,20 +796,19 @@ class Element:
             if not (fs or gs or fp or gp):
                 continue
             lo = n = max(fsettle.get(lid, 0), gsettle.get(lid, 0))
-            keep: Tuple[TailTerm, ...] = ()  # the survivor's terms
-            keep_self = True
+            d, formula = 1, []  # the survivor's formula, over d
             if fs or gs:
                 df = fs[0].den if fs else 1
                 dg = gs[0].den if gs else 1
                 diff = _merge(fs, gs, dg, -df)  # self's residue less other's
                 above = bool(diff) and diff[-1][1] > 0  # self eventually larger
-                keep_self = above != low
-                keep = fs if keep_self else gs
+                keep = fs if above != low else gs
+                if keep:
+                    d, formula = keep[0].den, [(t.weight, t.num) for t in keep]
                 lo = fs[0].start if fs else gs[0].start
                 if fs and gs and gs[0].start < lo:
                     lo = gs[0].start
                 n = _settle(diff, n)
-            start = s = keep[0].start if keep else n  # s: the result's start
             vals: Dict[int, int] = {}
             if fp or gp:
                 for k in fp.keys() | gp.keys() if fp and gp else fp or gp:
@@ -818,31 +816,17 @@ class Element:
                         v = pick(fp.get(k, 0), gp.get(k, 0))
                         if v:
                             vals[k] = v
-            below = sorted(vals) if vals else ()
             for k in range(lo, n):  # _at on both sides
                 a = fp.get(k, 0) + _tail_sum(fs, k)
                 b = gp.get(k, 0) + _tail_sum(gs, k)
-                v = vals[k] = pick(a, b)
-                # from its start on, the survivor's value is its formula
-                if k >= start and v != (a if keep_self else b):
-                    s = k + 1
-            if keep and s == start > 0:
-                # _canonical's walk down, with the picked values for the
-                # window and the survivor's terms, none started below start
-                d = keep[0].den
-                formula = [(t.weight, t.num) for t in keep]
-                raw = [(start, w, c) for w, c in formula]
-                s = _walk_down(start, vals, d, raw, d, formula)
-            if s != start:
-                keep = tuple(TailTerm(lid, t.weight, t.num, t.den, s) for t in keep)
-            if keep:
-                tails.extend(keep)
-                terms[lid] = keep
-            if vals:
-                prefix = [(k, vals[k]) for k in below if k < s]
-                prefix += [(k, vals[k]) for k in range(lo, s) if vals[k]]
-                if prefix:
-                    on.append((lid, tuple(prefix)))
+                vals[k] = pick(a, b)
+            raw = [(n, w, c) for w, c in formula]
+            ts, prefix = _finish_ladder(lid, vals, d, raw, formula, n, True)
+            if ts:
+                tails.extend(ts)
+                terms[lid] = ts
+            if prefix:
+                on.append((lid, prefix))
         if self.off and other.off:
             fo, go = self._offmap, other._offmap
             off = [
@@ -1003,7 +987,7 @@ def _add(f: Element, g: Element) -> Element:
       leaves its own formula by the same amount, since f is its formula
       there.  By a term, f's term of that weight is integral at sg-1, so
       the summed term is not, whether or not other terms cancel.
-    - Equal starts: walk down from the start (`_walk_down`) with the
+    - Equal starts: walk down from the start (`_finish_ladder`) with the
       summed prefix values.
     - Only f has tails (or the mirror): a prefix index m >= sf of g
       departs from the formula, so s is one past the largest such index;
@@ -1195,9 +1179,16 @@ def _finish_ladder(
     terms over den are the function on the ladder; formula is the raw
     terms' nonzero residue over den, in ascending dominance.  From s on
     the function is the formula.  The gcd pass brings the formula to its
-    least denominator; the start is s, walked down first when walk
-    (`_walk_down`).  The prefix is every nonzero value below the start:
-    the window's below the first raw start, the function's from there.
+    least denominator.  The start is s, or when walk the least t <= s
+    such that every term is integral at each index of [t, s) and the
+    formula there is the value: the window value, which must make up for
+    the raw terms not yet started (`_makes_up`).  The prefix is every
+    nonzero value below the start: the window's below the first raw
+    start, the function's from there.
+
+    Meet and join end here too: their window is the picked values below
+    the settle index n, and their raw terms are the survivor's formula
+    started at n, so the walk down from n finds the result's start.
     """
     terms: Tuple[TailTerm, ...] = ()
     if formula:
@@ -1205,8 +1196,17 @@ def _finish_ladder(
         d = den // g
         if g > 1:
             formula = [(w, n // g) for w, n in formula]
-        if walk:
-            s = _walk_down(s, window, den, raw, d, formula)
+        # down while every term is integral at k and the formula is the value
+        while walk and s > 0:
+            k = s - 1
+            for w, n in formula if d > 1 else ():
+                if n * w.mod(k, d) % d:
+                    break
+            else:
+                if _makes_up(window.get(k, 0) * den, raw, k):
+                    s = k
+                    continue
+            break
         terms = tuple([TailTerm(lid, w, n, d, s) for w, n in formula])
     lo = s  # no term starts before lo
     for start, _, _ in raw:
@@ -1230,30 +1230,6 @@ def _finish_ladder(
                 raise AssertionError("non-integer ladder value")
             vals.append((k, q))
     return terms, tuple(vals)
-
-
-def _walk_down(
-    s: int,
-    window: Mapping[int, int],
-    den: int,
-    raw: Sequence[Tuple[int, WeightFn, int]],
-    d: int,
-    formula: Sequence[Tuple[WeightFn, int]],
-) -> int:
-    """The least start t <= s such that the tail formula, its (weight,
-    numerator) terms over d, is integral term by term at every index in
-    [t, s) and equals the value there: the window value, which must make
-    up for the raw terms (over den) not yet started."""
-    while s > 0:
-        k = s - 1
-        if d > 1:
-            for w, n in formula:
-                if n * w.mod(k, d) % d:
-                    return s
-        if not _makes_up(window.get(k, 0) * den, raw, k):
-            return s
-        s = k
-    return s
 
 
 def _makes_up(v: int, raw: Sequence[Tuple[int, WeightFn, int]], k: int) -> bool:

@@ -11,7 +11,7 @@ stands or falls independently of the construction that produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ordlat.element import Element, WeightFn, _from_values
@@ -588,7 +588,7 @@ def restrict_element(f: Element, block: ClopenBlock) -> Element:
             while not block.contains(L.point(k_first)):
                 k_first += 1
             for t in f.tails_on(L.id):
-                tails.append(replace(t, start=max(t.start, k_first)))
+                tails.append(t._replace(start=max(t.start, k_first)))
             for k in range(k_first, f.settle_index(L.id)):
                 vals[k] = f._at(L.id, k)
         else:

@@ -177,14 +177,9 @@ class CoordinateSystem:
         ]
         return self.columns[width:], rescaled
 
-    def coords(
-        self, f: Element, columns: Optional[Sequence[Column]] = None
-    ) -> List[int]:
-        """f at every column, or at the given ones, by the scatter rule
-        above."""
-        if columns is None:
-            return self._scatter(f, self._index, self._sites)
-        return self.reads([f], columns)[0]
+    def coords(self, f: Element) -> List[int]:
+        """f at every column, by the scatter rule above."""
+        return self._scatter(f, self._index, self._sites)
 
     def reads(
         self, elements: Sequence[Element], columns: Sequence[Column]

@@ -7,8 +7,8 @@ equal objects serialize to identical bytes.
 
 The decoders reject a document of the wrong shape with ValueError, and
 accept only JSON integers (not floats or booleans) in integer fields,
-only strings in rational and string fields, and only lists of strings in
-the lists of names.
+only strings in ordinal, weight, rational and string fields, only JSON
+lists in list fields and only JSON objects where the format has one.
 """
 
 from __future__ import annotations
@@ -47,25 +47,31 @@ def _typed(t: type, v: Any) -> Any:
 
 
 def _ints(row: Any) -> Tuple[int, ...]:
-    return tuple(_typed(int, c) for c in row)
+    return tuple(_typed(int, c) for c in _typed(list, row))
+
+
+def _each(t: type, v: Any) -> list:
+    """The items of the JSON list v, each of JSON type t."""
+    return [_typed(t, x) for x in _typed(list, v)]
 
 
 def _strs(v: Any) -> Tuple[str, ...]:
-    return tuple(_typed(str, x) for x in _typed(list, v))
+    return tuple(_each(str, v))
 
 
 def _decoder(fn):
-    """Report a document of the wrong shape (a null where an object
-    belongs, a missing key) as ValueError, like every other bad input."""
+    """Report a document of the wrong shape (a missing key, or a value
+    that the type checks let through and the reader cannot take) as
+    ValueError, like every other bad input."""
 
     @functools.wraps(fn)
     def decode(*args):
         try:
             return fn(*args)
-        except (AttributeError, KeyError, TypeError) as ex:
-            raise ValueError(
-                f"malformed document: {type(ex).__name__}: {ex}"
-            ) from ex
+        except KeyError as ex:
+            raise ValueError(f"malformed document: missing key {ex}") from ex
+        except (AttributeError, TypeError) as ex:
+            raise ValueError(f"malformed document: {ex}") from ex
 
     return decode
 
@@ -87,11 +93,15 @@ def element_to_json(el: Element) -> Dict[str, Any]:
 
 @_decoder
 def element_from_json(domain: Domain, data: Dict[str, Any]) -> Element:
+    data = _typed(dict, data)
     return domain.literal(
-        [(parse_ordinal(x), _typed(int, v)) for x, v in data.get("prefix", ())],
+        [
+            (parse_ordinal(_typed(str, x)), _typed(int, v))
+            for x, v in _each(list, data.get("prefix", []))
+        ],
         [
             (1, t["ladder"], _typed(str, t["r"]), _typed(int, t["start"]), t["weight"])
-            for t in data.get("tails", ())
+            for t in _each(dict, data.get("tails", []))
         ],
     )
 
@@ -113,14 +123,14 @@ def _ladder_to_json(L: Ladder) -> Dict[str, Any]:
 
 def _ladder_from_json(data: Dict[str, Any]) -> Ladder:
     kw: Dict[str, Any] = {
-        "id": data["id"],
-        "kind": data["kind"],
-        "target": parse_ordinal(data["target"]),
-        "weights": tuple(parse_weight(w) for w in data["weights"]),
+        "id": _typed(str, data["id"]),
+        "kind": _typed(str, data["kind"]),
+        "target": parse_ordinal(_typed(str, data["target"])),
+        "weights": tuple(parse_weight(w) for w in _strs(data["weights"])),
     }
     if data["kind"] == "arith":
-        kw["first"] = parse_ordinal(data["first"])
-        kw["step"] = parse_ordinal(data["step"])
+        kw["first"] = parse_ordinal(_typed(str, data["first"]))
+        kw["step"] = parse_ordinal(_typed(str, data["step"]))
     else:
         kw["offset"] = _typed(int, data["offset"])
     return Ladder(**kw)
@@ -141,15 +151,16 @@ def presentation_to_json(pres: Presentation) -> Dict[str, Any]:
 
 @_decoder
 def presentation_from_json(data: Dict[str, Any]) -> Presentation:
-    if data.get("format") != PRESENTATION_FORMAT:
+    if _typed(dict, data).get("format") != PRESENTATION_FORMAT:
         raise ValueError(f"not a {PRESENTATION_FORMAT} document")
-    space = ScatteredSpace(parse_ordinal(data["space"]["top"]))
+    top = _typed(dict, data["space"])["top"]
+    space = ScatteredSpace(parse_ordinal(_typed(str, top)))
     domain = Domain(
-        space, tuple(_ladder_from_json(L) for L in data["ladders"])
+        space, tuple(_ladder_from_json(L) for L in _each(dict, data["ladders"]))
     )
     gens = tuple(
         (_typed(str, g["name"]), element_from_json(domain, g["element"]))
-        for g in data["generators"]
+        for g in _each(dict, data["generators"])
     )
     return Presentation(_typed(str, data["name"]), domain, gens)
 
@@ -206,7 +217,7 @@ def certificate_to_json(cert: FreenessCertificate) -> Dict[str, Any]:
 def certificate_from_json(
     domain: Domain, data: Dict[str, Any]
 ) -> FreenessCertificate:
-    if data.get("format") != CERTIFICATE_FORMAT:
+    if _typed(dict, data).get("format") != CERTIFICATE_FORMAT:
         raise ValueError(f"not a {CERTIFICATE_FORMAT} document")
     pool = tuple(
         PoolEntry(
@@ -216,7 +227,7 @@ def certificate_from_json(
             if p.get("provenance") is not None
             else None,
         )
-        for p in data["pool"]
+        for p in _each(dict, data["pool"])
     )
     steps = tuple(
         ChainStep(
@@ -231,12 +242,12 @@ def certificate_from_json(
                     over=_typed(int, w["over"]),
                     coeffs=_ints(w["coeffs"]),
                 )
-                for w in s["torsionWitnesses"]
+                for w in _each(dict, s["torsionWitnesses"])
             ),
             quotient_over=_typed(int, s["quotientOver"]),
-            quotient_basis=tuple(_ints(r) for r in s["quotientBasis"]),
+            quotient_basis=tuple(_ints(r) for r in _typed(list, s["quotientBasis"])),
         )
-        for s in data["steps"]
+        for s in _each(dict, data["steps"])
     )
     # a target written as a pool element is that element, decoded once
     decoded = {dumps(p["element"]): e.element for p, e in zip(data["pool"], pool)}
@@ -247,14 +258,14 @@ def certificate_from_json(
             or element_from_json(domain, t["element"]),
             coeffs=_ints(t["coeffs"]),
         )
-        for t in data["certifiedTargets"]
+        for t in _each(dict, data["certifiedTargets"])
     )
     return FreenessCertificate(
         presentation=_typed(str, data["presentation"]),
         kind=_typed(str, data["kind"]),
         pool=pool,
         steps=steps,
-        final_basis=tuple(_ints(r) for r in data["finalBasis"]),
+        final_basis=tuple(_ints(r) for r in _typed(list, data["finalBasis"])),
         targets=targets,
         rank=_typed(int, data["rank"]),
     )

@@ -735,6 +735,42 @@ def test_meet_start_rises_above_the_survivors():
     assert f.join(g).tail_start("main") == 4
 
 
+def test_meet_start_falls_below_the_survivors(limitq):
+    # f survives (1 against 2 on the factorial weight) from its start 2,
+    # and below it the minimum is g's values 1 = 0! and 1 = 1!, which are
+    # f's formula: the walk down takes the meet's start to 0
+    d = limitq.domain
+    f = parse_element(
+        d, "5*e(0) + 5*e(1) + tail(ladder=q, weight=factorial, r=1, start=2)"
+    )
+    g = parse_element(
+        d, "e(0) + e(1) + tail(ladder=q, weight=factorial, r=2, start=2)"
+    )
+    m = f.meet(g)
+    assert m == reference_meet(f, g)
+    assert f.tail_start("q") == 2
+    assert m.tail_start("q") == 0
+    assert format_element(m) == "tail(ladder=q, weight=factorial, r=1, start=0)"
+    assert f.join(g) == reference_join(f, g)
+    assert f.join(g).tail_start("q") == 2
+
+
+def test_meet_where_no_term_survives(limitq):
+    # g has no tail, so its residue 0 survives the meet with f's k!: the
+    # meet is the minimum below g's settle index 2 and has no tail
+    d = limitq.domain
+    f = parse_element(d, "tail(ladder=q, weight=factorial, r=1, start=0)")
+    g = parse_element(d, "3*e(1)")
+    m = f.meet(g)
+    assert m == reference_meet(f, g)
+    assert m.tail_start("q") is None
+    assert format_element(m) == "e(1)"
+    j = f.join(g)
+    assert j == reference_join(f, g)
+    assert j.tail_start("q") == 2
+    assert (-f).join(-g) == -m == reference_join(-f, -g)
+
+
 @given(st.data())
 def test_positive_negative_split(any_pres, data):
     f = data.draw(combos(any_pres))
