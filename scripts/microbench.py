@@ -18,9 +18,9 @@ as a one-shot call does;
 coords reads each generator and the spike at 3 at every column of the
 generators' coordinate system, as a Span build and a membership solve do.
 The matrix operations factor a seeded 30 x 30
-matrix with entries in [-9, 9]; grown_extend widens the Hermite form of
-its first 28 rows by one column and extends it by two rows, as a chain
-step does, on a fresh form each pass.
+matrix with entries in [-9, 9]; grown_extend extends the Hermite form of
+its first 28 rows by two seeded rows, as a chain step does, on a fresh
+form each pass.
 """
 
 import argparse
@@ -157,18 +157,12 @@ def main(argv=None):
 
     mrng = random.Random(f"matrix:{args.seed}")
     matrix = [[mrng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
-    column = [mrng.randint(-9, 9) for _ in range(28)]
-    new_rows = [[mrng.randint(-9, 9) for _ in range(31)] for _ in range(2)]
+    new_rows = [[mrng.randint(-9, 9) for _ in range(30)] for _ in range(2)]
 
     def grown_extend():
         form = GrownForm(30)
         form.extend(matrix[:28])
-
-        def timed():
-            form.widen([column])
-            form.extend(new_rows)
-
-        return timed
+        return lambda: form.extend(new_rows)
 
     ops = {
         "meet": per_call(meet, PAIRS, args.repeat),

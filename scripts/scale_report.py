@@ -8,12 +8,15 @@ For each n in SIZES, certify(limitq(n), depth=n-2) builds a certificate
 and smooth_chain_check checks it.  Each time is the median of REPEAT
 runs, each on a freshly built preset; the exponent between successive
 sizes n1 < n2 is log(t2 / t1) / log(n2 / n1).  Each size also reports
-its certificate's JSON size in bytes and the bit lengths of its largest
-torsion witness coefficient and of its largest final-basis coefficient,
-which would show coefficient growth from an unreduced transform.  ok is
-whether every check passed.
+its certificate's JSON size in bytes, the first 16 hex digits of the
+SHA-256 of that JSON (cert_sha, which a change that keeps certificates
+byte for byte keeps), and the bit lengths of its largest torsion witness
+coefficient and of its largest final-basis coefficient, which would show
+coefficient growth from an unreduced transform.  ok is whether every
+check passed.
 """
 
+import hashlib
 import json
 import math
 import pathlib
@@ -34,8 +37,8 @@ REPEAT = 5
 
 def measure(n, repeat=REPEAT):
     """Median build and check seconds of limitq(n) at depth n - 2, the
-    certificate's bytes, its largest witness and final-basis coefficients
-    in bits, and whether every check passed."""
+    certificate's bytes and digest, its largest witness and final-basis
+    coefficients in bits, and whether every check passed."""
     builds, checks, ok = [], [], True
     for _ in range(repeat):
         pres = limitq(n)
@@ -47,10 +50,12 @@ def measure(n, repeat=REPEAT):
         checks.append(time.perf_counter() - t)
     coeffs = [c for s in cert.steps for w in s.torsion_witnesses for c in w.coeffs]
     basis = [c for combo in cert.final_basis for c in combo]
+    text = dumps(certificate_to_json(cert))
     return {
         "build_s": round(statistics.median(builds), 4),
         "check_s": round(statistics.median(checks), 4),
-        "cert_bytes": len(dumps(certificate_to_json(cert))),
+        "cert_bytes": len(text),
+        "cert_sha": hashlib.sha256(text.encode()).hexdigest()[:16],
         "witness_bits": max((abs(c).bit_length() for c in coeffs), default=0),
         "basis_bits": max((abs(c).bit_length() for c in basis), default=0),
         "ok": ok,

@@ -220,7 +220,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (ChainError, ValueError, KeyError, OSError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        msg = ex.args[0] if isinstance(ex, KeyError) and ex.args else ex
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -288,23 +288,32 @@ def free_from_bounded_torsion(
 # --- chain builders -------------------------------------------------------------
 
 
+# one step of a chain plan: the arguments of _Chain.step
+Named = Tuple[str, Element]
+Step = Tuple[str, List[Named], List[Named], int, Optional[Named]]
+
+
 class _Chain:
     """A certificate under construction: its pool and its steps.
 
     An entry gets its provenance over the presentation's generators when it
     joins the pool.  span: the whole pool, one Span that starts empty and
     is extended by each step's entries rather than factored again; finish
-    reads the final basis off its form.  Every step sees the whole pool,
-    so composition builds each block's chain straight into the composite
+    reads the final basis off its form.  Its coordinate window is fixed
+    at the start from window, every element the steps may adjoin, so the
+    form only grows by rows.  Every step sees the whole pool, so
+    composition builds each block's chain straight into the composite
     pool, and a block's extension must be free modulo every earlier entry.
     """
 
-    def __init__(self, pres: Presentation, kind: str) -> None:
+    def __init__(
+        self, pres: Presentation, kind: str, window: Sequence[Element]
+    ) -> None:
         self.pres = pres
         self.kind = kind
         self.pool: List[PoolEntry] = []
         self.steps: List[ChainStep] = []
-        self.span = Span(pres.domain)
+        self.span = Span(pres.domain, window=window)
         # an independent family writes its i-th generator only as e_i
         gens = pres.elements if pres.span.unique else ()
         self._units = {g: i for i, g in enumerate(gens)}
@@ -432,16 +441,32 @@ class _Chain:
         )
 
 
+def _run(
+    pres: Presentation, kind: str, steps: Sequence[Step], targets: Sequence[Named]
+) -> FreenessCertificate:
+    """Run a chain plan and finish it on targets.  The chain's window
+    takes the plan's elements in first-need order: per step a_ext, then
+    pad, which is tried even when it is left out, then the extras."""
+    window = [
+        el
+        for _, a_ext, extras, _, pad in steps
+        for _, el in [*a_ext, *([pad] if pad else []), *extras]
+    ]
+    chain = _Chain(pres, kind, window)
+    for step in steps:
+        chain.step(*step)
+    return chain.finish(targets)
+
+
 def _successor_steps(
-    chain: _Chain,
     family: Presentation,
     depth: Optional[int] = None,
     ladder_id: Optional[str] = None,
     first: int = 0,
     prefix: str = "",
-) -> List[Tuple[str, Element]]:
-    """Append a successor chain along one ladder to chain; return its
-    targets: the spikes and the family members it reaches.
+) -> Tuple[List[Step], List[Named]]:
+    """The steps of a successor chain along one ladder, and its targets:
+    the spikes and the family members it reaches.
 
     Step r adjoins the spike at ladder index first + r plus any family
     leader arriving there; later family members arriving at r are bounded
@@ -464,19 +489,20 @@ def _successor_steps(
     if depth is None:
         depth = max(local_mu)
 
-    L = chain.pres.domain.ladder(lid)
+    domain = family.domain
+    L = domain.ladder(lid)
     spikes = [
-        (f"{prefix}e_{r}", chain.pres.domain.e(L.point(first + r)))
-        for r in range(depth + 1)
+        (f"{prefix}e_{r}", domain.e(L.point(first + r))) for r in range(depth + 1)
     ]
+    steps: List[Step] = []
     for r, spike in enumerate(spikes):
         a_ext = [spike]
         extras = []
         for k, (name, g) in enumerate(fam):
             if local_mu[k] == r:
                 (a_ext if k == 0 else extras).append((prefix + name, g))
-        chain.step(f"{prefix}step {r}", a_ext, extras, math.factorial(r))
-    return spikes + [
+        steps.append((f"{prefix}step {r}", a_ext, extras, math.factorial(r), None))
+    return steps, spikes + [
         (prefix + name, g) for k, (name, g) in enumerate(fam) if local_mu[k] <= depth
     ]
 
@@ -485,8 +511,7 @@ def build_chain_successor(
     pres: Presentation, depth: Optional[int] = None
 ) -> FreenessCertificate:
     """Successor-chain certificate along the first ladder (`_successor_steps`)."""
-    chain = _Chain(pres, "successor")
-    return chain.finish(_successor_steps(chain, pres, depth))
+    return _run(pres, "successor", *_successor_steps(pres, depth))
 
 
 def chain_torsion_bound(alphas: Sequence[int], delta: int) -> int:
@@ -526,7 +551,7 @@ def build_chain_limit(
         levels = len(members) - 1
     weights = sorted(families, key=WeightFn.dominance_key)
 
-    chain = _Chain(pres, "limit")
+    steps: List[Step] = []
     for n in range(levels + 1):
         a_ext: List[Tuple[str, Element]] = []
         extras: List[Tuple[str, Element]] = []
@@ -562,10 +587,13 @@ def build_chain_limit(
             x = pres.domain.space.smallest_point_of_rank(from_int(n + 1))
             if x is not None:
                 pad = (f"pad_{n}", pres.domain.e(x))
-        chain.step(f"level {n}", a_ext, extras, math.factorial(n), pad)
+        steps.append((f"level {n}", a_ext, extras, math.factorial(n), pad))
 
-    return chain.finish(
-        [m for w in weights for i, m in enumerate(families[w]) if i <= levels]
+    return _run(
+        pres,
+        "limit",
+        steps,
+        [m for w in weights for i, m in enumerate(families[w]) if i <= levels],
     )
 
 
@@ -602,8 +630,9 @@ def restrict_element(f: Element, block: ClopenBlock) -> Element:
 
 
 def multi_prime_compose(pres: Presentation) -> FreenessCertificate:
-    """Split a presentation over one clopen block per ladder and build each
-    block's successor chain straight into one composite certificate.
+    """Split a presentation over one clopen block per ladder and build one
+    composite certificate: a residual step, then each block's successor
+    steps, joined into one plan.
 
     The blocks follow the ladders in target order: each runs from the
     previous ladder's target (exclusive; 0 for the first) up to its own.
@@ -643,7 +672,7 @@ def multi_prime_compose(pres: Presentation) -> FreenessCertificate:
             )
         residues.append(rest)
 
-    chain = _Chain(pres, "composite")
+    steps: List[Step] = []
     nonzero = [r for r in residues if not r.is_zero]
     if nonzero:
         form = Span(domain, nonzero).form
@@ -651,7 +680,7 @@ def multi_prime_compose(pres: Presentation) -> FreenessCertificate:
             (f"res_{i}", domain.combine(combo, nonzero))
             for i, combo in enumerate(form.u[: form.rank])
         ]
-        chain.step("residual", a_ext, [], 1)
+        steps.append(("residual", a_ext, [], 1, None))
 
     for bi, (L, block) in enumerate(zip(ladders, blocks)):
         k_first = 0
@@ -667,9 +696,9 @@ def multi_prime_compose(pres: Presentation) -> FreenessCertificate:
         sub = Presentation(
             f"{pres.name}@{bi}", domain, sub_gens
         )
-        _successor_steps(chain, sub, None, L.id, k_first, f"b{bi}.")
+        steps += _successor_steps(sub, None, L.id, k_first, f"b{bi}.")[0]
 
-    return chain.finish(pres.generators)
+    return _run(pres, "composite", steps, pres.generators)
 
 
 def certify(

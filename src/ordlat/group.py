@@ -80,9 +80,12 @@ class CoordinateSystem:
     weight)) for a residue coordinate, scaled by scales[(ladder id,
     weight)] to clear denominators.  The window holds every prefix point
     of the family and every ladder index below the ladder's largest tail
-    start.  widen grows the columns for new members at the right;
-    for_elements sorts them once: points in ordinal order, then axes by
-    ladder and dominance.
+    start.  widen builds the columns the window rule asks of new
+    elements, appended in first-need order, and grows each axis scale to
+    clear their residues; for_elements sorts the columns of a family
+    given at once: points in ordinal order, then axes by ladder and
+    dominance.  covers tells whether a window already holds what elements
+    need.
 
     coords reads an element's values at the window columns and its scaled
     residues.  It is linear, and one-to-one on the family's combinations:
@@ -99,7 +102,7 @@ class CoordinateSystem:
     and at a point off the ladders it is the stored value or 0: a column
     that nothing writes reads 0.  _sites keeps each ladder's site
     columns in index order, so the formula goes to the sites at or past
-    the start alone.
+    the start alone; the first coords after the columns change builds it.
     """
 
     __slots__ = ("columns", "scales", "_index", "_ends", "_sites")
@@ -109,7 +112,7 @@ class CoordinateSystem:
         self.scales: Dict[Tuple[str, WeightFn], int] = {}
         self._index: Dict[Column, int] = {}
         self._ends: Dict[str, int] = {}  # per ladder, the largest tail start
-        self._sites: Dict[str, List[Tuple[int, int]]] = {}
+        self._sites: Optional[Dict[str, List[Tuple[int, int]]]] = None
 
     @classmethod
     def for_elements(
@@ -132,33 +135,26 @@ class CoordinateSystem:
 
         cs.columns.sort(key=order)
         cs._index = {col: i for i, col in enumerate(cs.columns)}
-        cs._sites = _ladder_sites(cs._index)
+        cs._sites = None
         return cs
 
-    def widen(
-        self, elements: Sequence[Element]
-    ) -> Tuple[List[Column], List[Tuple[int, int]]]:
-        """Append at the right every column the elements need.  Returns
-        the new columns and (column, factor) for every earlier axis whose
-        scale grows."""
-        width = len(self.columns)
-        grown: Dict[Tuple[str, WeightFn], int] = {}
+    def widen(self, elements: Sequence[Element]) -> None:
+        """Append at the right every column the elements need, and grow
+        each axis scale to clear their residues."""
 
         def add(col: Column) -> None:
             if col not in self._index:
                 self._index[col] = len(self.columns)
                 self.columns.append(col)
+                self._sites = None
 
         for f in elements:
             for t in f.tails:
                 key = (t.ladder_id, t.weight)
                 old = self.scales.get(key)
-                scale = lcm(old or 1, t.den // gcd(t.num, t.den))
                 if old is None:
                     add(("axis", key))
-                elif scale != old and self._index[("axis", key)] < width:
-                    grown.setdefault(key, old)  # the scale before this call
-                self.scales[key] = scale
+                self.scales[key] = lcm(old or 1, t.den // gcd(t.num, t.den))
                 # the window: every ladder index below the largest start
                 end = self._ends.get(t.ladder_id, 0)
                 for k in range(end, t.start):
@@ -169,32 +165,21 @@ class CoordinateSystem:
             for lid, kv in f.on:
                 for k, _ in kv:
                     add(("site", (lid, k)))
-        if len(self.columns) > width:
-            self._sites = _ladder_sites(self._index)
-        rescaled = [
-            (self._index[("axis", key)], self.scales[key] // old)
-            for key, old in grown.items()
-        ]
-        return self.columns[width:], rescaled
+
+    def covers(self, elements: Sequence[Element]) -> bool:
+        """Whether the window holds every column the elements need, by
+        widen's rule, and every axis scale clears their residues."""
+        need = CoordinateSystem()
+        need.widen(elements)
+        return all(col in self._index for col in need.columns) and all(
+            self.scales[key] % scale == 0 for key, scale in need.scales.items()
+        )
 
     def coords(self, f: Element) -> List[int]:
         """f at every column, by the scatter rule above."""
-        return self._scatter(f, self._index, self._sites)
-
-    def reads(
-        self, elements: Sequence[Element], columns: Sequence[Column]
-    ) -> List[List[int]]:
-        """Each element at the given columns, whose index is built once."""
-        index = {col: i for i, col in enumerate(columns)}
-        sites = _ladder_sites(index)
-        return [self._scatter(f, index, sites) for f in elements]
-
-    def _scatter(
-        self,
-        f: Element,
-        index: Mapping[Column, int],
-        sites: Mapping[str, List[Tuple[int, int]]],
-    ) -> List[int]:
+        index, sites = self._index, self._sites
+        if sites is None:
+            sites = self._sites = _ladder_sites(index)
         out = [0] * len(index)
         for x, v in f.off:
             i = index.get(("point", x))
@@ -241,26 +226,37 @@ class Decomposition:
 
 class Span:
     """The subgroup generated by a family, factored for membership and
-    grown instead of refactored.
+    grown by members instead of refactored.
 
     Holds the family, its coordinate system, its members' coordinate rows
     and one GrownForm of them; decompose answers each target by
-    back-substitution, and the re-sum decides.  A family given at once
-    gets the sorted columns of CoordinateSystem.for_elements and the
-    Hermite form hnf_rows gives its rows.  extend appends members: it
-    widens the columns at the right, reads the earlier members at the new
-    columns only, and rescales in place each axis whose scale grows.  A
-    grown Span of a dependent family may pick other coefficients than one
-    built at once.  unique: whether the family is independent, so that every member has
-    exactly one coefficient vector.
+    back-substitution, and the re-sum decides.  window None gives the
+    family the sorted columns of CoordinateSystem.for_elements, and the
+    Hermite form hnf_rows gives its rows.  A family that grows names the
+    elements it may take as its window: the columns they need, in
+    first-need order, are fixed then, so extend appends rows only and
+    refuses, with ValueError, a member that needs a column or an axis
+    scale the window lacks.  A grown Span of a dependent family may pick
+    other coefficients than one built at once.  unique: whether the
+    family is independent, so that every member has exactly one
+    coefficient vector.
     """
 
     __slots__ = ("domain", "gens", "cs", "rows", "form")
 
-    def __init__(self, domain: Domain, gens: Sequence[Element] = ()) -> None:
+    def __init__(
+        self,
+        domain: Domain,
+        gens: Sequence[Element] = (),
+        window: Optional[Sequence[Element]] = None,
+    ) -> None:
         self.domain = domain
         self.gens: Tuple[Element, ...] = tuple(gens)
-        self.cs = CoordinateSystem.for_elements(domain, self.gens)
+        if window is None:
+            self.cs = CoordinateSystem.for_elements(domain, self.gens)
+        else:
+            self.cs = CoordinateSystem()
+            self.cs.widen(list(window) + list(self.gens))
         self.rows = [self.cs.coords(g) for g in self.gens]
         self.form = GrownForm(len(self.cs.columns))
         self.form.extend(self.rows)
@@ -275,17 +271,15 @@ class Span:
 
     def extend(self, gens: Sequence[Element]) -> None:
         gens = list(gens)
-        self._widen(gens)
-        rows = [self.cs.coords(g) for g in gens]
+        rows = self._rows(gens)
         self.form.extend(rows)
         self.rows.extend(rows)
         self.gens += tuple(gens)
 
     def raises_rank(self, el: Element) -> bool:
-        """Whether appending el would raise the rank: its columns join the
-        span, its row does not."""
-        self._widen([el])
-        return self.form.raises_rank(self.cs.coords(el))
+        """Whether appending el would raise the rank; the span is left as
+        it is."""
+        return self.form.raises_rank(self._rows([el])[0])
 
     def decompose(self, target: Element) -> Optional[Decomposition]:
         """Integer coefficients writing target over the family, or None."""
@@ -301,17 +295,12 @@ class Span:
             return None
         return Decomposition(coeffs=sol, unique=self.unique)
 
-    def _widen(self, elements: Sequence[Element]) -> None:
-        new, rescaled = self.cs.widen(elements)
-        for c, factor in rescaled:
-            self.form.rescale(c, factor)
-            for r in self.rows:
-                r[c] *= factor
-        if new:
-            reads = self.cs.reads(self.gens, new)
-            self.form.widen(list(zip(*reads)) if reads else [()] * len(new))
-            for r, extra in zip(self.rows, reads):
-                r.extend(extra)
+    def _rows(self, els: Sequence[Element]) -> List[List[int]]:
+        """The coordinate rows of els as members: the window must hold
+        them."""
+        if not self.cs.covers(els):
+            raise ValueError("a member needs a column outside the span's window")
+        return [self.cs.coords(el) for el in els]
 
 
 def member_decompose(

@@ -5,8 +5,8 @@ result row is an explicit integer combination of the input rows, which is
 what lets certificates carry provenance for the generators they introduce.
 A Hermite form is computed once per family of rows and then answers any
 number of membership queries by back-substitution (`HnfResult.solve`).
-A family that grows keeps one `GrownForm`, extended by its new rows and
-columns instead of recomputed.
+A family that grows keeps one `GrownForm`, extended by its new rows
+instead of recomputed.
 """
 
 from __future__ import annotations
@@ -148,8 +148,7 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> HnfResult:
 
 
 class GrownForm:
-    """A Hermite form grown by input rows, and by input columns at the
-    right, instead of recomputed.
+    """A Hermite form grown by input rows instead of recomputed.
 
     h, u and pivots as in HnfResult, held in lists: the first rank rows of
     h are its echelon rows, with positive pivots and the entries above each
@@ -159,16 +158,11 @@ class GrownForm:
     built by one extend, which takes hnf_rows's result.  A grown u may
     differ when the input rows are dependent.
 
-    - extend appends input rows.  Each is reduced against the stored
-      pivot rows only, and the rows its reduction changed are brought
-      back to Hermite form.
-    - widen appends input columns.  The new entries of h are u @ B, and
-      only the zero rows of h can gain a pivot there.
-    - rescale multiplies one input column by a positive integer, which
-      keeps h a Hermite form.
-
-    This is the row-append scheme of Micciancio and Warinschi (ISSAC
-    2001), with columns appended through the transform.
+    extend appends input rows, one at a time.  Each is reduced against the
+    stored pivot rows only, and the rows its reduction changed are brought
+    back to Hermite form before the next row comes.  The width is fixed:
+    a zero row of h stays zero.  This is the row-append scheme of
+    Micciancio and Warinschi (ISSAC 2001).
     """
 
     __slots__ = ("h", "u", "pivots", "width")
@@ -194,40 +188,13 @@ class GrownForm:
             self.u = list(map(list, res.u))
             self.pivots = list(res.pivots)
             return
-        rows = [list(map(int, r)) for r in rows]
         for ur in self.u:
             ur.extend([0] * k)
-        self._merge(
-            [(r, [0] * m + [1 if i == j else 0 for j in range(k)])
-             for i, r in enumerate(rows)]
-        )
-
-    def widen(self, columns: Sequence[Sequence[int]]) -> None:
-        """Append input columns, each given by its entry in every input
-        row."""
-        h, u = self.h, self.u
-        for col in columns:
-            if len(col) != len(u):
-                raise ValueError("column length differs from the row count")
-            nz = [(i, int(v)) for i, v in enumerate(col) if v]
-            for hr, ur in zip(h, u):
-                hr.append(sum(ur[i] * v for i, v in nz))
-        self.width += len(columns)
-        if not columns:
-            return
-        r = self.rank
-        moved = [i for i in range(r, len(h)) if any(h[i])]
-        fresh = [(h[i], u[i]) for i in moved]
-        for i in reversed(moved):
-            del h[i], u[i]
-        self._merge(fresh)
-
-    def rescale(self, c: int, factor: int) -> None:
-        """Multiply input column c by factor >= 1."""
-        if factor < 1:
-            raise ValueError("a column scale must be >= 1")
-        for hr in self.h:
-            hr[c] *= factor
+        for i, r in enumerate(rows):
+            self._merge(
+                list(map(int, r)),
+                [0] * m + [1 if i == j else 0 for j in range(k)],
+            )
 
     def raises_rank(self, row: Sequence[int]) -> bool:
         """Whether appending row would raise the rank; the form is left
@@ -250,45 +217,44 @@ class GrownForm:
         The nonzero rows of h are independent, so q is unique."""
         return _back_substitute(self.h, self.pivots, target)
 
-    def _merge(self, fresh: List[Tuple[List[int], List[int]]]) -> None:
-        """Bring (h row, u row) pairs outside the echelon rows into it,
-        then restore the Hermite bounds above every pivot the merge made
-        or changed."""
+    def _merge(self, hr: List[int], ur: List[int]) -> None:
+        """Bring one (h row, u row) pair into the echelon rows, then
+        restore the Hermite bounds above every pivot the merge made or
+        changed.  A row that reduces to zero joins the zero rows."""
         h, u, pivots = self.h, self.u, self.pivots
         r = len(pivots)
         kept = h[:r]  # alive until the end, so their ids stay unique
         untouched = {id(row) for row in kept}
-        zeros = list(zip(h[r:], u[r:]))
-        del h[r:], u[r:]
-        n = self.width
-        for hr, ur in fresh:
-            c = next((j for j, a in enumerate(hr) if a), None)
-            while c is not None:
-                j = bisect_left(pivots, c)
-                if j == len(pivots) or pivots[j] != c:
-                    if hr[c] < 0:
-                        hr = [-a for a in hr]
-                        ur = [-a for a in ur]
-                    h.insert(j, hr)
-                    u.insert(j, ur)
-                    pivots.insert(j, c)
-                    break
-                # Euclid on column c between the pivot row and hr
-                ph, pu = h[j], u[j]
-                while hr[c]:
-                    q = hr[c] // ph[c]
-                    if q:
-                        hr = [a - q * b for a, b in zip(hr, ph)]
-                        ur = [a - q * b for a, b in zip(ur, pu)]
-                    if hr[c]:
-                        ph, hr, pu, ur = hr, ph, ur, pu
-                h[j], u[j] = ph, pu
-                c = next((i for i in range(c + 1, n) if hr[i]), None)
-            else:
-                zeros.append((hr, ur))
+        c = next((j for j, a in enumerate(hr) if a), None)
+        while c is not None:
+            j = bisect_left(pivots, c)
+            if j == len(pivots) or pivots[j] != c:
+                if hr[c] < 0:
+                    hr = [-a for a in hr]
+                    ur = [-a for a in ur]
+                h.insert(j, hr)
+                u.insert(j, ur)
+                pivots.insert(j, c)
+                break
+            # Euclid on column c between the pivot row and hr
+            ph, pu = h[j], u[j]
+            while hr[c]:
+                q = hr[c] // ph[c]
+                if q:
+                    hr = [a - q * b for a, b in zip(hr, ph)]
+                    ur = [a - q * b for a, b in zip(ur, pu)]
+                if hr[c]:
+                    ph, hr, pu, ur = hr, ph, ur, pu
+            h[j], u[j] = ph, pu
+            c = next((i for i in range(c + 1, self.width) if hr[i]), None)
+        else:
+            h.append(hr)
+            u.append(ur)
         # a new or changed pivot row may break the bounds of every row
         # above its pivot; a changed row, those at every later pivot
-        changed = {i for i, row in enumerate(h) if id(row) not in untouched}
+        changed = {
+            i for i, row in enumerate(h[: len(pivots)]) if id(row) not in untouched
+        }
         dirty = set(changed)
         for j, c in enumerate(pivots):
             p = h[j][c]
@@ -299,8 +265,6 @@ class GrownForm:
                     h[i] = [a - q * b for a, b in zip(h[i], h[j])]
                     u[i] = [a - q * b for a, b in zip(u[i], u[j])]
                     dirty.add(i)
-        h.extend(hr for hr, _ in zeros)
-        u.extend(ur for _, ur in zeros)
 
 
 def project(

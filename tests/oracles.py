@@ -37,7 +37,7 @@ from ordlat.element import (
     _settle,
     is_semibasic,
 )
-from ordlat.group import Column, CoordinateSystem, Decomposition
+from ordlat.group import CoordinateSystem, Decomposition
 from ordlat.intlinalg import row_rank, solve_in_rowspace
 from ordlat.ordinal import (
     Ordinal,
@@ -317,18 +317,16 @@ def reference_coordinates(
     return coords
 
 
-def reference_probe_coords(
-    cs: CoordinateSystem, f: Element, columns: Optional[Sequence[Column]] = None
-) -> List[int]:
-    """f at every column of cs, or at the given ones, probed one column at
-    a time: a site through Element._at, a point through the prefix map and
-    an axis through the scaled residue.  This is the reader before coords
+def reference_probe_coords(cs: CoordinateSystem, f: Element) -> List[int]:
+    """f at every column of cs, probed one column at a time: a site
+    through Element._at, a point through the prefix map and an axis
+    through the scaled residue.  This is the reader before coords
     scattered what the element holds; it raises the same ValueError on a
     residue outside the scaled lattice and skips a residue on no axis."""
     offmap = f._offmap
     residues = {(t.ladder_id, t.weight): t for t in f.tails}
     out = []
-    for kind, key in cs.columns if columns is None else columns:
+    for kind, key in cs.columns:
         if kind == "site":
             out.append(f._at(*key))
         elif kind == "point":

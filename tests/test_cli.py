@@ -98,7 +98,7 @@ def test_verify_staircase_without_ladders_is_bad_input(capsys, tmp_path, limitq)
 def test_verify_staircase_unknown_ladder_is_bad_input(capsys):
     rc, out, err = run(capsys, "verify-staircase", "--preset", "limitq", "--ladder", "bogus")
     assert rc == 2
-    assert "no ladder 'bogus'" in err
+    assert err == "error: no ladder 'bogus'\n"
     assert "FAIL" not in out
 
 

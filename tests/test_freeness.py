@@ -825,6 +825,22 @@ def test_final_basis_coefficients_stay_small():
     assert smooth_chain_check(pres, cert).ok
 
 
+# the first 16 hex digits of the SHA-256 of each limitq(n) certificate at
+# depth n - 2, as scripts/scale_report.py reports them (cert_sha)
+SCALE_CERTIFICATES = {
+    24: "153c2333394aaca3",
+    48: "1f581cc361547275",
+    64: "cf19b5ae4ffdd614",
+    80: "dbf8959344a1aaa3",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SCALE_CERTIFICATES))
+def test_scale_certificates_are_frozen(n):
+    text = dumps(certificate_to_json(certify(presets.limitq(n), depth=n - 2)))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == SCALE_CERTIFICATES[n]
+
+
 @given(st.data())
 def test_projection_kernel_is_the_span_of_the_earlier_rows(data):
     n = data.draw(st.integers(1, 5))
@@ -861,8 +877,8 @@ def test_limit_chain_leaves_out_a_torsion_pad():
 
 
 def test_chain_step_rejects_a_dependent_extension(limitq):
-    chain = _Chain(limitq, "successor")
     e0 = limitq.domain.e(from_int(0))
+    chain = _Chain(limitq, "successor", [e0, 2 * e0])
     chain.step("one", [("e_0", e0)], [], 1)
     with pytest.raises(ChainError, match="raises the rank by 0, not 1"):
         chain.step("again", [("twice", 2 * e0)], [], 1)

@@ -164,24 +164,25 @@ def test_span_matches_full_window_oracle(name, data):
 @pytest.mark.parametrize("name", DIFF_PRESETS)
 @given(data=st.data())
 def test_grown_span_answers_as_span(name, data):
-    # a family grown in batches, with scaled members that rescale an axis
-    # and spikes that widen the window, answers every membership query as
-    # one Span of the whole family
+    # a family grown in batches over a first-need window of its members
+    # and the spikes it tries, with scaled members among them, answers
+    # every membership query as one Span of the whole family
     pres, points = _diff_setup(name)
     d = pres.domain
     gens = pres.elements
-    pool = list(gens) + [d.e(x) for x in points] + [3 * g for g in gens]
+    spikes = [d.e(x) for x in points]
+    pool = list(gens) + spikes + [3 * g for g in gens]
     family = data.draw(
         st.lists(st.sampled_from(pool), min_size=1, max_size=6)
     )
-    grown = Span(d)
+    grown = Span(d, window=family + spikes)
     cut = 0
     while cut < len(family):
         step = data.draw(st.integers(1, len(family) - cut))
         grown.extend(family[cut : cut + step])
         cut += step
         if data.draw(st.booleans()):
-            grown.raises_rank(d.e(data.draw(st.sampled_from(points))))
+            grown.raises_rank(data.draw(st.sampled_from(spikes)))
     span = Span(d, family)
     assert grown.rank == span.rank
     coeffs = data.draw(
@@ -199,8 +200,9 @@ def test_grown_span_answers_as_span(name, data):
 def test_coordinates_match_the_reference_reader(name, data):
     # a family's sorted window reads every combination and spike as the
     # reader built at once did; a grown Span's rows stay its members'
-    # coordinates through batched extends, the second of which rescales
-    # the axis of gens[3]
+    # coordinates through batched extends over a first-need window, and
+    # a member whose residue needs a finer axis scale than the window's
+    # is refused
     pres, points = _diff_setup(name)
     d = pres.domain
     gens = pres.elements
@@ -218,10 +220,18 @@ def test_coordinates_match_the_reference_reader(name, data):
 
     (t,) = gens[3].tails
     axis, den = (t.ladder_id, t.weight), t.den // gcd(t.num, t.den)
-    grown = Span(d)
-    grown.extend([den * gens[3]])
-    assert grown.cs.scales[axis] == 1 < den
-    batches = [[gens[3]]]
+    coarse = Span(d, window=[den * gens[3]])
+    coarse.extend([den * gens[3]])
+    assert coarse.cs.scales[axis] == 1 < den
+    with pytest.raises(ValueError, match="outside the span's window"):
+        coarse.extend([gens[3]])
+    with pytest.raises(ValueError, match="outside the span's window"):
+        coarse.raises_rank(gens[3])
+    assert coarse.gens == (den * gens[3],) and coarse.form.rank == 1
+
+    grown = Span(d, window=[den * gens[3], gens[3]] + family)
+    assert grown.cs.scales[axis] % den == 0
+    batches = [[den * gens[3], gens[3]]]
     cut = 0
     while cut < len(family):
         step = data.draw(st.integers(1, len(family) - cut))
@@ -255,14 +265,9 @@ def _scatter_setup(name):
     return pres, points, list(pres.elements) + [d.e(x) for x in points]
 
 
-def _coords(cs, f, columns):
-    """The package's reader: coords at every column, reads at given ones."""
-    return cs.coords(f) if columns is None else cs.reads([f], columns)[0]
-
-
-def _read(reader, cs, f, columns):
+def _read(reader, cs, f):
     try:
-        return reader(cs, f, columns)
+        return reader(cs, f)
     except ValueError as err:
         return ("raises", type(err), str(err))
 
@@ -270,9 +275,9 @@ def _read(reader, cs, f, columns):
 @pytest.mark.parametrize("name", SCATTER_PRESETS)
 @given(data=st.data())
 def test_coords_scatter_reads_as_the_probe(name, data):
-    # members and non-members of a family, read at every column and at a
-    # drawn subset of them, by a coordinate system built at once or grown
-    # in batches.  The non-members: a spike outside the window, and a tail
+    # members and non-members of a family, read at every column by a
+    # sorted coordinate system or a grown Span's first-need one.  The
+    # non-members: a spike outside the window, and a tail
     # that starts inside the window or up to three past its end on the
     # ladder, with an integer coefficient or 1/w(start).  Past the end,
     # 1/w(start) lies off the scaled lattice where the axis exists; on a
@@ -283,7 +288,7 @@ def test_coords_scatter_reads_as_the_probe(name, data):
     if data.draw(st.booleans()):
         cs = CoordinateSystem.for_elements(d, family)
     else:
-        span = Span(d)
+        span = Span(d, window=family)
         cut = 0
         while cut < len(family):
             step = data.draw(st.integers(1, len(family) - cut))
@@ -308,11 +313,9 @@ def test_coords_scatter_reads_as_the_probe(name, data):
     in_window = set(cs.columns)
     outside = [x for x in points if column(x) not in in_window]
     spike = d.e(data.draw(st.sampled_from(outside or points)))
-    columns = data.draw(st.lists(st.sampled_from(cs.columns), unique=True))
     for f in (member, spike, tail, member + spike, member - 2 * tail):
-        for cols in (None, columns):
-            want = _read(reference_probe_coords, cs, f, cols)
-            assert _read(_coords, cs, f, cols) == want
+        want = _read(reference_probe_coords, cs, f)
+        assert _read(CoordinateSystem.coords, cs, f) == want
 
 
 def test_a_residue_on_no_axis_is_no_member():
@@ -322,7 +325,7 @@ def test_a_residue_on_no_axis_is_no_member():
     d = pres.domain
     fs = [g for n, g in pres.generators if n.startswith("f_")]
     h0 = pres.generator("h_0")
-    grown = Span(d)
+    grown = Span(d, window=fs)
     grown.extend(fs[:2])
     grown.extend(fs[2:])
     for span in (Span(d, fs), grown):

@@ -185,65 +185,31 @@ def test_lattice_basis_empty_span():
     assert basis == () and combos == ()
 
 
-# --- a Hermite form grown by rows and columns --------------------------------------
+# --- a Hermite form grown by rows -----------------------------------------------
 
 entries = st.integers(-9, 9)
 
 
 @st.composite
 def growths(draw):
-    """A random growth: the starting width, then a list of moves, each a
-    row batch, a column batch (one entry per row given so far) or an axis
-    rescale."""
+    """A random growth: the width, then a list of row batches."""
     width = draw(st.integers(1, 4))
-    moves, rows, cols = [], 0, width
-    for _ in range(draw(st.integers(1, 7))):
-        kind = draw(st.sampled_from(("rows", "rows", "cols", "scale")))
-        if kind == "rows":
-            k = draw(st.integers(0, 3))
-            batch = draw(
-                st.lists(
-                    st.lists(entries, min_size=cols, max_size=cols),
-                    min_size=k,
-                    max_size=k,
-                )
-            )
-            moves.append(("rows", batch))
-            rows += k
-        elif kind == "cols":
-            k = draw(st.integers(0, 2))
-            batch = draw(
-                st.lists(
-                    st.lists(entries, min_size=rows, max_size=rows),
-                    min_size=k,
-                    max_size=k,
-                )
-            )
-            moves.append(("cols", batch))
-            cols += k
-        else:
-            moves.append(
-                ("scale", draw(st.integers(0, cols - 1)), draw(st.integers(1, 4)))
-            )
-    return width, moves
+    batches = draw(
+        st.lists(
+            st.lists(st.lists(entries, min_size=width, max_size=width), max_size=3),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    return width, batches
 
 
-def grow(width, moves):
+def grow(width, batches):
     """The grown form and the input matrix it was grown from."""
     form, matrix = GrownForm(width), []
-    for move in moves:
-        if move[0] == "rows":
-            form.extend(move[1])
-            matrix += [list(r) for r in move[1]]
-        elif move[0] == "cols":
-            form.widen(move[1])
-            for i, r in enumerate(matrix):
-                r.extend(col[i] for col in move[1])
-        else:
-            _, c, f = move
-            form.rescale(c, f)
-            for r in matrix:
-                r[c] *= f
+    for batch in batches:
+        form.extend(batch)
+        matrix += [list(r) for r in batch]
     return form, matrix
 
 
@@ -299,8 +265,31 @@ def test_grown_form_guards():
         form.extend([[1, 2, 3]])
     form.extend([[1, 2]])
     with pytest.raises(ValueError):
-        form.widen([[1, 2]])  # one entry per row given so far
-    with pytest.raises(ValueError):
-        form.rescale(0, 0)
+        form.extend([[3, 4], [5]])
     with pytest.raises(ValueError):
         form.solve([1, 2, 3])
+    with pytest.raises(ValueError):
+        form.raises_rank([1])
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4),
+            st.lists(st.lists(entries, min_size=n, max_size=n), max_size=6),
+        )
+    )
+)
+def test_batch_extend_is_one_row_at_a_time(start_and_rows):
+    # one extend by many rows merges them one at a time: the same h, u
+    # and pivots as one extend per row, and the h of hnf_rows
+    start, rows = start_and_rows
+    batch, single = GrownForm(len(start[0])), GrownForm(len(start[0]))
+    batch.extend(start)
+    single.extend(start)
+    batch.extend(rows)
+    for r in rows:
+        single.extend([r])
+    assert (batch.h, batch.u, batch.pivots) == (single.h, single.u, single.pivots)
+    assert [tuple(r) for r in batch.h] == list(hnf_rows(start + rows).h)
+

@@ -90,8 +90,15 @@ def test_scale_report_measures_a_tiny_chain():
     assert scale_report.SIZES == (24, 48, 64, 80)
     m = scale_report.measure(6, repeat=1)
     assert set(m) == {
-        "build_s", "check_s", "cert_bytes", "witness_bits", "basis_bits", "ok"
+        "build_s",
+        "check_s",
+        "cert_bytes",
+        "cert_sha",
+        "witness_bits",
+        "basis_bits",
+        "ok",
     }
+    assert len(m["cert_sha"]) == 16 and int(m["cert_sha"], 16) >= 0
     assert m["ok"] is True
     assert m["build_s"] > 0 and m["check_s"] > 0
     assert m["cert_bytes"] > 0 and m["witness_bits"] >= 1
