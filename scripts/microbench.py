@@ -14,9 +14,11 @@ to six spikes at ladder points 0-11, with coefficients in [-9, 9], over
 their quarks; spike_sum builds the same sums one spike at a time with +
 and *, as the decompose workload does.  member_decompose factors the
 generators for every one of seeded combinations of one to three of them,
-as a one-shot call does;
-coords reads each generator and the spike at 3 at every column of the
-generators' coordinate system, as a Span build and a membership solve do.
+as a one-shot call does; span_build_limitq24 builds the Span of
+limitq(24)'s generators, the factorization each member_decompose call
+of the decompose workload runs on that preset.  coords reads each
+generator and the spike at 3 at every column of the generators'
+coordinate system, as a Span build and a membership solve do.
 The matrix operations factor a seeded 30 x 30
 matrix with entries in [-9, 9]; grown_extend extends the Hermite form of
 its first 28 rows by two seeded rows, as a chain step does, on a fresh
@@ -37,7 +39,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from ordlat.group import Span, member_decompose, span_qx_decompose
 from ordlat.intlinalg import GrownForm, hnf_rows
 from ordlat.ordinal import OMEGA, compare, from_int
-from ordlat.presets import load
+from ordlat.presets import limitq, load
 
 PAIRS = 40
 POINTS = 12
@@ -118,6 +120,11 @@ def main(argv=None):
     def span_build():
         return lambda: Span(pres.domain, pres.elements)
 
+    pres24 = limitq(24)
+
+    def span_build_limitq24():
+        return lambda: Span(pres24.domain, pres24.elements)
+
     spikes = [dom.e(from_int(k)) for k in range(10)]
 
     def span_decompose():
@@ -172,6 +179,7 @@ def main(argv=None):
         "value": per_call(value, PAIRS * POINTS, args.repeat),
         "ordinal_compare": per_call(compare_ordinals, len(pairs_o), args.repeat),
         "span_build": per_call(span_build, 1, args.repeat),
+        "span_build_limitq24": per_call(span_build_limitq24, 1, args.repeat),
         "span_decompose_spike": per_call(span_decompose, len(spikes), args.repeat),
         "quark_decompose": per_call(quark_decompose, PAIRS, args.repeat),
         "spike_sum": per_call(spike_sum, PAIRS, args.repeat),

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ordlat.element import Element, WeightFn, _from_values
 from ordlat.group import CoordinateSystem, Presentation, Span
-from ordlat.intlinalg import Row, combine_rows, hnf_rows, project
+from ordlat.intlinalg import combine_rows, hnf_rows, project
 from ordlat.ordinal import ZERO, Ordinal, format_ordinal, from_int
 from ordlat.space import ClopenBlock
 
@@ -244,8 +244,8 @@ def _quotient_combos(
     independent: the Hermite transform of n * I (m x m) stacked over the
     coefficients of each n * b on the family."""
     rows = [[n if j == i else 0 for j in range(m)] for i in range(m)]
-    res = hnf_rows(rows + list(b_rows))
-    return res.u[: res.rank]
+    form = hnf_rows(rows + list(b_rows))
+    return tuple(map(tuple, form.u[: form.rank]))
 
 
 def free_from_bounded_torsion(
@@ -813,7 +813,7 @@ def smooth_chain_check(
     ncols = len(cs.columns)
     # (pivot column, row) pairs whose rows span the pool entries before
     # the step rationally, each row zero at every earlier pivot
-    prior: List[Tuple[int, Row]] = []
+    prior: List[Tuple[int, Sequence[int]]] = []
 
     cursor = 0
     for step in cert.steps:

@@ -13,11 +13,22 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ordlat.element import (
     Domain,
     Element,
+    TailTerm,
     WeightFn,
     _tail_sum,
     is_semibasic,
@@ -141,39 +152,48 @@ class CoordinateSystem:
     def widen(self, elements: Sequence[Element]) -> None:
         """Append at the right every column the elements need, and grow
         each axis scale to clear their residues."""
-
-        def add(col: Column) -> None:
-            if col not in self._index:
-                self._index[col] = len(self.columns)
-                self.columns.append(col)
-                self._sites = None
-
+        index, ends = self._index, self._ends
         for f in elements:
+            for col in self._needs(f):
+                if col not in index:
+                    index[col] = len(self.columns)
+                    self.columns.append(col)
+                    self._sites = None
             for t in f.tails:
                 key = (t.ladder_id, t.weight)
-                old = self.scales.get(key)
-                if old is None:
-                    add(("axis", key))
-                self.scales[key] = lcm(old or 1, t.den // gcd(t.num, t.den))
-                # the window: every ladder index below the largest start
-                end = self._ends.get(t.ladder_id, 0)
-                for k in range(end, t.start):
-                    add(("site", (t.ladder_id, k)))
-                self._ends[t.ladder_id] = max(end, t.start)
-            for x, _ in f.off:
-                add(("point", x))
-            for lid, kv in f.on:
-                for k, _ in kv:
-                    add(("site", (lid, k)))
+                self.scales[key] = lcm(self.scales.get(key, 1), _residue_scale(t))
+                ends[t.ladder_id] = max(ends.get(t.ladder_id, 0), t.start)
 
     def covers(self, elements: Sequence[Element]) -> bool:
         """Whether the window holds every column the elements need, by
-        widen's rule, and every axis scale clears their residues."""
-        need = CoordinateSystem()
-        need.widen(elements)
-        return all(col in self._index for col in need.columns) and all(
-            self.scales[key] % scale == 0 for key, scale in need.scales.items()
+        widen's rule, and every axis scale clears their residues.  An
+        element the window covers costs its terms and its prefix."""
+        index, scales = self._index, self.scales
+        if not all(col in index for f in elements for col in self._needs(f)):
+            return False
+        return all(
+            scales[(t.ladder_id, t.weight)] % _residue_scale(t) == 0
+            for f in elements
+            for t in f.tails
         )
+
+    def _needs(self, f: Element) -> Iterator[Column]:
+        """The columns f needs by the window rule, in first-need order,
+        less the sites below the window's end on each ladder, which the
+        window holds already: each tail's axis, the sites from the end up
+        to f's tail start there, and f's prefix points and sites."""
+        for lid, terms in f._terms.items():
+            yield ("axis", (lid, terms[0].weight))
+            # every ladder index below the largest start
+            for k in range(self._ends.get(lid, 0), terms[0].start):
+                yield ("site", (lid, k))
+            for t in terms[1:]:
+                yield ("axis", (lid, t.weight))
+        for x, _ in f.off:
+            yield ("point", x)
+        for lid, kv in f.on:
+            for k, _ in kv:
+                yield ("site", (lid, k))
 
     def coords(self, f: Element) -> List[int]:
         """f at every column, by the scatter rule above."""
@@ -206,6 +226,11 @@ class CoordinateSystem:
         return out
 
 
+def _residue_scale(t: TailTerm) -> int:
+    """The least axis scale that clears t's residue."""
+    return t.den // gcd(t.num, t.den)
+
+
 def _ladder_sites(index: Mapping[Column, int]) -> Dict[str, List[Tuple[int, int]]]:
     """Per ladder, the (ladder index, column) of its site columns in index
     order."""
@@ -229,15 +254,15 @@ class Span:
     grown by members instead of refactored.
 
     Holds the family, its coordinate system, its members' coordinate rows
-    and one GrownForm of them; decompose answers each target by
+    and one GrownForm of them, grown from no rows by the family's rows and
+    then by each extend's; decompose answers each target by
     back-substitution, and the re-sum decides.  window None gives the
-    family the sorted columns of CoordinateSystem.for_elements, and the
-    Hermite form hnf_rows gives its rows.  A family that grows names the
-    elements it may take as its window: the columns they need, in
-    first-need order, are fixed then, so extend appends rows only and
-    refuses, with ValueError, a member that needs a column or an axis
-    scale the window lacks.  A grown Span of a dependent family may pick
-    other coefficients than one built at once.  unique: whether the
+    family the sorted columns of CoordinateSystem.for_elements.  A family
+    that grows names the elements it may take as its window: the columns
+    they need, in first-need order, are fixed then, so extend appends rows
+    only and refuses, with ValueError, a member that needs a column or an
+    axis scale the window lacks.  A grown Span of a dependent family may
+    pick other coefficients than one built at once.  unique: whether the
     family is independent, so that every member has exactly one
     coefficient vector.
     """

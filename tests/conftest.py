@@ -14,6 +14,12 @@ settings.register_profile(
     # a failing property prints a @reproduce_failure blob that replays it
     print_blob=True,
 )
+# one Hermite routine serves the builder, the checker and every Span, and
+# the sympy comparisons in test_intlinalg.py are its only independent
+# check: CI also runs that file with --hypothesis-profile=deep
+settings.register_profile(
+    "deep", parent=settings.get_profile("suite"), max_examples=1000
+)
 settings.load_profile("suite")
 
 

@@ -308,6 +308,23 @@ def test_cert_verify_hostile_certificate_is_bad_input(capsys, tmp_path, corrupt)
     assert not re.search(r"[A-Z]\w*(Error|Exception)\b", out + err)
 
 
+def test_cert_verify_step_without_extension_is_a_failed_check(capsys, tmp_path):
+    # step 2's extension moved into its extras: a step whose extension is
+    # empty, whose Hermite form of no rows has width 0, is checked, not
+    # refused as bad input
+    cert = tmp_path / "cert.json"
+    rc, _, _ = run(capsys, "extract-basis", "--preset", "limitq", "--output", str(cert))
+    assert rc == 0
+    data = json.loads(cert.read_text())
+    step = data["steps"][2]
+    step["bExtras"] = step["aExtension"] + step["bExtras"]
+    step["aExtension"] = []
+    cert.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "cert-verify", "--preset", "limitq", "--cert", str(cert))
+    assert rc == 1, err
+    assert "step:step 2: extras without witnesses" in out
+
+
 @pytest.mark.parametrize("name", [["e_0"], {"e": 0}], ids=["list", "object"])
 def test_cert_verify_pool_name_not_a_string_is_bad_input(capsys, tmp_path, name):
     # an unhashable name must not reach the checker's set of pool names

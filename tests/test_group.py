@@ -334,6 +334,22 @@ def test_a_residue_on_no_axis_is_no_member():
         assert span.decompose(fs[1]) is not None
 
 
+def test_a_grown_span_refuses_members_past_its_window(limitq):
+    # the window of tail(q, 1, 2) holds the sites below 2 and the axis:
+    # a later start on the same axis scale needs sites 2-4, and the spike
+    # at ladder point 7 its own site
+    d = limitq.domain
+    t2 = d.tail("q", 1, 2)
+    span = Span(d, window=[t2])
+    span.extend([t2])
+    rows, h = [list(r) for r in span.rows], [list(r) for r in span.form.h]
+    for member in (d.tail("q", 1, 5), d.e(d.ladder("q").point(7))):
+        for grow in (lambda: span.extend([member]), lambda: span.raises_rank(member)):
+            with pytest.raises(ValueError, match="outside the span's window"):
+                grow()
+        assert span.gens == (t2,) and span.rows == rows and span.form.h == h
+
+
 def test_span_edge_families(limitq, twoblock):
     d = limitq.domain
     a0, a1 = limitq.generator("a_0"), limitq.generator("a_1")

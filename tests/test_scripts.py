@@ -68,6 +68,7 @@ def test_microbench_prints_one_json_object():
         "value",
         "ordinal_compare",
         "span_build",
+        "span_build_limitq24",
         "span_decompose_spike",
         "quark_decompose",
         "spike_sum",
